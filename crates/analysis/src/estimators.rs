@@ -7,24 +7,20 @@
 //! heavily skewed split — and taking the per-metric **worst** result, which
 //! is the score the protocol can actually guarantee on the scenario family.
 //!
-//! Two backends produce traces: the fluid model (`axcc-fluidsim`, exact
-//! Section 2 dynamics, used for fast sweeps and theorem checks) and the
-//! packet-level simulator (`axcc-packetsim`, the Emulab stand-in, used for
-//! the validation experiments). Both emit [`RunTrace`], so the estimators
-//! are backend-agnostic.
+//! Two backends run the scenarios: the fluid model (`axcc-fluidsim`,
+//! exact Section 2 dynamics, used for fast sweeps and theorem checks) and
+//! the packet-level simulator (`axcc-packetsim`, the Emulab stand-in, used
+//! for the validation experiments). Both are scored by the same axiom
+//! folds: fluid runs stream each step into a [`MetricAccumulator`]; packet
+//! runs record a [`RunTrace`] that [`replay`] feeds through it.
 
-use axcc_core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, friendliness, latency, loss_avoidance,
-    robustness,
-};
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol, RunTrace};
 use axcc_fluidsim::{
-    metric_accumulator_for, run_scenario_streaming, run_scenario_streaming_into, LossModel,
-    MetricAccumulator, MetricSet, Scenario, SenderConfig, StreamOptions,
+    metric_accumulator_for, replay_trace, run_scenario_streaming, run_scenario_streaming_into,
+    LossModel, MetricAccumulator, MetricSet, Scenario, SenderConfig, StreamOptions,
 };
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
-use axcc_sweep::EvalMode;
 use serde::{Deserialize, Serialize};
 
 /// Fraction of each run treated as transient.
@@ -34,11 +30,10 @@ pub const TAIL_FRACTION: f64 = 0.5;
 pub const FAST_UTIL_HORIZON: usize = 8;
 
 /// The β threshold the robustness estimators use for the escape witness
-/// ([`robustness::window_escapes`]' first argument on the trace path).
+/// ([`MetricAccumulator::window_escapes`]).
 pub const ROBUSTNESS_ESCAPE_BETA: f64 = 100.0;
 
-/// Streaming-evaluation options matching this module's estimator
-/// parameters, so the accumulator reproduces the trace path bit-for-bit.
+/// Evaluation options carrying this module's estimator parameters.
 pub fn stream_options() -> StreamOptions {
     StreamOptions {
         tail_fraction: TAIL_FRACTION,
@@ -50,13 +45,20 @@ pub fn stream_options() -> StreamOptions {
 
 /// [`stream_options`] restricted to the metric families a job will
 /// actually read — the sink-specialization entry point: the accumulator
-/// skips every other family's per-block fold, which is what makes
-/// short-run streaming cheaper than tracing.
+/// skips every other family's per-block fold.
 pub fn stream_options_for(metrics: MetricSet) -> StreamOptions {
     StreamOptions {
         metrics,
         ..stream_options()
     }
+}
+
+/// Score a recorded trace (a packet-level run, or a fluid run kept for
+/// its columns) with this module's estimator parameters: the trace's
+/// columns replay through the same fold a streaming run drives, keeping
+/// the `metrics` families.
+pub fn replay(trace: &RunTrace, metrics: MetricSet) -> MetricAccumulator {
+    replay_trace(trace, &stream_options_for(metrics))
 }
 
 /// Configuration of a homogeneous ("all senders employ P") sweep.
@@ -115,38 +117,12 @@ pub struct SoloMetrics {
     pub mean_utilization: f64,
 }
 
-/// Measure Metrics I–V and VIII for one trace.
+/// Measure Metrics I–V and VIII for one recorded trace.
 pub fn solo_metrics_of_trace(trace: &RunTrace) -> SoloMetrics {
-    let tail = trace.tail_start(TAIL_FRACTION);
-    let fast = trace
-        .senders
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| {
-            fast_utilization::measured_fast_utilization(
-                s,
-                trace.sender_rtt(i),
-                tail,
-                FAST_UTIL_HORIZON,
-            )
-        })
-        .fold(None, |acc: Option<f64>, v| {
-            Some(acc.map_or(v, |a| a.min(v)))
-        });
-    SoloMetrics {
-        efficiency: efficiency::measured_efficiency(trace, tail),
-        loss_bound: loss_avoidance::measured_loss_bound(trace, tail),
-        fairness: fairness::measured_fairness(trace, tail),
-        convergence: convergence::measured_convergence(trace, tail),
-        fast_utilization: fast,
-        latency_inflation: latency::measured_latency_inflation(trace, tail),
-        mean_utilization: efficiency::mean_utilization(trace, tail),
-    }
+    solo_metrics_of_acc(&replay(trace, MetricSet::SOLO))
 }
 
-/// Measure Metrics I–V and VIII from a streaming accumulator — the
-/// trace-free counterpart of [`solo_metrics_of_trace`], bit-identical on
-/// the same run.
+/// Measure Metrics I–V and VIII from an accumulator that consumed a run.
 pub fn solo_metrics_of_acc(acc: &MetricAccumulator) -> SoloMetrics {
     let fast = (0..acc.num_senders())
         .filter_map(|i| acc.measured_fast_utilization(i))
@@ -211,39 +187,9 @@ impl SoloMetrics {
 }
 
 /// Run the homogeneous sweep in the **fluid** model and return the
-/// worst-case (guaranteed) solo metrics.
+/// worst-case (guaranteed) solo metrics. Every configuration streams into
+/// one reused [`MetricAccumulator`] — all share one scenario shape.
 pub fn measure_solo_fluid(proto: &dyn Protocol, cfg: &SweepConfig) -> SoloMetrics {
-    let mut agg: Option<SoloMetrics> = None;
-    for init in &cfg.initial_configs {
-        assert_eq!(init.len(), cfg.n_senders, "config arity mismatch");
-        let mut sc = Scenario::new(cfg.link).steps(cfg.steps);
-        for &w in init {
-            sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
-        }
-        let trace = sc.run();
-        let m = solo_metrics_of_trace(&trace);
-        agg = Some(match agg {
-            None => m,
-            Some(a) => a.pointwise_worst(&m),
-        });
-    }
-    #[allow(clippy::expect_used)] // invariant: SweepConfig always carries configurations
-    // tidy-allow: panic-freedom — SweepConfig construction guarantees a non-empty sweep; None is unreachable
-    agg.expect("sweep had no configurations")
-}
-
-/// [`measure_solo_fluid`] under an explicit evaluation mode: the traced
-/// path records full traces and scores them; the streaming path folds the
-/// very same runs into one reused [`MetricAccumulator`] — same scores to
-/// the bit, no trace columns allocated.
-pub fn measure_solo_fluid_mode(
-    proto: &dyn Protocol,
-    cfg: &SweepConfig,
-    mode: EvalMode,
-) -> SoloMetrics {
-    if mode == EvalMode::Traced {
-        return measure_solo_fluid(proto, cfg);
-    }
     let opts = stream_options_for(MetricSet::SOLO);
     let mut acc: Option<MetricAccumulator> = None;
     let mut agg: Option<SoloMetrics> = None;
@@ -253,8 +199,6 @@ pub fn measure_solo_fluid_mode(
         for &w in init {
             sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
         }
-        // All sweep configurations share one scenario shape, so one
-        // accumulator serves the whole job.
         let acc = acc.get_or_insert_with(|| metric_accumulator_for(&sc, &opts));
         run_scenario_streaming_into(sc, acc);
         let m = solo_metrics_of_acc(acc);
@@ -298,6 +242,10 @@ pub fn measure_solo_packet(
 /// model: `n_p` P-senders and `n_q` Q-senders share the link; the score is
 /// the worst over the provided `(p_init, q_init)` initial-window pairs of
 /// `min_j avg_j(Q) / max_i avg_i(P)` over the tail.
+///
+/// # Panics
+///
+/// Panics unless both sender sets are non-empty.
 pub fn measure_friendliness_fluid(
     p: &dyn Protocol,
     q: &dyn Protocol,
@@ -307,41 +255,6 @@ pub fn measure_friendliness_fluid(
     steps: usize,
     initial_pairs: &[(f64, f64)],
 ) -> f64 {
-    assert!(n_p > 0 && n_q > 0, "friendliness needs both sender sets");
-    let mut worst = f64::INFINITY;
-    for &(pi, qi) in initial_pairs {
-        let mut sc = Scenario::new(link).steps(steps);
-        for _ in 0..n_p {
-            sc = sc.sender(SenderConfig::new(p.clone_box()).initial_window(pi));
-        }
-        for _ in 0..n_q {
-            sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
-        }
-        let trace = sc.run();
-        let tail = trace.tail_start(TAIL_FRACTION);
-        let p_idx: Vec<usize> = (0..n_p).collect();
-        let q_idx: Vec<usize> = (n_p..n_p + n_q).collect();
-        let f = friendliness::measured_friendliness(&trace, &p_idx, &q_idx, tail);
-        worst = worst.min(f);
-    }
-    worst
-}
-
-/// [`measure_friendliness_fluid`] under an explicit evaluation mode.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_friendliness_fluid_mode(
-    p: &dyn Protocol,
-    q: &dyn Protocol,
-    link: LinkParams,
-    n_p: usize,
-    n_q: usize,
-    steps: usize,
-    initial_pairs: &[(f64, f64)],
-    mode: EvalMode,
-) -> f64 {
-    if mode == EvalMode::Traced {
-        return measure_friendliness_fluid(p, q, link, n_p, n_q, steps, initial_pairs);
-    }
     assert!(n_p > 0 && n_q > 0, "friendliness needs both sender sets");
     let opts = stream_options_for(MetricSet::FAIRNESS);
     let p_idx: Vec<usize> = (0..n_p).collect();
@@ -385,10 +298,9 @@ pub fn measure_friendliness_packet(
         sc = sc.sender(PacketSenderConfig::new(q.clone_box()));
     }
     let out = sc.run();
-    let tail = out.trace.tail_start(TAIL_FRACTION);
     let p_idx: Vec<usize> = (0..n_p).collect();
     let q_idx: Vec<usize> = (n_p..n_p + n_q).collect();
-    friendliness::measured_friendliness(&out.trace, &p_idx, &q_idx, tail)
+    replay(&out.trace, MetricSet::FAIRNESS).measured_friendliness(&p_idx, &q_idx)
 }
 
 /// Empirically decide the paper's "more aggressive than" relation
@@ -408,43 +320,6 @@ pub fn empirically_more_aggressive(
     link: LinkParams,
     steps: usize,
 ) -> bool {
-    let ct = link.loss_threshold();
-    for (n_p, n_q) in [(1usize, 1usize), (2, 1), (1, 2)] {
-        for &(pi, qi) in &[(1.0, 1.0), (1.0, 0.8 * ct), (0.8 * ct, 1.0)] {
-            let mut sc = Scenario::new(link).steps(steps);
-            for _ in 0..n_p {
-                sc = sc.sender(SenderConfig::new(p.clone_box()).initial_window(pi));
-            }
-            for _ in 0..n_q {
-                sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
-            }
-            let trace = sc.run();
-            let tail = trace.tail_start(TAIL_FRACTION);
-            let worst_p = (0..n_p)
-                .map(|i| trace.senders[i].mean_goodput_from(tail))
-                .fold(f64::INFINITY, f64::min);
-            let best_q = (n_p..n_p + n_q)
-                .map(|j| trace.senders[j].mean_goodput_from(tail))
-                .fold(0.0, f64::max);
-            if worst_p <= best_q {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// [`empirically_more_aggressive`] under an explicit evaluation mode.
-pub fn empirically_more_aggressive_mode(
-    p: &dyn Protocol,
-    q: &dyn Protocol,
-    link: LinkParams,
-    steps: usize,
-    mode: EvalMode,
-) -> bool {
-    if mode == EvalMode::Traced {
-        return empirically_more_aggressive(p, q, link, steps);
-    }
     let opts = stream_options_for(MetricSet::FAIRNESS);
     let ct = link.loss_threshold();
     for (n_p, n_q) in [(1usize, 1usize), (2, 1), (1, 2)] {
@@ -485,41 +360,7 @@ pub fn measure_robustness_fluid(proto: &dyn Protocol, rates: &[f64], steps: usiz
     // A link whose capacity exceeds the model's maximum window: congestion
     // loss can never occur.
     let infinite = LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW);
-    let mut best = 0.0;
-    for &rate in rates {
-        let trace = Scenario::new(infinite)
-            .sender(SenderConfig::new(proto.clone_box()).initial_window(10.0))
-            .wire_loss(LossModel::Constant { rate })
-            .steps(steps)
-            .run();
-        let s = &trace.senders[0];
-        // Divergence evidence: clearly escaped the starting window AND
-        // either still growing at the end or already pinned at the model's
-        // maximum window `M` (aggressive climbers like PCC/BBR saturate
-        // the cap long before the run ends, which is the strongest escape
-        // a finite trace can witness).
-        let escaped = robustness::window_escapes(s, ROBUSTNESS_ESCAPE_BETA, 0.2);
-        let growing = robustness::window_diverging(s, 1e-9);
-        let capped = s.window.last().copied().unwrap_or(0.0) >= 0.9 * MAX_WINDOW;
-        if escaped && (growing || capped) {
-            best = rate.max(best);
-        }
-    }
-    best
-}
-
-/// [`measure_robustness_fluid`] under an explicit evaluation mode.
-pub fn measure_robustness_fluid_mode(
-    proto: &dyn Protocol,
-    rates: &[f64],
-    steps: usize,
-    mode: EvalMode,
-) -> f64 {
-    if mode == EvalMode::Traced {
-        return measure_robustness_fluid(proto, rates, steps);
-    }
     let opts = stream_options_for(MetricSet::ROBUSTNESS);
-    let infinite = LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW);
     let mut acc: Option<MetricAccumulator> = None;
     let mut best = 0.0;
     for &rate in rates {
@@ -529,6 +370,11 @@ pub fn measure_robustness_fluid_mode(
             .steps(steps);
         let acc = acc.get_or_insert_with(|| metric_accumulator_for(&sc, &opts));
         run_scenario_streaming_into(sc, acc);
+        // Divergence evidence: clearly escaped the starting window AND
+        // either still growing at the end or already pinned at the model's
+        // maximum window `M` (aggressive climbers like PCC/BBR saturate
+        // the cap long before the run ends, which is the strongest escape
+        // a finite run can witness).
         let escaped = acc.window_escapes(0, 0.2);
         let growing = acc.window_diverging(0, 1e-9);
         let capped = acc.last_window(0) >= 0.9 * MAX_WINDOW;
@@ -548,24 +394,12 @@ pub fn empirical_scores_fluid(
     n_senders: usize,
     steps: usize,
 ) -> axcc_core::AxiomScores {
-    empirical_scores_fluid_mode(proto, link, n_senders, steps, EvalMode::Traced)
-}
-
-/// [`empirical_scores_fluid`] under an explicit evaluation mode.
-pub fn empirical_scores_fluid_mode(
-    proto: &dyn Protocol,
-    link: LinkParams,
-    n_senders: usize,
-    steps: usize,
-    mode: EvalMode,
-) -> axcc_core::AxiomScores {
-    let solo = measure_solo_fluid_mode(proto, &SweepConfig::standard(link, n_senders, steps), mode);
+    let solo = measure_solo_fluid(proto, &SweepConfig::standard(link, n_senders, steps));
     let reno = axcc_protocols::Aimd::reno();
     let ct = link.loss_threshold();
     let pairs = [(1.0, 1.0), (0.8 * ct, 1.0), (1.0, 0.8 * ct)];
-    let friendliness =
-        measure_friendliness_fluid_mode(proto, &reno, link, 1, 1, steps, &pairs, mode);
-    let robustness = measure_robustness_fluid_mode(proto, &ROBUSTNESS_RATES, steps, mode);
+    let friendliness = measure_friendliness_fluid(proto, &reno, link, 1, 1, steps, &pairs);
+    let robustness = measure_robustness_fluid(proto, &ROBUSTNESS_RATES, steps);
     axcc_core::AxiomScores {
         efficiency: solo.efficiency,
         fast_utilization: solo.fast_utilization.unwrap_or(0.0),
@@ -728,84 +562,27 @@ mod tests {
     }
 
     #[test]
-    fn streaming_solo_metrics_match_traced_bit_for_bit() {
+    fn replayed_trace_scores_match_the_streamed_run_bit_for_bit() {
+        // A recorded fluid run replayed through the fold scores exactly
+        // what the same run streamed — the trace keeps every column the
+        // fold consumed.
         for proto in [
             Box::new(Aimd::reno()) as Box<dyn axcc_core::Protocol>,
             Box::new(Mimd::scalable()),
             Box::new(Vegas::classic()),
         ] {
-            let cfg = SweepConfig::standard(link(), 2, 600);
-            let traced = measure_solo_fluid_mode(proto.as_ref(), &cfg, EvalMode::Traced);
-            let streamed = measure_solo_fluid_mode(proto.as_ref(), &cfg, EvalMode::Streaming);
+            let sc = || {
+                Scenario::new(link())
+                    .sender(SenderConfig::new(proto.clone_box()).initial_window(90.0))
+                    .sender(SenderConfig::new(proto.clone_box()).initial_window(1.0))
+                    .steps(600)
+            };
+            let traced = solo_metrics_of_trace(&sc().run());
+            let streamed = solo_metrics_of_acc(&run_scenario_streaming(
+                sc(),
+                &stream_options_for(MetricSet::SOLO),
+            ));
             assert_solo_bits_equal(&traced, &streamed);
-        }
-    }
-
-    #[test]
-    fn streaming_friendliness_matches_traced_bit_for_bit() {
-        let reno = Aimd::reno();
-        let fast = Aimd::new(4.0, 0.5);
-        let pairs = [(1.0, 1.0), (90.0, 1.0)];
-        let traced = measure_friendliness_fluid_mode(
-            &fast,
-            &reno,
-            link(),
-            1,
-            2,
-            800,
-            &pairs,
-            EvalMode::Traced,
-        );
-        let streamed = measure_friendliness_fluid_mode(
-            &fast,
-            &reno,
-            link(),
-            1,
-            2,
-            800,
-            &pairs,
-            EvalMode::Streaming,
-        );
-        assert_eq!(traced.to_bits(), streamed.to_bits());
-    }
-
-    #[test]
-    fn streaming_robustness_matches_traced() {
-        for proto in [
-            Box::new(Aimd::reno()) as Box<dyn axcc_core::Protocol>,
-            Box::new(RobustAimd::table2()),
-        ] {
-            let traced = measure_robustness_fluid_mode(
-                proto.as_ref(),
-                &ROBUSTNESS_RATES,
-                1000,
-                EvalMode::Traced,
-            );
-            let streamed = measure_robustness_fluid_mode(
-                proto.as_ref(),
-                &ROBUSTNESS_RATES,
-                1000,
-                EvalMode::Streaming,
-            );
-            assert_eq!(traced.to_bits(), streamed.to_bits());
-        }
-    }
-
-    #[test]
-    fn streaming_aggressiveness_matches_traced() {
-        let reno = Aimd::reno();
-        let mimd = Mimd::scalable();
-        for (p, q) in [
-            (
-                &mimd as &dyn axcc_core::Protocol,
-                &reno as &dyn axcc_core::Protocol,
-            ),
-            (&reno, &reno),
-        ] {
-            assert_eq!(
-                empirically_more_aggressive_mode(p, q, link(), 800, EvalMode::Traced),
-                empirically_more_aggressive_mode(p, q, link(), 800, EvalMode::Streaming),
-            );
         }
     }
 

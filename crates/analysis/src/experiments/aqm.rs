@@ -16,11 +16,12 @@
 //! loss-based protocol along the Metric III and VIII axes without touching
 //! Metric I.
 
+use crate::estimators::replay;
 use crate::report::{fmt_score, TextTable};
-use axcc_core::axioms::{fairness, latency, loss_avoidance};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
+use axcc_fluidsim::MetricSet;
 use axcc_packetsim::{PacketScenario, RedConfig};
 use axcc_protocols::presets;
 use axcc_sweep::{Cacheable, Record, SweepJob, SweepRunner};
@@ -166,11 +167,14 @@ impl SweepJob for AqmJob {
         };
         let out = sc.run();
         let tail = out.trace.tail_start(0.5);
-        let goodput: f64 = out
-            .trace
-            .senders
-            .iter()
-            .map(|s| s.mean_goodput_from(tail))
+        let acc = replay(
+            &out.trace,
+            MetricSet::LOSS_AVOIDANCE
+                .with(MetricSet::LATENCY)
+                .with(MetricSet::FAIRNESS),
+        );
+        let goodput: f64 = (0..acc.num_senders())
+            .map(|i| acc.tail_mean_goodput(i))
             .sum();
         let rtts = &out.trace.sender_rtt(0)[tail..];
         AqmCell {
@@ -178,11 +182,11 @@ impl SweepJob for AqmJob {
             discipline: self.discipline.label(),
             drops: out.queue.dropped,
             marks: out.queue.marked,
-            loss_bound: loss_avoidance::measured_loss_bound(&out.trace, tail),
-            latency_inflation: latency::measured_latency_inflation(&out.trace, tail),
+            loss_bound: acc.measured_loss_bound(),
+            latency_inflation: acc.measured_latency_inflation(),
             mean_rtt: rtts.iter().sum::<f64>() / rtts.len().max(1) as f64,
             utilization: goodput / link.bandwidth,
-            jain: fairness::jain_index(&out.trace, tail),
+            jain: acc.jain_index(),
         }
     }
 }

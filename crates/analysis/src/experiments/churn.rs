@@ -9,8 +9,8 @@
 //! axiom forms, and the packet-level simulator re-measures utilization
 //! under the heaviest storm as a sanity cross-check.
 //!
-//! Three churn-aware evaluator forms (from `axcc_core::axioms::churn`)
-//! score each (protocol, arrival-rate) cell:
+//! Three churn-aware axiom forms (from `axcc_core::axioms::churn`) score
+//! each (protocol, arrival-rate) cell:
 //!
 //! * **settle** — mean convergence-after-arrival time: how many steps after
 //!   each arrival until the aggregate window re-clears
@@ -21,17 +21,15 @@
 //! * **utilization under churn** — mean link utilization over the steps
 //!   where at least one flow (base or churned) is active.
 //!
-//! In streaming mode the scores come from the single-pass
-//! [`ChurnAccumulator`]; in traced mode from the slice evaluators on the
-//! recorded trace — bit-identical by construction, which the registry's
-//! mode-identity test enforces.
+//! The fluid run folds each step into a [`ChurnAccumulator`]; no trace is
+//! recorded.
 
 use crate::report::{fmt_score, TextTable};
-use axcc_core::axioms::churn::{self as churn_ax, ChurnAccumulator, ChurnConfig};
+use axcc_core::axioms::churn::{ChurnAccumulator, ChurnConfig};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{try_run_scenario_with, ChurnPlan, Scenario};
+use axcc_fluidsim::{try_run_scenario_with, ChurnPlan, MetricSet, Scenario};
 use axcc_packetsim::PacketScenario;
 use axcc_protocols::{presets, Binomial};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
@@ -111,53 +109,31 @@ fn churn_markers(plan: &ChurnPlan, steps: usize) -> ChurnConfig {
     }
 }
 
-/// Score one fluid cell: (settle, coexistence fairness, utilization).
-/// The two modes are bit-identical — the streaming path folds each step
-/// into the [`ChurnAccumulator`] as the engine runs; the traced path
-/// records the full trace and applies the slice evaluators.
-fn churn_cell(proto: &dyn Protocol, rate: f64, steps: usize, mode: EvalMode) -> (f64, f64, f64) {
+/// Score one fluid cell: (settle, coexistence fairness, utilization),
+/// folding each step into a [`ChurnAccumulator`] as the engine runs.
+fn churn_cell(proto: &dyn Protocol, rate: f64, steps: usize) -> (f64, f64, f64) {
     let plan = churn_plan(rate);
     let cfg = churn_markers(&plan, steps);
     let n = BASE_SENDERS + cfg.arrivals.len();
-    let build = || {
-        Scenario::new(churn_link())
-            .homogeneous(proto, BASE_SENDERS, 1.0)
-            .steps(steps)
-            .churn(&plan, proto)
-            // tidy-allow: panic-freedom — the plan is built from validated experiment constants; expansion cannot fail
-            .unwrap_or_else(|e| panic!("{e}"))
-    };
-    match mode {
-        EvalMode::Streaming => {
-            let mut acc = ChurnAccumulator::new(&cfg, n);
-            // tidy-allow: panic-freedom — same validated scenario as the traced arm's panicking façade
-            try_run_scenario_with(build(), &mut acc).unwrap_or_else(|e| panic!("{e}"));
-            (
-                acc.mean_settle_after_arrival(),
-                acc.coexistence_fairness(),
-                acc.utilization_under_churn(),
-            )
-        }
-        EvalMode::Traced => {
-            let trace = build().run();
-            let goodputs: Vec<&[f64]> =
-                trace.senders.iter().map(|s| s.goodput.as_slice()).collect();
-            (
-                churn_ax::mean_settle_after_arrival(
-                    &trace.total_window,
-                    &cfg.arrivals,
-                    cfg.settle_threshold,
-                ),
-                churn_ax::coexistence_fairness(&goodputs, &cfg.boundaries, steps),
-                churn_ax::utilization_under_churn(&trace.total_window, cfg.capacity, &cfg.activity),
-            )
-        }
-    }
+    let sc = Scenario::new(churn_link())
+        .homogeneous(proto, BASE_SENDERS, 1.0)
+        .steps(steps)
+        .churn(&plan, proto)
+        // tidy-allow: panic-freedom — the plan is built from validated experiment constants; expansion cannot fail
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut acc = ChurnAccumulator::new(&cfg, n);
+    // tidy-allow: panic-freedom — validated experiment constants; the run cannot fail
+    try_run_scenario_with(sc, &mut acc).unwrap_or_else(|e| panic!("{e}"));
+    (
+        acc.mean_settle_after_arrival(),
+        acc.coexistence_fairness(),
+        acc.utilization_under_churn(),
+    )
 }
 
 /// Tail utilization of a packet-level run under the arrival storm
-/// (heaviest swept rate). Packet runs always record traces, so the score
-/// is evaluation-mode independent by construction.
+/// (heaviest swept rate). Packet runs record traces; the job fingerprint
+/// carries no evaluation tag.
 fn packet_storm_utilization(proto: &dyn Protocol, secs: f64) -> f64 {
     let link = packet_link();
     let step_secs = link.min_rtt();
@@ -168,12 +144,9 @@ fn packet_storm_utilization(proto: &dyn Protocol, secs: f64) -> f64 {
         // tidy-allow: panic-freedom — the plan and step length are validated experiment constants; expansion cannot fail
         .unwrap_or_else(|e| panic!("{e}"))
         .run();
-    let tail = out.trace.tail_start(crate::estimators::TAIL_FRACTION);
-    let goodput: f64 = out
-        .trace
-        .senders
-        .iter()
-        .map(|s| s.mean_goodput_from(tail))
+    let acc = crate::estimators::replay(&out.trace, MetricSet::FAIRNESS);
+    let goodput: f64 = (0..acc.num_senders())
+        .map(|i| acc.tail_mean_goodput(i))
         .sum();
     goodput / link.bandwidth
 }
@@ -198,7 +171,6 @@ struct ChurnCellJob {
     name: String,
     rate: f64,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for ChurnCellJob {
@@ -207,7 +179,7 @@ impl Fingerprint for ChurnCellJob {
         fp.write_f64(self.rate);
         fp.write_usize(self.steps);
         fingerprint_setup(self.rate, fp);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -215,17 +187,12 @@ impl SweepJob for ChurnCellJob {
     type Output = (f64, f64, f64);
     fn run(&self) -> (f64, f64, f64) {
         let lineup = churn_lineup();
-        churn_cell(
-            lineup[self.index].as_ref(),
-            self.rate,
-            self.steps,
-            self.mode,
-        )
+        churn_cell(lineup[self.index].as_ref(), self.rate, self.steps)
     }
 }
 
-/// One packet-level storm cross-check per protocol. Mode-independent, so
-/// the fingerprint carries no [`EvalMode`].
+/// One packet-level storm cross-check per protocol. Its fingerprint
+/// carries no [`EvalMode`].
 struct PacketChurnJob {
     // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
     index: usize,
@@ -300,7 +267,6 @@ pub fn run_churn_with(runner: &SweepRunner, steps: usize, packet_secs: f64) -> C
                 name: proto.name(),
                 rate,
                 steps,
-                mode: runner.eval_mode(),
             });
         }
     }
@@ -445,18 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_traced_cells_are_bit_identical() {
-        let lineup = churn_lineup();
-        for proto in &lineup {
-            let s = churn_cell(proto.as_ref(), ARRIVAL_RATES[1], 600, EvalMode::Streaming);
-            let t = churn_cell(proto.as_ref(), ARRIVAL_RATES[1], 600, EvalMode::Traced);
-            assert_eq!(s.0.to_bits(), t.0.to_bits(), "{} settle", proto.name());
-            assert_eq!(s.1.to_bits(), t.1.to_bits(), "{} fairness", proto.name());
-            assert_eq!(s.2.to_bits(), t.2.to_bits(), "{} utilization", proto.name());
-        }
-    }
-
-    #[test]
     fn heavier_storms_never_reduce_the_arrival_count() {
         let steps = 2000;
         let calm = churn_markers(&churn_plan(ARRIVAL_RATES[0]), steps);
@@ -477,28 +431,20 @@ mod tests {
 
     #[test]
     fn cell_job_fingerprints_separate_every_axis() {
-        let digest = |name: &str, rate: f64, steps: usize, mode: EvalMode| {
+        let digest = |name: &str, rate: f64, steps: usize| {
             let job = ChurnCellJob {
                 index: 0,
                 name: name.into(),
                 rate,
                 steps,
-                mode,
             };
             let mut fp = Fingerprinter::new();
             job.fingerprint(&mut fp);
             fp.finish()
         };
-        let base = digest("AIMD(1,0.5)", 0.005, 1000, EvalMode::Streaming);
-        assert_ne!(base, digest("CUBIC", 0.005, 1000, EvalMode::Streaming));
-        assert_ne!(
-            base,
-            digest("AIMD(1,0.5)", 0.002, 1000, EvalMode::Streaming)
-        );
-        assert_ne!(
-            base,
-            digest("AIMD(1,0.5)", 0.005, 2000, EvalMode::Streaming)
-        );
-        assert_ne!(base, digest("AIMD(1,0.5)", 0.005, 1000, EvalMode::Traced));
+        let base = digest("AIMD(1,0.5)", 0.005, 1000);
+        assert_ne!(base, digest("CUBIC", 0.005, 1000));
+        assert_ne!(base, digest("AIMD(1,0.5)", 0.002, 1000));
+        assert_ne!(base, digest("AIMD(1,0.5)", 0.005, 2000));
     }
 }

@@ -24,15 +24,11 @@
 //! scan — `O(n log n)` per group, never the quadratic all-pairs
 //! dominance check, which matters at 10⁵ cells.
 //!
-//! Jobs are evaluation-mode aware the same way the rest of the registry
-//! is: the streaming path folds each run into a reused
-//! [`MetricAccumulator`](axcc_fluidsim::MetricAccumulator) and produces
-//! bit-identical scores to the traced path, so `explore` runs trace-free
-//! under the default runner mode.
+//! Every cell streams its run into a
+//! [`MetricAccumulator`](axcc_fluidsim::MetricAccumulator); no trace is
+//! ever recorded.
 
-use crate::estimators::{
-    solo_metrics_of_acc, solo_metrics_of_trace, stream_options_for, SoloMetrics,
-};
+use crate::estimators::{solo_metrics_of_acc, stream_options_for, SoloMetrics};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::{LinkParams, Protocol};
@@ -282,37 +278,19 @@ pub fn expected_jobs(budget: RunBudget) -> usize {
 }
 
 /// Score one cell: a two-sender homogeneous fluid run on `link` under
-/// Bernoulli wire loss at `loss` (clean when 0), evaluated in `mode`.
-/// Both modes run the identical engine step sequence; streaming folds it
-/// into an accumulator instead of recording a trace, and the scores are
-/// bit-identical.
-fn cell_metrics(
-    point: &ParamPoint,
-    loss: f64,
-    link: LinkParams,
-    steps: usize,
-    mode: EvalMode,
-) -> SoloMetrics {
+/// Bernoulli wire loss at `loss` (clean when 0).
+fn cell_metrics(point: &ParamPoint, loss: f64, link: LinkParams, steps: usize) -> SoloMetrics {
     let proto = point.build();
-    let scenario = || {
-        let mut sc = Scenario::new(link).steps(steps).seed(EXPLORE_SEED);
-        if loss > 0.0 {
-            sc = sc.wire_loss(LossModel::Bernoulli { rate: loss });
-        }
-        for &w in &INITIAL_WINDOWS {
-            sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
-        }
-        sc
-    };
-    match mode {
-        EvalMode::Traced => solo_metrics_of_trace(&scenario().run()),
-        EvalMode::Streaming => {
-            let sc = scenario();
-            let mut acc = metric_accumulator_for(&sc, &stream_options_for(MetricSet::SOLO));
-            run_scenario_streaming_into(sc, &mut acc);
-            solo_metrics_of_acc(&acc)
-        }
+    let mut sc = Scenario::new(link).steps(steps).seed(EXPLORE_SEED);
+    if loss > 0.0 {
+        sc = sc.wire_loss(LossModel::Bernoulli { rate: loss });
     }
+    for &w in &INITIAL_WINDOWS {
+        sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
+    }
+    let mut acc = metric_accumulator_for(&sc, &stream_options_for(MetricSet::SOLO));
+    run_scenario_streaming_into(sc, &mut acc);
+    solo_metrics_of_acc(&acc)
 }
 
 /// One cell of the exploration grid: a parameter point at a loss level.
@@ -321,7 +299,6 @@ struct ExploreJob {
     loss: f64,
     steps: usize,
     link: LinkParams,
-    mode: EvalMode,
 }
 
 impl Fingerprint for ExploreJob {
@@ -335,14 +312,14 @@ impl Fingerprint for ExploreJob {
         for &w in &INITIAL_WINDOWS {
             fp.write_f64(w);
         }
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
 impl SweepJob for ExploreJob {
     type Output = SoloMetrics;
     fn run(&self) -> SoloMetrics {
-        cell_metrics(&self.point, self.loss, self.link, self.steps, self.mode)
+        cell_metrics(&self.point, self.loss, self.link, self.steps)
     }
 }
 
@@ -502,7 +479,6 @@ pub fn run_explore_with(runner: &SweepRunner, budget: RunBudget) -> ExploreRepor
     let levels = loss_levels(budget);
     let steps = budget.steps(PAPER_STEPS, SMOKE_STEPS);
     let link = LinkParams::reference();
-    let mode = runner.eval_mode();
 
     let mut jobs = Vec::with_capacity(points.len() * levels.len());
     for &loss in &levels {
@@ -512,7 +488,6 @@ pub fn run_explore_with(runner: &SweepRunner, budget: RunBudget) -> ExploreRepor
                 loss,
                 steps,
                 link,
-                mode,
             });
         }
     }
@@ -681,24 +656,6 @@ mod tests {
         // NaN sorts above +inf) instead of poisoning the scan.
         let with_nan = front_2d(&[(f64::NAN, 1.0), (1.0, 0.0)]);
         assert_eq!(with_nan, vec![0, 1]);
-    }
-
-    #[test]
-    fn streaming_and_traced_cells_are_bit_identical() {
-        let point = ParamPoint::Aimd { a: 1.0, b: 0.5 };
-        let link = LinkParams::reference();
-        for loss in [0.0, 0.02] {
-            let t = cell_metrics(&point, loss, link, SMOKE_STEPS, EvalMode::Traced);
-            let s = cell_metrics(&point, loss, link, SMOKE_STEPS, EvalMode::Streaming);
-            assert_eq!(
-                t.efficiency.to_bits(),
-                s.efficiency.to_bits(),
-                "efficiency diverged at loss {loss}"
-            );
-            assert_eq!(t.loss_bound.to_bits(), s.loss_bound.to_bits());
-            assert_eq!(t.fairness.to_bits(), s.fairness.to_bits());
-            assert_eq!(t.convergence.to_bits(), s.convergence.to_bits());
-        }
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! * **TFRC**: the equation-based design point (reference [13]) whose
 //!   whole purpose is the smoothness column.
 
+use crate::estimators::replay;
 use crate::report::{fmt_score, TextTable};
 use axcc_core::axioms::extensions::{measured_smoothness, steps_to_reclaim};
-use axcc_core::axioms::latency::measured_latency_inflation;
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{Scenario, SenderConfig};
+use axcc_fluidsim::{MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{presets, Bbr, HighSpeed, Tfrc};
 use axcc_sweep::{Cacheable, Record, SweepJob, SweepRunner};
 use serde::Serialize;
@@ -115,7 +115,7 @@ impl SweepJob for ExtensionJob {
             .run();
         let tail = steady.tail_start(0.5);
         let smoothness = measured_smoothness(&steady, tail);
-        let latency = measured_latency_inflation(&steady, tail);
+        let latency = replay(&steady, MetricSet::LATENCY).measured_latency_inflation();
 
         // Capacity-doubling run for responsiveness.
         let dynamic = Scenario::new(link())

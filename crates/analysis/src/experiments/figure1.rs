@@ -13,7 +13,7 @@
 //! confirming that the analytic frontier points are attained (within
 //! simulation tolerance) and never exceeded.
 
-use crate::estimators::{measure_friendliness_fluid_mode, measure_solo_fluid_mode, SweepConfig};
+use crate::estimators::{measure_friendliness_fluid, measure_solo_fluid, SweepConfig};
 use crate::pareto::{pareto_front_indices, ScoredPoint, FIGURE1_METRICS};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
@@ -108,7 +108,6 @@ struct PointJob {
     beta: f64,
     link: LinkParams,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for PointJob {
@@ -117,7 +116,7 @@ impl Fingerprint for PointJob {
         fp.write_f64(self.beta);
         self.link.fingerprint(fp);
         fp.write_usize(self.steps);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -126,21 +125,9 @@ impl SweepJob for PointJob {
     fn run(&self) -> MeasuredPoint {
         let aimd = Aimd::new(self.alpha, self.beta);
         let reno = Aimd::reno();
-        let solo = measure_solo_fluid_mode(
-            &aimd,
-            &SweepConfig::standard(self.link, 2, self.steps),
-            self.mode,
-        );
-        let friendliness = measure_friendliness_fluid_mode(
-            &aimd,
-            &reno,
-            self.link,
-            1,
-            1,
-            self.steps,
-            &[(1.0, 1.0)],
-            self.mode,
-        );
+        let solo = measure_solo_fluid(&aimd, &SweepConfig::standard(self.link, 2, self.steps));
+        let friendliness =
+            measure_friendliness_fluid(&aimd, &reno, self.link, 1, 1, self.steps, &[(1.0, 1.0)]);
         MeasuredPoint {
             friendliness,
             efficiency: solo.efficiency,
@@ -174,7 +161,6 @@ pub fn validated_surface_with(
             beta: p.beta,
             link,
             steps,
-            mode: runner.eval_mode(),
         })
         .collect();
     let measured = runner.run_jobs("figure1/validate", &jobs);

@@ -15,7 +15,7 @@
 //!    earns its place on *some* axis, which is the axiomatic framing's
 //!    whole point.
 
-use crate::estimators::empirical_scores_fluid_mode;
+use crate::estimators::empirical_scores_fluid;
 use crate::pareto::{pareto_front_indices, ScoredPoint, FIGURE1_METRICS};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::axioms::Metric;
@@ -75,7 +75,6 @@ struct CandidateJob {
     name: String,
     link: LinkParams,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for CandidateJob {
@@ -83,7 +82,7 @@ impl Fingerprint for CandidateJob {
         fp.write_str(&self.name);
         self.link.fingerprint(fp);
         fp.write_usize(self.steps);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -91,13 +90,7 @@ impl SweepJob for CandidateJob {
     type Output = axcc_core::AxiomScores;
     fn run(&self) -> axcc_core::AxiomScores {
         let pool = candidate_pool();
-        empirical_scores_fluid_mode(
-            pool[self.index].as_ref(),
-            self.link,
-            2,
-            self.steps,
-            self.mode,
-        )
+        empirical_scores_fluid(pool[self.index].as_ref(), self.link, 2, self.steps)
     }
 }
 
@@ -121,7 +114,6 @@ pub fn search_frontier_with(
             name: p.name(),
             link,
             steps,
-            mode: runner.eval_mode(),
         })
         .collect();
     let scores = runner.run_jobs("frontier/candidates", &jobs);

@@ -5,8 +5,8 @@
 //! real wireless and cross-traffic loss arrives in bursts. The gauntlet
 //! drives every protocol in the lineup through a grid of Gilbert–Elliott
 //! impairments on the axiom's infinite-capacity link and scores each cell
-//! with the same trace witness the constant-loss sweep uses
-//! ([`robustness::window_escapes`]).
+//! with the same escape witness the constant-loss sweep uses
+//! ([`MetricAccumulator::window_escapes`](axcc_fluidsim::MetricAccumulator::window_escapes)).
 //!
 //! **The sweep axes.** Holding the *mean* loss rate fixed while lengthening
 //! bursts concentrates the same number of bad RTTs into fewer episodes,
@@ -43,7 +43,6 @@
 
 use crate::estimators::{stream_options_for, TAIL_FRACTION};
 use crate::report::{fmt_score, TextTable};
-use axcc_core::axioms::{efficiency, friendliness, robustness};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol};
@@ -188,36 +187,25 @@ fn cell_steps(base: usize, freq: f64) -> usize {
 /// Does `proto` withstand one cell under one seed? The witness mirrors
 /// the constant-loss sweep: the window escapes β and stays there for the
 /// tail of the run.
-fn withstands(
-    proto: &dyn Protocol,
-    model: &LossModel,
-    steps: usize,
-    seed: u64,
-    mode: EvalMode,
-) -> bool {
+fn withstands(proto: &dyn Protocol, model: &LossModel, steps: usize, seed: u64) -> bool {
     let sc = Scenario::new(infinite_link())
         .sender(SenderConfig::new(proto.clone_box()).initial_window(10.0))
         .wire_loss(*model)
         .steps(steps)
         .seed(seed);
-    match mode {
-        EvalMode::Traced => robustness::window_escapes(&sc.run().senders[0], BETA, 0.2),
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::ROBUSTNESS))
-                .window_escapes(0, 0.2)
-        }
-    }
+    run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::ROBUSTNESS))
+        .window_escapes(0, 0.2)
 }
 
 /// Largest withstood burst frequency for one burst length.
-fn cell_score(proto: &dyn Protocol, burst_len: usize, base_steps: usize, mode: EvalMode) -> f64 {
+fn cell_score(proto: &dyn Protocol, burst_len: usize, base_steps: usize) -> f64 {
     let mut best = 0.0;
     for &freq in &BURST_FREQS {
         let model = cell_model(burst_len, freq);
         let steps = cell_steps(base_steps, freq);
         let passes = GAUNTLET_SEEDS
             .iter()
-            .filter(|&&seed| withstands(proto, &model, steps, seed, mode))
+            .filter(|&&seed| withstands(proto, &model, steps, seed))
             .count();
         if 2 * passes > GAUNTLET_SEEDS.len() {
             best = freq.max(best);
@@ -227,28 +215,20 @@ fn cell_score(proto: &dyn Protocol, burst_len: usize, base_steps: usize, mode: E
 }
 
 /// Metric I on the congested link under the reference impairment.
-fn impaired_efficiency(proto: &dyn Protocol, steps: usize, mode: EvalMode) -> f64 {
+fn impaired_efficiency(proto: &dyn Protocol, steps: usize) -> f64 {
     let sc = Scenario::new(congested_link())
         .sender(SenderConfig::new(proto.clone_box()).initial_window(1.0))
         .sender(SenderConfig::new(proto.clone_box()).initial_window(1.0))
         .wire_loss(reference_model())
         .steps(steps)
         .seed(GAUNTLET_SEEDS[0]);
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            efficiency::measured_efficiency(&trace, trace.tail_start(TAIL_FRACTION))
-        }
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::EFFICIENCY))
-                .measured_efficiency()
-        }
-    }
+    run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::EFFICIENCY))
+        .measured_efficiency()
 }
 
 /// Metric VII vs Reno on the congested link under the reference
 /// impairment.
-fn impaired_friendliness(proto: &dyn Protocol, steps: usize, mode: EvalMode) -> f64 {
+fn impaired_friendliness(proto: &dyn Protocol, steps: usize) -> f64 {
     let reno = presets::reno();
     let sc = Scenario::new(congested_link())
         .sender(SenderConfig::new(proto.clone_box()).initial_window(1.0))
@@ -256,16 +236,8 @@ fn impaired_friendliness(proto: &dyn Protocol, steps: usize, mode: EvalMode) -> 
         .wire_loss(reference_model())
         .steps(steps)
         .seed(GAUNTLET_SEEDS[0]);
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            friendliness::measured_friendliness(&trace, &[0], &[1], trace.tail_start(TAIL_FRACTION))
-        }
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::FAIRNESS))
-                .measured_friendliness(&[0], &[1])
-        }
-    }
+    run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::FAIRNESS))
+        .measured_friendliness(&[0], &[1])
 }
 
 /// Write the gauntlet's fixed grid into a job fingerprint: any change to
@@ -288,7 +260,6 @@ struct CellScoreJob {
     name: String,
     burst_len: usize,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for CellScoreJob {
@@ -297,7 +268,7 @@ impl Fingerprint for CellScoreJob {
         fp.write_usize(self.burst_len);
         fp.write_usize(self.steps);
         fingerprint_grid(fp);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -305,12 +276,7 @@ impl SweepJob for CellScoreJob {
     type Output = f64;
     fn run(&self) -> f64 {
         let lineup = gauntlet_lineup();
-        cell_score(
-            lineup[self.index].as_ref(),
-            self.burst_len,
-            self.steps,
-            self.mode,
-        )
+        cell_score(lineup[self.index].as_ref(), self.burst_len, self.steps)
     }
 }
 
@@ -321,7 +287,6 @@ struct SideEffectJob {
     index: usize,
     name: String,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for SideEffectJob {
@@ -329,7 +294,7 @@ impl Fingerprint for SideEffectJob {
         fp.write_str(&self.name);
         fp.write_usize(self.steps);
         fingerprint_grid(fp);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -339,16 +304,15 @@ impl SweepJob for SideEffectJob {
         let lineup = gauntlet_lineup();
         let proto = lineup[self.index].as_ref();
         (
-            impaired_efficiency(proto, self.steps, self.mode),
-            impaired_friendliness(proto, self.steps, self.mode),
+            impaired_efficiency(proto, self.steps),
+            impaired_friendliness(proto, self.steps),
         )
     }
 }
 
 /// Long-flow goodput share on the parking lot: long / mean(short). The
-/// network engine always records traces, so the score is
-/// evaluation-mode independent by construction (and the job fingerprint
-/// carries no mode).
+/// network engine records traces; the job fingerprint carries no
+/// evaluation tag.
 fn parking_lot_ratio(proto: &dyn Protocol, steps: usize) -> f64 {
     use axcc_fluidsim::{FlowConfig, NetScenario, Topology};
     let hop = congested_link();
@@ -419,7 +383,6 @@ pub fn run_gauntlet_with(runner: &SweepRunner, steps: usize) -> GauntletReport {
                 name: proto.name(),
                 burst_len,
                 steps,
-                mode: runner.eval_mode(),
             });
         }
     }
@@ -431,7 +394,6 @@ pub fn run_gauntlet_with(runner: &SweepRunner, steps: usize) -> GauntletReport {
             index,
             name: proto.name(),
             steps,
-            mode: runner.eval_mode(),
         })
         .collect();
     let sides = runner.run_jobs("gauntlet/side-effects", &side_jobs);

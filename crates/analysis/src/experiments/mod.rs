@@ -107,12 +107,6 @@ pub struct Experiment {
     pub budget: &'static str,
     /// Run the experiment through a sweep runner at the given budget.
     pub run: fn(&SweepRunner, RunBudget) -> ExperimentOutcome,
-    /// Whether the experiment honours the runner's
-    /// [`EvalMode`](axcc_sweep::EvalMode) and can run trace-free. The
-    /// packet-level experiments (table2, emulab, aqm) and the extension
-    /// metrics (which need whole-trace statistics like smoothness) always
-    /// record traces regardless of the runner's mode.
-    pub supports_streaming: bool,
 }
 
 /// The paper-grade 100 Mbps link Table 1 is characterized on.
@@ -237,7 +231,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "table1",
             family: "characterization",
             budget: "4000/800 steps",
-            supports_streaming: true,
             artifact: "Table 1 — protocol characterization (empirical)",
             run: run_table1,
         },
@@ -245,7 +238,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "table2",
             family: "friendliness",
             budget: "4000/1500 steps",
-            supports_streaming: false,
             artifact: "Table 2 — Robust-AIMD vs PCC friendliness grid",
             run: run_table2,
         },
@@ -253,7 +245,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "figure1",
             family: "frontier",
             budget: "3000/800 steps",
-            supports_streaming: true,
             artifact: "Figure 1 — Pareto frontier feasibility validation",
             run: run_figure1,
         },
@@ -261,7 +252,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "theorems",
             family: "theory",
             budget: "3000/3000 steps",
-            supports_streaming: true,
             artifact: "Section 4 — Claim 1 + Theorems 1-5 checks",
             run: run_theorems,
         },
@@ -269,7 +259,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "emulab",
             family: "validation",
             budget: "paper/quick grid",
-            supports_streaming: false,
             artifact: "Section 5.1 — Emulab validation grid (packet-level)",
             run: run_emulab,
         },
@@ -277,7 +266,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "shootout",
             family: "robustness",
             budget: "3000/1500 steps",
-            supports_streaming: true,
             artifact: "Section 5.2 — robustness shootout",
             run: run_shootout,
         },
@@ -285,7 +273,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "gauntlet",
             family: "robustness",
             budget: "2500/2500 steps",
-            supports_streaming: true,
             artifact: "Metric VI under Gilbert-Elliott bursty loss",
             run: run_gauntlet,
         },
@@ -293,7 +280,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "frontier",
             family: "frontier",
             budget: "3000/1200 steps",
-            supports_streaming: true,
             artifact: "empirical Pareto-frontier search",
             run: run_frontier,
         },
@@ -301,7 +287,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "explore",
             family: "frontier",
             budget: "101670/310 jobs",
-            supports_streaming: true,
             artifact: "parameter-space exploration — protocol grid × loss ladder",
             run: run_explore,
         },
@@ -309,7 +294,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "aqm",
             family: "queueing",
             budget: "40/20 s",
-            supports_streaming: false,
             artifact: "Section 6 — in-network queueing comparison",
             run: run_aqm,
         },
@@ -317,7 +301,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "extensions",
             family: "extensions",
             budget: "3000/1500 steps",
-            supports_streaming: false,
             artifact: "Section 6 — extension metrics",
             run: run_extensions,
         },
@@ -325,7 +308,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "churn",
             family: "churn",
             budget: "4000/1000 steps + 30/8 s",
-            supports_streaming: true,
             artifact: "Section 6 — dynamic flow populations under arrival storms",
             run: run_churn,
         },
@@ -387,45 +369,6 @@ mod tests {
         assert_eq!(b.secs(40.0, 20.0), 20.0);
         let p = RunBudget::paper();
         assert_eq!(p.steps(4000, 800), 4000);
-    }
-
-    /// Run one experiment under both evaluation modes (fresh runners, so
-    /// nothing is answered across modes) and assert the reports are
-    /// byte-identical. Report strings embed every measured score, so this
-    /// is bit equality of the numbers too.
-    fn assert_mode_identity(e: &Experiment, budget: RunBudget) {
-        use axcc_sweep::EvalMode;
-        let streaming = SweepRunner::serial(); // Streaming is the default
-        let traced = SweepRunner::serial().with_eval_mode(EvalMode::Traced);
-        let s = (e.run)(&streaming, budget);
-        let t = (e.run)(&traced, budget);
-        assert_eq!(s.report, t.report, "{} diverged across eval modes", e.name);
-        assert_eq!(s.passed, t.passed, "{} verdict diverged", e.name);
-    }
-
-    #[test]
-    fn streaming_experiments_match_traced_at_smoke_scale() {
-        for e in registry().iter().filter(|e| e.supports_streaming) {
-            assert_mode_identity(e, RunBudget::smoke());
-        }
-    }
-
-    #[test]
-    #[ignore = "paper-scale identity sweep; run explicitly with --ignored"]
-    fn streaming_experiments_match_traced_at_paper_scale() {
-        for e in registry().iter().filter(|e| e.supports_streaming) {
-            assert_mode_identity(e, RunBudget::paper());
-        }
-    }
-
-    #[test]
-    fn traced_only_experiments_are_flagged() {
-        // The packet-level experiments and the whole-trace extension
-        // metrics cannot stream; everything fluid-and-metric-only can.
-        for e in registry() {
-            let expect = !matches!(e.name, "table2" | "emulab" | "aqm" | "extensions");
-            assert_eq!(e.supports_streaming, expect, "{}", e.name);
-        }
     }
 
     #[test]

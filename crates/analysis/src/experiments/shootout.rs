@@ -18,8 +18,7 @@
 //! the `gen-table2 --shootout`-style binaries.
 
 use crate::estimators::{
-    measure_robustness_fluid_mode, measure_solo_fluid_mode, stream_options_for, SweepConfig,
-    ROBUSTNESS_RATES,
+    measure_robustness_fluid, measure_solo_fluid, stream_options_for, SweepConfig, ROBUSTNESS_RATES,
 };
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
@@ -113,14 +112,13 @@ struct LineupJob {
     index: usize,
     name: String,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for LineupJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
         fp.write_str(&self.name);
         fp.write_usize(self.steps);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -130,21 +128,19 @@ impl SweepJob for LineupJob {
         let lineup = shootout_lineup();
         let proto = &lineup[self.index];
         let steps = self.steps;
-        let robustness =
-            measure_robustness_fluid_mode(proto.as_ref(), &ROBUSTNESS_RATES, steps, self.mode);
-        let clean = noisy_goodput(proto.as_ref(), 0.0, steps, self.mode);
+        let robustness = measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, steps);
+        let clean = noisy_goodput(proto.as_ref(), 0.0, steps);
         let mut retention = [0.0; 3];
         for (i, &rate) in NOISE_RATES.iter().enumerate() {
             retention[i] = if clean > 0.0 {
-                noisy_goodput(proto.as_ref(), rate, steps, self.mode) / clean
+                noisy_goodput(proto.as_ref(), rate, steps) / clean
             } else {
                 0.0
             };
         }
-        let solo = measure_solo_fluid_mode(
+        let solo = measure_solo_fluid(
             proto.as_ref(),
             &SweepConfig::standard(congested_link(), 2, steps),
-            self.mode,
         );
         ShootoutRow {
             protocol: proto.name(),
@@ -170,14 +166,13 @@ pub fn run_shootout_with(runner: &SweepRunner, steps: usize) -> Shootout {
             index,
             name: proto.name(),
             steps,
-            mode: runner.eval_mode(),
         })
         .collect();
     let rows = runner.run_jobs("shootout/rows", &jobs);
     Shootout { rows }
 }
 
-fn noisy_goodput(proto: &dyn Protocol, rate: f64, steps: usize, mode: EvalMode) -> f64 {
+fn noisy_goodput(proto: &dyn Protocol, rate: f64, steps: usize) -> f64 {
     let mut sc = Scenario::new(roomy_link())
         .sender(SenderConfig::new(proto.clone_box()).initial_window(10.0))
         .steps(steps)
@@ -185,17 +180,8 @@ fn noisy_goodput(proto: &dyn Protocol, rate: f64, steps: usize, mode: EvalMode) 
     if rate > 0.0 {
         sc = sc.wire_loss(LossModel::Constant { rate });
     }
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            let tail = trace.tail_start(0.5);
-            trace.senders[0].mean_goodput_from(tail)
-        }
-        EvalMode::Streaming => {
-            axcc_fluidsim::run_scenario_streaming(sc, &stream_options_for(MetricSet::FAIRNESS))
-                .tail_mean_goodput(0)
-        }
-    }
+    axcc_fluidsim::run_scenario_streaming(sc, &stream_options_for(MetricSet::FAIRNESS))
+        .tail_mean_goodput(0)
 }
 
 impl Shootout {

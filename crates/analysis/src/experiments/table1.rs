@@ -9,7 +9,7 @@
 //! the fluid simulator — the in-model counterpart of the paper's Emulab
 //! validation (the packet-level grid lives in [`super::emulab`]).
 
-use crate::estimators::empirical_scores_fluid_mode;
+use crate::estimators::empirical_scores_fluid;
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::theory::ProtocolSpec;
@@ -87,7 +87,6 @@ struct MeasureJob {
     link: LinkParams,
     n: usize,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for MeasureJob {
@@ -96,7 +95,7 @@ impl Fingerprint for MeasureJob {
         self.link.fingerprint(fp);
         fp.write_usize(self.n);
         fp.write_usize(self.steps);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
@@ -104,7 +103,7 @@ impl SweepJob for MeasureJob {
     type Output = AxiomScores;
     fn run(&self) -> AxiomScores {
         let proto = build_protocol(&self.spec);
-        empirical_scores_fluid_mode(proto.as_ref(), self.link, self.n, self.steps, self.mode)
+        empirical_scores_fluid(proto.as_ref(), self.link, self.n, self.steps)
     }
 }
 
@@ -132,7 +131,6 @@ pub fn empirical_table1_with(
             link,
             n,
             steps,
-            mode: runner.eval_mode(),
         })
         .collect();
     let measured = runner.run_jobs("table1/empirical", &jobs);

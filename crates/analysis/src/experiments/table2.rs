@@ -16,12 +16,12 @@
 //! `friendliness(R-AIMD) / friendliness(PCC)`; > 1 means Robust-AIMD left
 //! TCP more room, as the paper reports in every cell.
 
-use crate::estimators::{measure_friendliness_fluid, measure_friendliness_packet};
+use crate::estimators::{measure_friendliness_fluid, measure_friendliness_packet, replay};
 use crate::report::{fmt_ratio, TextTable};
-use axcc_core::axioms::friendliness::measured_friendliness;
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
+use axcc_fluidsim::MetricSet;
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::{Aimd, Pcc, RobustAimd};
 use axcc_sweep::{SweepJob, SweepRunner};
@@ -143,9 +143,9 @@ impl SweepJob for CellJob {
                 }
                 sc = sc.sender(PacketSenderConfig::new(Box::new(Aimd::reno())));
                 let out = sc.run();
-                let tail = out.trace.tail_start(0.5);
                 let p_idx: Vec<usize> = (0..n_p).collect();
-                let f_p = measured_friendliness(&out.trace, &p_idx, &[n_p], tail);
+                let f_p =
+                    replay(&out.trace, MetricSet::FAIRNESS).measured_friendliness(&p_idx, &[n_p]);
                 (f_r, f_p)
             }
         }
@@ -303,8 +303,7 @@ mod tests {
             .sender(PacketSenderConfig::new(Box::new(Aimd::reno())))
             .duration_secs(30.0)
             .run();
-        let tail = out.trace.tail_start(0.5);
-        let f_p = measured_friendliness(&out.trace, &[0], &[1], tail);
+        let f_p = replay(&out.trace, MetricSet::FAIRNESS).measured_friendliness(&[0], &[1]);
         assert!(f_r > f_p, "R-AIMD {f_r} vs paced PCC {f_p}");
     }
 

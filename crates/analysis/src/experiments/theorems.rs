@@ -9,10 +9,9 @@
 //! theorem.
 
 use crate::estimators::{
-    measure_friendliness_fluid_mode, measure_robustness_fluid_mode, measure_solo_fluid_mode,
-    stream_options_for, SweepConfig, ROBUSTNESS_RATES,
+    measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid, stream_options_for,
+    SweepConfig, ROBUSTNESS_RATES,
 };
-use axcc_core::axioms::{fast_utilization, loss_avoidance};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::theory::theorems::{
     theorem1_efficiency_lower_bound, theorem2_friendliness_upper_bound,
@@ -60,8 +59,8 @@ pub fn check_link() -> LinkParams {
     LinkParams::reference()
 }
 
-/// A theorem check: fluid-model steps and evaluation mode in, verdict out.
-type CheckFn = fn(usize, EvalMode) -> TheoremCheck;
+/// A theorem check: fluid-model steps in, verdict out.
+type CheckFn = fn(usize) -> TheoremCheck;
 
 /// The individual checks, in report order, as dispatchable entries.
 const CHECKS: [(&str, CheckFn); 6] = [
@@ -79,21 +78,20 @@ struct CheckJob {
     // tidy-allow: fingerprint-coverage — redundant with key: the dispatch table maps each stable key to exactly one check function.
     run: CheckFn,
     steps: usize,
-    mode: EvalMode,
 }
 
 impl Fingerprint for CheckJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
         fp.write_str(self.key);
         fp.write_usize(self.steps);
-        self.mode.fingerprint(fp);
+        EvalMode::Streaming.fingerprint(fp);
     }
 }
 
 impl SweepJob for CheckJob {
     type Output = TheoremCheck;
     fn run(&self) -> TheoremCheck {
-        (self.run)(self.steps, self.mode)
+        (self.run)(self.steps)
     }
 }
 
@@ -108,12 +106,7 @@ pub fn check_all(steps: usize) -> Vec<TheoremCheck> {
 pub fn check_all_with(runner: &SweepRunner, steps: usize) -> Vec<TheoremCheck> {
     let jobs: Vec<CheckJob> = CHECKS
         .iter()
-        .map(|&(key, run)| CheckJob {
-            key,
-            run,
-            steps,
-            mode: runner.eval_mode(),
-        })
+        .map(|&(key, run)| CheckJob { key, run, steps })
         .collect();
     runner.run_jobs("theorems/check", &jobs)
 }
@@ -122,51 +115,20 @@ pub fn check_all_with(runner: &SweepRunner, steps: usize) -> Vec<TheoremCheck> {
 /// any α > 0 — and the combination is *only just* impossible: the
 /// cautious prober is 0-loss with fast-utilization ≈ 0, while Reno is
 /// ~1-fast-utilizing but must keep incurring loss.
-pub fn check_claim1(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_claim1(steps: usize) -> TheoremCheck {
     let link = check_link();
     let scenario = |p: Box<dyn Protocol>| {
         Scenario::new(link)
             .sender(SenderConfig::new(p).initial_window(1.0))
             .steps(steps)
     };
-    let (prober_zero_loss, prober_fast, reno_lossy, reno_fast) = match mode {
-        EvalMode::Traced => {
-            let prober_trace = scenario(Box::new(CautiousProber::default_probe())).run();
-            let reno_trace = scenario(Box::new(Aimd::reno())).run();
-            let tail = prober_trace.tail_start(0.5);
-            (
-                loss_avoidance::is_zero_loss(&prober_trace, tail),
-                fast_utilization::measured_fast_utilization(
-                    &prober_trace.senders[0],
-                    prober_trace.sender_rtt(0),
-                    tail,
-                    8,
-                )
-                .unwrap_or(0.0),
-                !loss_avoidance::is_zero_loss(&reno_trace, reno_trace.tail_start(0.5)),
-                fast_utilization::measured_fast_utilization(
-                    &reno_trace.senders[0],
-                    reno_trace.sender_rtt(0),
-                    reno_trace.tail_start(0.5),
-                    8,
-                )
-                .unwrap_or(0.0),
-            )
-        }
-        EvalMode::Streaming => {
-            let opts =
-                stream_options_for(MetricSet::LOSS_AVOIDANCE.with(MetricSet::FAST_UTILIZATION));
-            let prober =
-                run_scenario_streaming(scenario(Box::new(CautiousProber::default_probe())), &opts);
-            let reno = run_scenario_streaming(scenario(Box::new(Aimd::reno())), &opts);
-            (
-                prober.is_zero_loss(),
-                prober.measured_fast_utilization(0).unwrap_or(0.0),
-                !reno.is_zero_loss(),
-                reno.measured_fast_utilization(0).unwrap_or(0.0),
-            )
-        }
-    };
+    let opts = stream_options_for(MetricSet::LOSS_AVOIDANCE.with(MetricSet::FAST_UTILIZATION));
+    let prober = run_scenario_streaming(scenario(Box::new(CautiousProber::default_probe())), &opts);
+    let reno = run_scenario_streaming(scenario(Box::new(Aimd::reno())), &opts);
+    let prober_zero_loss = prober.is_zero_loss();
+    let prober_fast = prober.measured_fast_utilization(0).unwrap_or(0.0);
+    let reno_lossy = !reno.is_zero_loss();
+    let reno_fast = reno.measured_fast_utilization(0).unwrap_or(0.0);
 
     let passed = prober_zero_loss && prober_fast < 0.05 && reno_lossy && reno_fast > 0.5;
     TheoremCheck {
@@ -181,16 +143,12 @@ pub fn check_claim1(steps: usize, mode: EvalMode) -> TheoremCheck {
 
 /// **Theorem 1**: α-convergent ∧ β-fast-utilizing (β > 0) ⇒
 /// ≥ α/(2−α)-efficient. Checked on an AIMD(a, b) grid.
-pub fn check_theorem1(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_theorem1(steps: usize) -> TheoremCheck {
     let link = check_link();
     let mut detail = String::new();
     let mut passed = true;
     for &(a, b) in &[(1.0, 0.5), (1.0, 0.8), (2.0, 0.5), (0.5, 0.7)] {
-        let m = measure_solo_fluid_mode(
-            &Aimd::new(a, b),
-            &SweepConfig::standard(link, 2, steps),
-            mode,
-        );
+        let m = measure_solo_fluid(&Aimd::new(a, b), &SweepConfig::standard(link, 2, steps));
         if m.fast_utilization.unwrap_or(0.0) <= 0.0 {
             continue; // hypothesis not established for this instance
         }
@@ -216,22 +174,14 @@ pub fn check_theorem1(steps: usize, mode: EvalMode) -> TheoremCheck {
 /// 3(1−β)/(α(1+β))-TCP-friendly — and the bound is tight for AIMD(α, β).
 /// Checked by measuring AIMD(a, b) vs Reno and comparing with the bound at
 /// the instance's own (a, worst-case-b) scores.
-pub fn check_theorem2(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_theorem2(steps: usize) -> TheoremCheck {
     let link = check_link();
     let reno = Aimd::reno();
     let mut detail = String::new();
     let mut passed = true;
     for &(a, b) in &[(1.0, 0.5), (2.0, 0.5), (4.0, 0.5), (1.0, 0.8)] {
-        let f = measure_friendliness_fluid_mode(
-            &Aimd::new(a, b),
-            &reno,
-            link,
-            1,
-            1,
-            steps,
-            &[(1.0, 1.0)],
-            mode,
-        );
+        let f =
+            measure_friendliness_fluid(&Aimd::new(a, b), &reno, link, 1, 1, steps, &[(1.0, 1.0)]);
         let bound = theorem2_friendliness_upper_bound(a, b);
         // Tightness + discretization: measured within [0.5, 1.35]×bound.
         let ok = f <= bound * 1.35 + 0.05 && f >= bound * 0.5 - 0.05;
@@ -257,7 +207,7 @@ pub fn check_theorem2(steps: usize, mode: EvalMode) -> TheoremCheck {
 /// AIMD is not, and (iii) the robust protocol is measurably *less* friendly
 /// than its non-robust AIMD counterpart — robustness is paid for in
 /// friendliness, which is the theorem's content.
-pub fn check_theorem3(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_theorem3(steps: usize) -> TheoremCheck {
     let link = check_link();
     let ct = link.loss_threshold();
     let reno = Aimd::reno();
@@ -269,16 +219,14 @@ pub fn check_theorem3(steps: usize, mode: EvalMode) -> TheoremCheck {
 
     let robust = RobustAimd::new(a, b, eps);
     let plain = Aimd::new(a, b);
-    let r_rob = measure_robustness_fluid_mode(&robust, &ROBUSTNESS_RATES, steps, mode);
-    let r_plain = measure_robustness_fluid_mode(&plain, &ROBUSTNESS_RATES, steps, mode);
+    let r_rob = measure_robustness_fluid(&robust, &ROBUSTNESS_RATES, steps);
+    let r_plain = measure_robustness_fluid(&plain, &ROBUSTNESS_RATES, steps);
     // `<= 0.0` rather than `== 0.0`: NaN-sound, and a (theoretically
     // impossible) negative score must not count as "robust".
     let robustness_ordered = r_rob > 0.0 && r_plain <= 0.0;
 
-    let f_rob =
-        measure_friendliness_fluid_mode(&robust, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
-    let f_plain =
-        measure_friendliness_fluid_mode(&plain, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
+    let f_rob = measure_friendliness_fluid(&robust, &reno, link, 1, 1, steps, &[(1.0, 1.0)]);
+    let f_plain = measure_friendliness_fluid(&plain, &reno, link, 1, 1, steps, &[(1.0, 1.0)]);
     let friendliness_ordered = f_rob < f_plain;
 
     TheoremCheck {
@@ -297,7 +245,7 @@ pub fn check_theorem3(steps: usize, mode: EvalMode) -> TheoremCheck {
 /// mild AIMD's friendliness towards Reno and towards two more-aggressive
 /// protocols — the latter must not fall below the former (Q defends itself
 /// at least as well as Reno does).
-pub fn check_theorem4(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_theorem4(steps: usize) -> TheoremCheck {
     let link = check_link();
     let p = Aimd::new(1.0, 0.7);
     let reno = Aimd::reno();
@@ -306,15 +254,13 @@ pub fn check_theorem4(steps: usize, mode: EvalMode) -> TheoremCheck {
 
     // Hypothesis (3): both Qs are more aggressive than Reno — verified
     // empirically (the semantic relation, not just the syntactic rules).
-    let q1_aggr =
-        crate::estimators::empirically_more_aggressive_mode(&q_aimd, &reno, link, steps, mode);
-    let q2_aggr =
-        crate::estimators::empirically_more_aggressive_mode(&q_mimd, &reno, link, steps, mode);
+    let q1_aggr = crate::estimators::empirically_more_aggressive(&q_aimd, &reno, link, steps);
+    let q2_aggr = crate::estimators::empirically_more_aggressive(&q_mimd, &reno, link, steps);
 
     let pairs = [(1.0, 1.0)];
-    let f_reno = measure_friendliness_fluid_mode(&p, &reno, link, 1, 1, steps, &pairs, mode);
-    let f_q1 = measure_friendliness_fluid_mode(&p, &q_aimd, link, 1, 1, steps, &pairs, mode);
-    let f_q2 = measure_friendliness_fluid_mode(&p, &q_mimd, link, 1, 1, steps, &pairs, mode);
+    let f_reno = measure_friendliness_fluid(&p, &reno, link, 1, 1, steps, &pairs);
+    let f_q1 = measure_friendliness_fluid(&p, &q_aimd, link, 1, 1, steps, &pairs);
+    let f_q2 = measure_friendliness_fluid(&p, &q_mimd, link, 1, 1, steps, &pairs);
 
     let tol = 0.1;
     let passed = q1_aggr && q2_aggr && f_q1 >= f_reno - tol && f_q2 >= f_reno - tol;
@@ -336,14 +282,14 @@ pub fn check_theorem4(steps: usize, mode: EvalMode) -> TheoremCheck {
 /// backs off on the RTT rise and is squeezed towards nothing, and the
 /// squeeze *worsens* as the link (and with it Vegas's latency slack)
 /// grows — the "not β-friendly for ANY β" shape.
-pub fn check_theorem5(steps: usize, mode: EvalMode) -> TheoremCheck {
+pub fn check_theorem5(steps: usize) -> TheoremCheck {
     let reno = Aimd::reno();
     let vegas = Vegas::classic();
     // Deep buffer (τ = C) so the loss-based sender sustains a standing
     // queue, which is what crushes the latency-avoider.
     let measure = |c_mss: f64| {
         let link = LinkParams::new(c_mss * 10.0, 0.05, c_mss);
-        measure_friendliness_fluid_mode(&reno, &vegas, link, 1, 1, steps, &[(1.0, 1.0)], mode)
+        measure_friendliness_fluid(&reno, &vegas, link, 1, 1, steps, &[(1.0, 1.0)])
     };
     let f_small = measure(100.0);
     let f_large = measure(400.0);
@@ -381,51 +327,38 @@ mod tests {
 
     #[test]
     fn claim1_holds() {
-        let c = check_claim1(2000, EvalMode::Streaming);
+        let c = check_claim1(2000);
         assert!(c.passed, "{}", c.detail);
     }
 
     #[test]
     fn theorem1_holds() {
-        let c = check_theorem1(2000, EvalMode::Streaming);
+        let c = check_theorem1(2000);
         assert!(c.passed, "{}", c.detail);
     }
 
     #[test]
     fn theorem2_holds() {
-        let c = check_theorem2(3000, EvalMode::Streaming);
+        let c = check_theorem2(3000);
         assert!(c.passed, "{}", c.detail);
     }
 
     #[test]
     fn theorem3_holds() {
-        let c = check_theorem3(2500, EvalMode::Streaming);
+        let c = check_theorem3(2500);
         assert!(c.passed, "{}", c.detail);
     }
 
     #[test]
     fn theorem4_holds() {
-        let c = check_theorem4(3000, EvalMode::Streaming);
+        let c = check_theorem4(3000);
         assert!(c.passed, "{}", c.detail);
     }
 
     #[test]
     fn theorem5_holds() {
-        let c = check_theorem5(2500, EvalMode::Streaming);
+        let c = check_theorem5(2500);
         assert!(c.passed, "{}", c.detail);
-    }
-
-    #[test]
-    fn every_check_is_identical_across_evaluation_modes() {
-        // The streaming path must reproduce the traced verdicts AND the
-        // rendered evidence strings exactly (the details embed measured
-        // scores, so string equality is bit equality of every number).
-        for &(key, run) in &CHECKS {
-            let traced = run(700, EvalMode::Traced);
-            let streamed = run(700, EvalMode::Streaming);
-            assert_eq!(traced.passed, streamed.passed, "{key}");
-            assert_eq!(traced.detail, streamed.detail, "{key}");
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! Flags: `--json`, and the shared `--jobs N` / `--no-cache`.
 
 use axcc_analysis::estimators::{
-    measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid, SweepConfig,
-    ROBUSTNESS_RATES,
+    measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid, stream_options_for,
+    SweepConfig, ROBUSTNESS_RATES,
 };
 use axcc_analysis::report::{fmt_score, TextTable};
 use axcc_bench::runner::Bin;
@@ -159,15 +159,14 @@ fn main() {
                 }
             };
             let fairness = |mode: axcc_fluidsim::FeedbackMode| -> f64 {
-                let trace = axcc_fluidsim::Scenario::new(link())
+                let sc = axcc_fluidsim::Scenario::new(link())
                     .sender(axcc_fluidsim::SenderConfig::new(build()).initial_window(120.0))
                     .sender(axcc_fluidsim::SenderConfig::new(build()).initial_window(30.0))
                     .feedback(mode)
                     .seed(5)
-                    .steps(STEPS)
-                    .run();
-                let tail = trace.tail_start(0.5);
-                axcc_core::axioms::fairness::measured_fairness(&trace, tail)
+                    .steps(STEPS);
+                let opts = stream_options_for(axcc_fluidsim::MetricSet::FAIRNESS);
+                axcc_fluidsim::run_scenario_streaming(sc, &opts).measured_fairness()
             };
             (
                 fairness(axcc_fluidsim::FeedbackMode::Synchronized),

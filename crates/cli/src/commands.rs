@@ -18,7 +18,7 @@ use axcc_serve::bench::{run_bench, run_bench_spawned, BenchConfig, BenchReport};
 use axcc_serve::server::{run_until, ServeConfig};
 use axcc_serve::ServeReport;
 use axcc_sweep::progress::render_timings;
-use axcc_sweep::{CancelSignal, EvalMode, ExperimentTiming, Stopwatch, SweepRunner};
+use axcc_sweep::{CancelSignal, ExperimentTiming, Stopwatch, SweepRunner};
 use std::fmt::Write as _;
 
 /// CLI usage text.
@@ -68,9 +68,6 @@ sweep engine (parallel + content-addressed cache; see DESIGN.md):
                 [--no-cache]   disable the result cache
                 [--cache-dir D] persist the cache under D
                                 (default target/sweep-cache)
-                [--record-traces] evaluate via full trace recording instead
-                                of the streaming fast path (escape hatch;
-                                results are bit-identical either way)
 
 evaluation service (newline-delimited JSON over TCP; see DESIGN.md §5):
   axcc serve    [--addr H:P]        fault-tolerant evaluation daemon
@@ -206,18 +203,12 @@ fn cmd_list(args: &Args) -> Result<String, CliError> {
         "\n  parameterized families:\n    aimd(a,b)  mimd(a,b)  bin(a,b,k,l)  cubic(c,b)  r-aimd(a,b,eps)  vegas(alpha,beta)\n",
     );
     out.push_str("\nexperiment registry (axcc sweep --experiment NAME | --only n1,n2,…):\n\n");
-    let mut t = TextTable::new(["name", "family", "paper/smoke budget", "streaming"]);
+    let mut t = TextTable::new(["name", "family", "paper/smoke budget"]);
     for e in registry() {
         t.row(vec![
             e.name.to_string(),
             e.family.to_string(),
             e.budget.to_string(),
-            if e.supports_streaming {
-                "yes"
-            } else {
-                "traced-only"
-            }
-            .to_string(),
         ]);
     }
     for line in t.render().lines() {
@@ -393,6 +384,11 @@ fn cmd_compare(args: &Args) -> Result<String, CliError> {
     let steps = steps_from(args, 3000)?;
     let n_p = args.get_usize("n-challengers", 1)?;
     args.finish()?;
+    if n_p == 0 {
+        return Err(CliError::Usage(
+            "--n-challengers must be at least 1 (friendliness compares two sender sets)".into(),
+        ));
+    }
     let p = resolve_protocol(&challenger)?;
     let q = resolve_protocol(&defender)?;
     let f = measure_friendliness_fluid(p.as_ref(), q.as_ref(), link, n_p, 1, steps, &[(1.0, 1.0)]);
@@ -524,12 +520,34 @@ fn cmd_network(args: &Args) -> Result<String, CliError> {
 
 fn cmd_feasible(args: &Args) -> Result<String, CliError> {
     use axcc_core::theory::feasibility::infeasibilities_loss_based;
-    let fast = args.get_f64("fast", 1.0)?;
-    let eff = args.get_f64("eff", 0.5)?;
-    let friendly = args.get_f64("friendly", 1.0)?;
-    let robust = args.get_f64("robust", 0.0)?;
-    let conv = args.get_f64("conv", 0.0)?;
-    let loss = args.get_f64("loss", 1.0)?;
+    // Efficiency and convergence are fractions; the other scores are
+    // non-negative rates or ratios.
+    let unit = |flag: &str, default: f64| -> Result<f64, CliError> {
+        let v = args.get_f64(flag, default)?;
+        if (0.0..=1.0).contains(&v) {
+            Ok(v)
+        } else {
+            Err(CliError::Usage(format!(
+                "--{flag} must lie in [0, 1], got {v}"
+            )))
+        }
+    };
+    let non_negative = |flag: &str, default: f64| -> Result<f64, CliError> {
+        let v = args.get_f64(flag, default)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(CliError::Usage(format!(
+                "--{flag} must be a finite non-negative number, got {v}"
+            )))
+        }
+    };
+    let fast = non_negative("fast", 1.0)?;
+    let eff = unit("eff", 0.5)?;
+    let friendly = non_negative("friendly", 1.0)?;
+    let robust = non_negative("robust", 0.0)?;
+    let conv = unit("conv", 0.0)?;
+    let loss = non_negative("loss", 1.0)?;
     let link = link_from(args)?;
     args.finish()?;
     let scores = axcc_core::AxiomScores {
@@ -545,7 +563,8 @@ fn cmd_feasible(args: &Args) -> Result<String, CliError> {
     let violations = infeasibilities_loss_based(&scores, link.loss_threshold(), None);
     if violations.is_empty() {
         Ok(format!(
-            "no theorem rules this point out (fast={fast}, eff={eff}, friendly={friendly},              robust={robust}) — note: consistency is necessary, not sufficient, for feasibility\n"
+            "no theorem rules this point out (fast={fast}, eff={eff}, friendly={friendly}, \
+             robust={robust}) — note: consistency is necessary, not sufficient, for feasibility\n"
         ))
     } else {
         let mut out = String::from("INFEASIBLE (universal scores for a loss-based protocol):\n");
@@ -635,20 +654,14 @@ fn cmd_extensions(args: &Args) -> Result<String, CliError> {
 }
 
 /// Build a [`SweepRunner`] from the shared sweep flags (`--jobs`,
-/// `--no-cache`, `--cache-dir`, `--record-traces`). The default is a disk
+/// `--chunk-size`, `--no-cache`, `--cache-dir`). The default is a disk
 /// cache under `target/sweep-cache`, so a repeated invocation is answered
-/// warm, and the streaming (trace-free) evaluation mode; `--record-traces`
-/// switches metric-only experiments back to full trace recording.
+/// warm.
 fn runner_from(args: &Args) -> Result<SweepRunner, CliError> {
     let jobs = args.get_usize("jobs", 1)?;
     let chunk = args.get_usize("chunk-size", 0)?;
     let no_cache = args.get_bool("no-cache");
     let cache_dir = args.get("cache-dir").map(str::to_string);
-    let mode = if args.get_bool("record-traces") {
-        EvalMode::Traced
-    } else {
-        EvalMode::Streaming
-    };
     let runner = if no_cache {
         if cache_dir.is_some() {
             return Err(CliError::Usage(
@@ -667,7 +680,6 @@ fn runner_from(args: &Args) -> Result<SweepRunner, CliError> {
     let caching = !no_cache;
     Ok(runner
         .with_chunk_size(chunk)
-        .with_eval_mode(mode)
         .with_cancel(CancelSignal::from_fn(sigmon::interrupted))
         .with_interrupt_hook(Box::new(move |info| {
             let resume = if caching {

@@ -183,6 +183,29 @@ mod tests {
         let (code, out) = cli("feasible --fast 1 --eff 0.5 --friendly 1");
         assert_eq!(code, 0);
         assert!(out.contains("no theorem rules"), "{out}");
+        assert!(!out.contains("  "), "stray spaces in {out:?}");
+    }
+
+    #[test]
+    fn feasible_rejects_scores_outside_their_domains() {
+        for bad in [
+            "--fast 0 --eff 2 --friendly 1",
+            "--eff -0.1",
+            "--conv 1.5",
+            "--conv NaN",
+            "--fast -1",
+            "--fast inf",
+            "--friendly NaN",
+            "--robust -0.01",
+            "--loss -inf",
+        ] {
+            let (code, out) = cli(&format!("feasible {bad}"));
+            assert_eq!(code, 2, "feasible {bad}: {out}");
+            assert!(out.contains("must"), "feasible {bad}: {out}");
+        }
+        // The domain edges are accepted.
+        let (code, out) = cli("feasible --fast 0 --eff 1 --conv 0 --friendly 0 --loss 0");
+        assert_eq!(code, 0, "{out}");
     }
 
     #[test]
@@ -228,27 +251,6 @@ mod tests {
         let (code, out) = cli("sweep --experiment nope");
         assert_eq!(code, 2);
         assert!(out.contains("known: table1"), "{out}");
-    }
-
-    #[test]
-    fn sweep_record_traces_matches_streaming_output() {
-        let (code, streamed) = cli("sweep --experiment theorems --smoke --no-cache");
-        assert_eq!(code, 0, "{streamed}");
-        let (code, traced) = cli("sweep --experiment theorems --smoke --no-cache --record-traces");
-        assert_eq!(code, 0, "{traced}");
-        // Strip the trailing timing line (wall clock differs run to run);
-        // everything above it — the full rendered report — must be identical.
-        let body = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("workers in"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            body(&streamed),
-            body(&traced),
-            "--record-traces must be bit-identical to the streaming default"
-        );
     }
 
     #[test]

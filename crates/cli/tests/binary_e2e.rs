@@ -98,6 +98,35 @@ fn feasible_is_scriptable() {
 }
 
 #[test]
+fn compare_rejects_zero_challengers_with_a_usage_error() {
+    let (code, stdout, stderr) = axcc(&[
+        "compare",
+        "--challenger",
+        "reno",
+        "--defender",
+        "cubic",
+        "--n-challengers",
+        "0",
+    ]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stdout.is_empty(), "stdout: {stdout}");
+    assert!(stderr.contains("--n-challengers"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn feasible_rejects_an_out_of_range_efficiency() {
+    let (code, stdout, stderr) =
+        axcc(&["feasible", "--fast", "0", "--eff", "2", "--friendly", "1"]);
+    assert_eq!(code, 2, "stdout: {stdout}");
+    assert!(stdout.is_empty(), "stdout: {stdout}");
+    assert!(
+        stderr.contains("--eff must lie in [0, 1]"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn sweep_honours_chunk_size_and_reports_cache_stats() {
     let dir = std::env::temp_dir().join(format!("axcc-e2e-cache-stats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,22 +5,23 @@
 //! stop being the right lens — there is no single "from T onwards" once
 //! the population keeps shifting. Three churn-aware forms replace them:
 //!
-//! * **convergence after arrival** ([`mean_settle_after_arrival`]) — how
-//!   many steps after each arrival the link's total window recovers to a
-//!   threshold (Metric V's spirit, re-anchored at every arrival);
-//! * **fairness over coexistence windows** ([`coexistence_fairness`]) —
+//! * **convergence after arrival** ([`SettleAcc`]) — how many steps
+//!   after each arrival the link's total window recovers to a threshold
+//!   (Metric V's spirit, re-anchored at every arrival);
+//! * **fairness over coexistence windows** ([`CoexistenceFairnessAcc`]) —
 //!   Jain's index evaluated per churn segment (the spans between arrival/
 //!   departure events, where the competitor set is constant) over the
 //!   senders actually active there, weighted by segment length (Metric IV);
-//! * **utilization under churn** ([`utilization_under_churn`]) — mean
-//!   capped utilization over the steps where at least one sender is
-//!   active (Metric I without charging idle spans to the protocol).
+//! * **utilization under churn** ([`ChurnUtilAcc`]) — mean capped
+//!   utilization over the steps where at least one sender is active
+//!   (Metric I without charging idle spans to the protocol).
 //!
-//! Each form ships as a slice evaluator *and* an online accumulator
-//! ([`ChurnAccumulator`] combines all three), bound by the same
-//! bit-identity contract as [`streaming`](crate::axioms::streaming): the
-//! same additions in the same order, asserted to the exact f64 bit by the
-//! tests here and by `axcc-fluidsim` / `axcc-analysis` on real runs.
+//! Each form is a single-pass fold, like the static metrics in
+//! [`streaming`](crate::axioms::streaming), and [`ChurnAccumulator`]
+//! combines all three. Batched (`push_steps`) and per-step (`push_step`)
+//! ingest perform the same additions in the same order, so they agree to
+//! the bit; the tests here assert that and pin each form to hand-computed
+//! values.
 
 use crate::axioms::streaming::{StepBlock, StepRecord};
 
@@ -49,75 +50,6 @@ fn jain_over_positive(sums: &[f64]) -> Option<f64> {
     Some((sum * sum) / (pos.len() as f64 * sum_sq))
 }
 
-/// Mean settle time after arrivals: for each arrival step `a` (sorted
-/// ascending), the number of steps until the first `t >= a` with
-/// `total[t] >= threshold`; arrivals that never settle contribute the
-/// remainder of the run. Returns 0.0 with no arrivals.
-pub fn mean_settle_after_arrival(total: &[f64], arrivals: &[u64], threshold: f64) -> f64 {
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-    if arrivals.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for &a in arrivals {
-        let start = (a as usize).min(total.len());
-        let settle = total[start..]
-            .iter()
-            .position(|&x| x >= threshold)
-            .map(|off| (start + off) as u64 - a)
-            .unwrap_or_else(|| (total.len() as u64).saturating_sub(a));
-        sum += settle as f64;
-    }
-    sum / arrivals.len() as f64
-}
-
-/// Fairness over coexistence windows: Jain's index of per-sender goodput
-/// volume inside each churn segment (see [`segment_bounds`]), over the
-/// senders with positive volume there, weighted by segment length.
-/// Segments with fewer than two active senders are skipped; returns 1.0
-/// when no segment qualifies (fairness is vacuous for a lone sender).
-pub fn coexistence_fairness(goodputs: &[&[f64]], boundaries: &[usize], steps: usize) -> f64 {
-    let bounds = segment_bounds(boundaries, steps);
-    let mut weighted = 0.0;
-    let mut weight = 0.0;
-    for w in bounds.windows(2) {
-        let (s, e) = (w[0], w[1]);
-        let sums: Vec<f64> = goodputs
-            .iter()
-            .map(|g| g[s.min(g.len())..e.min(g.len())].iter().sum())
-            .collect();
-        if let Some(j) = jain_over_positive(&sums) {
-            weighted += j * (e - s) as f64;
-            weight += (e - s) as f64;
-        }
-    }
-    if weight > 0.0 {
-        weighted / weight
-    } else {
-        1.0
-    }
-}
-
-/// Mean capped utilization (`min(X/C, 1)`) over the steps where at least
-/// one activity interval `[start, stop)` covers the step; 0.0 if no step
-/// is covered.
-pub fn utilization_under_churn(total: &[f64], capacity: f64, activity: &[(u64, u64)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (t, &x) in total.iter().enumerate() {
-        let t = t as u64;
-        if activity.iter().any(|&(s, e)| s <= t && t < e) {
-            sum += (x / capacity).min(1.0);
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Static shape of a churned run — everything the accumulators need to
 /// know up front (all of it is deterministic: the churn plan expands
 /// before the run starts).
@@ -128,7 +60,7 @@ pub struct ChurnConfig {
     pub capacity: f64,
     /// Total number of steps the run will execute.
     pub steps: usize,
-    /// Absolute settle threshold (MSS) for [`mean_settle_after_arrival`].
+    /// Absolute settle threshold (MSS) for [`SettleAcc`].
     pub settle_threshold: f64,
     /// Arrival steps, sorted ascending.
     pub arrivals: Vec<u64>,
@@ -139,10 +71,11 @@ pub struct ChurnConfig {
     pub activity: Vec<(u64, u64)>,
 }
 
-/// Convergence-after-arrival online: the settle scan of
-/// [`mean_settle_after_arrival`] as a single forward pass. Arrivals
-/// settle in arrival order (a later arrival cannot settle earlier), so
-/// the accumulated sum folds in the same order as the slice evaluator.
+/// Convergence after arrival: for each arrival step `a`, the number of
+/// steps until the first `t >= a` with `total[t] >= threshold`; arrivals
+/// that never settle contribute the remainder of the run. One forward
+/// pass: arrivals settle in arrival order (a later arrival cannot settle
+/// earlier).
 #[derive(Debug, Clone)]
 pub struct SettleAcc {
     threshold: f64,
@@ -185,8 +118,8 @@ impl SettleAcc {
         }
     }
 
-    /// `mean_settle_after_arrival` of the stream so far (unsettled
-    /// arrivals contribute the steps seen past their arrival).
+    /// Mean settle time over all arrivals so far (unsettled arrivals
+    /// contribute the steps seen past their arrival); 0 with no arrivals.
     pub fn measured(&self) -> f64 {
         if self.arrivals.is_empty() {
             return 0.0;
@@ -206,9 +139,10 @@ impl SettleAcc {
     }
 }
 
-/// Coexistence-fairness online: per-segment per-sender goodput sums,
-/// finalized into the length-weighted Jain mean exactly as
-/// [`coexistence_fairness`] computes it.
+/// Fairness over coexistence windows: Jain's index of per-sender goodput
+/// volume inside each churn segment (see [`segment_bounds`]), over the
+/// senders with positive volume there, weighted by segment length.
+/// Segments with fewer than two active senders are skipped.
 #[derive(Debug, Clone)]
 pub struct CoexistenceFairnessAcc {
     bounds: Vec<usize>,
@@ -269,7 +203,9 @@ impl CoexistenceFairnessAcc {
         }
     }
 
-    /// `coexistence_fairness` of the stream so far.
+    /// The length-weighted mean Jain's index over the segments so far;
+    /// 1.0 when no segment qualifies (fairness is vacuous for a lone
+    /// sender).
     pub fn measured(&self) -> f64 {
         // Flush pending segments without mutating (mid-stream reads must
         // not disturb state); the per-segment state is tiny, clone it.
@@ -292,8 +228,9 @@ impl CoexistenceFairnessAcc {
     }
 }
 
-/// Utilization-under-churn online: the covered-step mean of
-/// [`utilization_under_churn`] as a running sum.
+/// Utilization under churn: mean capped utilization `min(X/C, 1)` over
+/// the steps where at least one activity interval `[start, stop)` covers
+/// the step.
 #[derive(Debug, Clone)]
 pub struct ChurnUtilAcc {
     capacity: f64,
@@ -333,7 +270,8 @@ impl ChurnUtilAcc {
         }
     }
 
-    /// `utilization_under_churn` of the stream so far.
+    /// Mean capped utilization over the covered steps so far; 0.0 if no
+    /// step was covered.
     pub fn measured(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -352,7 +290,7 @@ impl ChurnUtilAcc {
 
 /// The combined churn-aware single-pass evaluator: one instance per run,
 /// consuming the shared total window and per-sender records, exposing all
-/// three churn scores bit-identically to the slice evaluators.
+/// three churn scores.
 #[derive(Debug, Clone)]
 pub struct ChurnAccumulator {
     n: usize,
@@ -397,17 +335,18 @@ impl ChurnAccumulator {
         self.n
     }
 
-    /// `mean_settle_after_arrival` of the stream so far.
+    /// Convergence after arrival (see [`SettleAcc::measured`]).
     pub fn mean_settle_after_arrival(&self) -> f64 {
         self.settle.measured()
     }
 
-    /// `coexistence_fairness` of the stream so far.
+    /// Fairness over coexistence windows (see
+    /// [`CoexistenceFairnessAcc::measured`]).
     pub fn coexistence_fairness(&self) -> f64 {
         self.fairness.measured()
     }
 
-    /// `utilization_under_churn` of the stream so far.
+    /// Utilization under churn (see [`ChurnUtilAcc::measured`]).
     pub fn utilization_under_churn(&self) -> f64 {
         self.util.measured()
     }
@@ -427,42 +366,27 @@ mod tests {
     use crate::axioms::testutil::{small_link, trace_from_windows};
     use crate::trace::RunTrace;
 
-    /// Replay a finished trace into a [`ChurnAccumulator`] — the reference
-    /// replay every equivalence test uses.
-    fn accumulate(trace: &RunTrace, cfg: &ChurnConfig) -> ChurnAccumulator {
-        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
-        let mut records = Vec::with_capacity(trace.num_senders());
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            acc.push_step(trace.total_window[t], &records);
-        }
-        acc
+    fn records_at(trace: &RunTrace, t: usize) -> Vec<StepRecord> {
+        trace
+            .senders
+            .iter()
+            .enumerate()
+            .map(|(i, s)| StepRecord {
+                window: s.window[t],
+                loss: s.loss[t],
+                rtt: trace.sender_rtt(i)[t],
+                goodput: s.goodput[t],
+            })
+            .collect()
     }
 
-    fn assert_matches_trace(trace: &RunTrace, cfg: &ChurnConfig) {
-        let acc = accumulate(trace, cfg);
-        assert_eq!(
-            acc.mean_settle_after_arrival().to_bits(),
-            mean_settle_after_arrival(&trace.total_window, &cfg.arrivals, cfg.settle_threshold)
-                .to_bits()
-        );
-        let goodputs: Vec<&[f64]> = trace.senders.iter().map(|s| s.goodput.as_slice()).collect();
-        assert_eq!(
-            acc.coexistence_fairness().to_bits(),
-            coexistence_fairness(&goodputs, &cfg.boundaries, trace.len()).to_bits()
-        );
-        assert_eq!(
-            acc.utilization_under_churn().to_bits(),
-            utilization_under_churn(&trace.total_window, cfg.capacity, &cfg.activity).to_bits()
-        );
+    /// Feed a trace into a [`ChurnAccumulator`] row by row.
+    fn accumulate(trace: &RunTrace, cfg: &ChurnConfig) -> ChurnAccumulator {
+        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
+        for t in 0..trace.len() {
+            acc.push_step(trace.total_window[t], &records_at(trace, t));
+        }
+        acc
     }
 
     /// A churned two-sender shape: sender 1 active only in [20, 60).
@@ -481,12 +405,6 @@ mod tests {
             activity: vec![(0, 100), (20, 60)],
         };
         (trace, cfg)
-    }
-
-    #[test]
-    fn accumulator_matches_slice_evaluators_bitwise() {
-        let (trace, cfg) = churned_trace();
-        assert_matches_trace(&trace, &cfg);
     }
 
     /// Replay the same trace through `StepBlock`s of capacity `cap` via
@@ -510,6 +428,24 @@ mod tests {
         acc
     }
 
+    fn assert_same_scores(a: &ChurnAccumulator, b: &ChurnAccumulator, what: &str) {
+        assert_eq!(
+            a.mean_settle_after_arrival().to_bits(),
+            b.mean_settle_after_arrival().to_bits(),
+            "settle diverged: {what}"
+        );
+        assert_eq!(
+            a.coexistence_fairness().to_bits(),
+            b.coexistence_fairness().to_bits(),
+            "fairness diverged: {what}"
+        );
+        assert_eq!(
+            a.utilization_under_churn().to_bits(),
+            b.utilization_under_churn().to_bits(),
+            "utilization diverged: {what}"
+        );
+    }
+
     #[test]
     fn block_ingest_matches_per_step_ingest() {
         // Odd capacities land churn boundaries mid-block; cap 1
@@ -519,28 +455,15 @@ mod tests {
         let by_step = accumulate(&trace, &cfg);
         for cap in [1, 7, 32, 1024] {
             let by_block = accumulate_blocks(&trace, &cfg, cap);
-            assert_eq!(
-                by_block.mean_settle_after_arrival().to_bits(),
-                by_step.mean_settle_after_arrival().to_bits(),
-                "settle diverged at cap {cap}"
-            );
-            assert_eq!(
-                by_block.coexistence_fairness().to_bits(),
-                by_step.coexistence_fairness().to_bits(),
-                "fairness diverged at cap {cap}"
-            );
-            assert_eq!(
-                by_block.utilization_under_churn().to_bits(),
-                by_step.utilization_under_churn().to_bits(),
-                "utilization diverged at cap {cap}"
-            );
+            assert_same_scores(&by_block, &by_step, &format!("cap {cap}"));
         }
     }
 
     #[test]
-    fn accumulator_matches_with_unsettled_arrivals_and_gaps() {
-        // Threshold never reached after the second arrival; an idle gap
-        // (no sender active) in the middle exercises the activity filter.
+    fn unsettled_arrivals_and_idle_gaps() {
+        // The threshold is never reached, so both arrivals run to the end:
+        // (80 + 45) / 2. An idle gap [30, 40) is excluded from
+        // utilization; a lone sender makes fairness vacuous.
         let a: Vec<f64> = (0..80)
             .map(|t| if (30..40).contains(&t) { 0.0 } else { 50.0 })
             .collect();
@@ -553,11 +476,15 @@ mod tests {
             boundaries: vec![30, 40],
             activity: vec![(0, 30), (40, 80)],
         };
-        assert_matches_trace(&trace, &cfg);
+        let acc = accumulate(&trace, &cfg);
+        assert_eq!(acc.mean_settle_after_arrival(), 62.5);
+        assert_eq!(acc.utilization_under_churn(), 0.5);
+        assert_eq!(acc.coexistence_fairness(), 1.0);
+        assert_same_scores(&accumulate_blocks(&trace, &cfg, 16), &acc, "gaps");
     }
 
     #[test]
-    fn accumulator_matches_with_no_churn_at_all() {
+    fn no_arrivals_settle_in_zero_steps() {
         let (trace, _) = churned_trace();
         let cfg = ChurnConfig {
             capacity: small_link().capacity(),
@@ -567,9 +494,7 @@ mod tests {
             boundaries: Vec::new(),
             activity: vec![(0, trace.len() as u64), (0, trace.len() as u64)],
         };
-        assert_matches_trace(&trace, &cfg);
-        let acc = accumulate(&trace, &cfg);
-        assert_eq!(acc.mean_settle_after_arrival(), 0.0);
+        assert_eq!(accumulate(&trace, &cfg).mean_settle_after_arrival(), 0.0);
     }
 
     #[test]
@@ -578,34 +503,52 @@ mod tests {
         let total: Vec<f64> = (0..20)
             .map(|t| if (10..15).contains(&t) { 40.0 } else { 80.0 })
             .collect();
-        assert_eq!(mean_settle_after_arrival(&total, &[10], 60.0), 5.0);
+        let settle = |arrival: u64, threshold: f64| {
+            let mut acc = SettleAcc::new(vec![arrival], threshold);
+            acc.push_block(&total);
+            acc.measured()
+        };
+        assert_eq!(settle(10, 60.0), 5.0);
         // An arrival in an already-settled span settles immediately.
-        assert_eq!(mean_settle_after_arrival(&total, &[2], 60.0), 0.0);
+        assert_eq!(settle(2, 60.0), 0.0);
         // Never settles: contributes the rest of the run.
-        assert_eq!(mean_settle_after_arrival(&total, &[10], 1000.0), 10.0);
+        assert_eq!(settle(10, 1000.0), 10.0);
     }
 
     #[test]
     fn coexistence_fairness_weights_segments() {
+        let fairness = |g0: &[f64], g1: &[f64]| {
+            let mut acc = CoexistenceFairnessAcc::new(2, &[10], 30);
+            for t in 0..30 {
+                let rec = |g: f64| StepRecord {
+                    goodput: g,
+                    ..StepRecord::default()
+                };
+                acc.push_step(&[rec(g0[t]), rec(g1[t])]);
+            }
+            acc.measured()
+        };
         // Segment 1 (steps 0..10): equal goodput => Jain 1. Segment 2
         // (10..30): only one sender active => skipped.
         let g0 = vec![1.0; 30];
         let g1: Vec<f64> = (0..30).map(|t| if t < 10 { 1.0 } else { 0.0 }).collect();
-        let f = coexistence_fairness(&[&g0, &g1], &[10], 30);
-        assert!((f - 1.0).abs() < 1e-12, "{f}");
-        // A lopsided segment pulls the weighted mean down.
+        assert!((fairness(&g0, &g1) - 1.0).abs() < 1e-12);
+        // A lopsided first segment: volumes 10 and 30 give
+        // 40² / (2 · 1000) = 0.8, the only qualifying segment.
         let g2: Vec<f64> = (0..30).map(|t| if t < 10 { 3.0 } else { 0.0 }).collect();
-        let f2 = coexistence_fairness(&[&g0, &g2], &[10], 30);
-        assert!(f2 < 1.0, "{f2}");
+        assert!((fairness(&g0, &g2) - 0.8).abs() < 1e-12);
     }
 
     #[test]
     fn utilization_ignores_uncovered_steps() {
-        let total = vec![50.0, 100.0, 0.0, 0.0];
         // Only steps 0 and 1 are covered; capacity 100.
-        let u = utilization_under_churn(&total, 100.0, &[(0, 2)]);
-        assert!((u - 0.75).abs() < 1e-12, "{u}");
-        assert_eq!(utilization_under_churn(&total, 100.0, &[]), 0.0);
+        let util = |activity: Vec<(u64, u64)>| {
+            let mut acc = ChurnUtilAcc::new(100.0, activity);
+            acc.push_block(&[50.0, 100.0, 0.0, 0.0]);
+            acc.measured()
+        };
+        assert!((util(vec![(0, 2)]) - 0.75).abs() < 1e-12);
+        assert_eq!(util(Vec::new()), 0.0);
     }
 
     #[test]
@@ -621,56 +564,21 @@ mod tests {
         let fresh = accumulate(&trace, &cfg);
         let mut reused = accumulate(&trace, &cfg);
         reused.reset();
-        let mut records = Vec::new();
         for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            reused.push_step(trace.total_window[t], &records);
+            reused.push_step(trace.total_window[t], &records_at(&trace, t));
         }
-        assert_eq!(
-            reused.mean_settle_after_arrival().to_bits(),
-            fresh.mean_settle_after_arrival().to_bits()
-        );
-        assert_eq!(
-            reused.coexistence_fairness().to_bits(),
-            fresh.coexistence_fairness().to_bits()
-        );
-        assert_eq!(
-            reused.utilization_under_churn().to_bits(),
-            fresh.utilization_under_churn().to_bits()
-        );
+        assert_same_scores(&reused, &fresh, "reset");
     }
 
     #[test]
     fn mid_stream_reads_do_not_disturb_the_final_score() {
         let (trace, cfg) = churned_trace();
         let mut acc = ChurnAccumulator::new(&cfg, trace.num_senders());
-        let mut records = Vec::new();
         for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            acc.push_step(trace.total_window[t], &records);
+            acc.push_step(trace.total_window[t], &records_at(&trace, t));
             let _ = acc.coexistence_fairness();
             let _ = acc.mean_settle_after_arrival();
         }
-        let clean = accumulate(&trace, &cfg);
-        assert_eq!(
-            acc.coexistence_fairness().to_bits(),
-            clean.coexistence_fairness().to_bits()
-        );
+        assert_same_scores(&acc, &accumulate(&trace, &cfg), "mid-stream reads");
     }
 }

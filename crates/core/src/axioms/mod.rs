@@ -1,48 +1,51 @@
 //! The eight axioms ("metrics") of Section 3, as executable definitions.
 //!
-//! Each submodule implements one metric as a pair of functions over a
-//! [`RunTrace`](crate::trace::RunTrace):
+//! Each metric is defined once, as a single-pass fold in [`streaming`]:
+//! the paper's parameterized predicate ("P is α-efficient if …"), with
+//! the existential "there is some time step T such that from T onwards"
+//! read as "over the tail of the run", yields a **best score** — the
+//! largest (or, for loss and latency, smallest) α the run supports. That
+//! is the quantity the experiment builders place in the empirical
+//! Table 1. Simulation engines fold each step into the accumulators as
+//! they run; a recorded [`RunTrace`](crate::trace::RunTrace) is scored by
+//! replaying its columns through the same fold
+//! ([`MetricAccumulator::replay`](streaming::MetricAccumulator::replay)).
 //!
-//! * `satisfies_*` — the paper's parameterized predicate ("P is α-efficient
-//!   if …"), evaluated on a finite trace by interpreting the existential
-//!   "there is some time step T such that from T onwards" as "over the tail
-//!   of the run" (the caller supplies the tail start, typically the second
-//!   half of a run long past the protocol's transient);
-//! * `measured_*` — the **best score** the trace supports, i.e. the largest
-//!   (or, for loss, smallest) α for which the predicate holds. This is the
-//!   quantity the experiment builders place in the empirical Table 1.
-//!
-//! | Metric | Paper | Module |
+//! | Metric | Paper | Fold |
 //! |---|---|---|
-//! | I    | link-utilization (`α`-efficient)     | [`efficiency`] |
-//! | II   | fast-utilization                     | [`fast_utilization`] |
-//! | III  | loss-avoidance                       | [`loss_avoidance`] |
-//! | IV   | fairness                             | [`fairness`] |
-//! | V    | convergence                          | [`convergence`] |
-//! | VI   | robustness to non-congestion loss    | [`robustness`] |
-//! | VII  | TCP-friendliness                     | [`friendliness`] |
-//! | VIII | latency-avoidance                    | [`latency`] |
+//! | I    | link-utilization (`α`-efficient)     | [`EfficiencyAcc`](streaming::EfficiencyAcc) |
+//! | II   | fast-utilization                     | [`FastUtilizationAcc`](streaming::FastUtilizationAcc) |
+//! | III  | loss-avoidance                       | [`LossAvoidanceAcc`](streaming::LossAvoidanceAcc) |
+//! | IV   | fairness                             | [`FairnessAcc`](streaming::FairnessAcc) |
+//! | V    | convergence                          | [`ConvergenceAcc`](streaming::ConvergenceAcc) |
+//! | VI   | robustness to non-congestion loss    | [`RobustnessAcc`](streaming::RobustnessAcc) |
+//! | VII  | TCP-friendliness                     | [`FairnessAcc`](streaming::FairnessAcc) |
+//! | VIII | latency-avoidance                    | [`LatencyAcc`](streaming::LatencyAcc) |
 //!
 //! Metrics VI and VII quantify over *scenarios* (all initial window
-//! configurations; all mixes of senders), not single traces. The functions
-//! here evaluate a single trace; the scenario sweeps that realize the
-//! universal quantifiers live in `axcc-analysis`.
+//! configurations; all mixes of senders), not single runs. The folds
+//! score a single run; the scenario sweeps that realize the universal
+//! quantifiers live in `axcc-analysis`. [`churn`] re-poses the metrics
+//! for runs whose sender population changes mid-run, and [`extensions`]
+//! adds two metrics beyond the paper's eight.
 
 pub mod churn;
-pub mod convergence;
-pub mod efficiency;
 pub mod extensions;
-pub mod fairness;
-pub mod fast_utilization;
-pub mod friendliness;
-pub mod latency;
-pub mod loss_avoidance;
-pub mod robustness;
 pub mod streaming;
 
 /// Fraction of a run treated as transient by default: axioms are evaluated
-/// on the final half of the trace unless the caller says otherwise.
+/// on the final half of the run unless the caller says otherwise.
 pub const DEFAULT_TAIL_FRACTION: f64 = 0.5;
+
+/// Minimum horizon `T` (in RTT steps) of the fast-utilization score. The
+/// axiom allows any finite `T`; the score requires the gain condition only
+/// for ascents longer than this, which filters out quantization noise at
+/// the start of an ascent.
+pub const DEFAULT_MIN_HORIZON: usize = 8;
+
+/// Default window threshold β (MSS) the robustness fold tracks escape
+/// above.
+pub const DEFAULT_ESCAPE_BETA: f64 = 50.0;
 
 /// Identifier for one of the paper's eight metrics, used by the analysis
 /// crate to build tables keyed by metric.

@@ -1,38 +1,38 @@
-//! Streaming (single-pass) axiom evaluation — the trace-free fast path.
+//! The axioms of Section 3 as single-pass folds — the one place an axiom
+//! score is computed.
 //!
-//! Every axiom of Section 3 is a statement about a trajectory of the form
-//! "there is some time step T such that from T onwards …", and every one
-//! of its empirical evaluators in the sibling modules is an in-order fold
-//! over trace columns: min/max folds (efficiency, loss-avoidance,
-//! convergence, latency), sequential sums (fairness and friendliness tail
-//! averages, fast-utilization cumulative gains), or a last-index scan
-//! (robustness). None of them needs the trajectory materialized — they
-//! need each step's values exactly once, in order.
+//! Every axiom is a statement about a trajectory of the form "there is
+//! some time step T such that from T onwards …", and every empirical score
+//! is an in-order fold over the step columns: min/max folds (efficiency,
+//! loss-avoidance, convergence, latency), sequential sums (fairness and
+//! friendliness tail averages, fast-utilization cumulative gains), or a
+//! last-index scan (robustness). None of them needs the trajectory
+//! materialized — each step's values are needed exactly once, in order.
 //!
 //! This module provides one online accumulator per axiom plus a combined
-//! [`MetricAccumulator`] that consumes one [`StepRecord`] per sender per
-//! step in O(senders) memory, independent of run length. A simulation
-//! engine drives it directly from its hot loop (see `axcc-fluidsim`'s
-//! `StepSink`), eliminating the O(steps × senders) trace allocation
-//! entirely for metric-only sweeps.
+//! [`MetricAccumulator`] that consumes [`StepBlock`]s of up to 128 steps
+//! in O(senders) memory, independent of run length. A simulation engine
+//! drives it directly from its hot loop (see `axcc-fluidsim`'s
+//! `StepSink`); a finished trace — a packet-level run, or a fluid run
+//! kept for plotting — is scored by [`MetricAccumulator::replay`], which
+//! feeds the trace's columns through the very same block fold. A streamed
+//! run and the replay of its recorded trace therefore agree to the bit by
+//! construction: there is no second implementation to drift.
 //!
-//! **The bit-identity contract.** Each accumulator reproduces its
-//! trace-based evaluator *to the exact f64 bit*: the same additions in the
-//! same order (f64 addition is not associative, so sums must fold
-//! sequentially over steps exactly as the slice iterators do), the same
-//! `f64::min`/`f64::max` argument order (which decides NaN propagation),
-//! and the same edge-case returns for empty tails and idle senders. Tail
-//! boundaries and the robustness quartiles are precomputable because the
-//! run length is known up front ([`MetricConfig::steps`]), mirroring
-//! [`RunTrace::tail_start`](crate::trace::RunTrace::tail_start). The
-//! equivalence is asserted bit-for-bit by unit tests here, by property
-//! tests in `axcc-fluidsim`, and on every registry experiment by
-//! `axcc-analysis` and the `bench-engine` binary.
+//! Tail boundaries and the robustness quartiles are precomputable because
+//! the run length is known up front ([`MetricConfig::steps`]), mirroring
+//! [`RunTrace::tail_start`]. Batched ingest (`push_steps`) and per-step
+//! ingest (`push_step`) perform the same additions in the same order and
+//! the same `f64::min`/`f64::max` argument order (which decides NaN
+//! propagation), so they are bit-identical; the tests here assert it, and
+//! pin every score to hand-computed values.
 
+use crate::axioms::{DEFAULT_ESCAPE_BETA, DEFAULT_MIN_HORIZON, DEFAULT_TAIL_FRACTION};
 use crate::link::LinkParams;
+use crate::trace::RunTrace;
 
-/// One sender's observation at one step: exactly the four values the
-/// trace path would append to its per-sender columns.
+/// One sender's observation at one step: exactly the four values a
+/// recorded trace appends to its per-sender columns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepRecord {
     /// Congestion window `x_i^(t)` (MSS); 0 for a not-yet-started sender.
@@ -59,8 +59,10 @@ pub struct StepRecord {
 /// Consuming a block row-by-row in step order is bit-identical to the
 /// per-step path: [`record`](StepBlock::record) reconstructs exactly the
 /// `StepRecord` the engine would have passed to `on_step` (idle senders
-/// hold staged zeros; every sender's RTT is the shared column, as in the
-/// synchronized fluid model).
+/// hold staged zeros). Every sender's RTT is the shared column, as in the
+/// synchronized fluid model, unless the block tracks per-sender RTTs
+/// ([`track_sender_rtts`](StepBlock::track_sender_rtts)) — what a replayed
+/// packet-level trace needs, where each flow sees its own RTT.
 #[derive(Debug, Clone, Default)]
 pub struct StepBlock {
     n: usize,
@@ -73,6 +75,8 @@ pub struct StepBlock {
     windows: Vec<f64>,
     losses: Vec<f64>,
     goodputs: Vec<f64>,
+    /// Per-sender RTT columns; empty unless tracked.
+    sender_rtts: Vec<f64>,
 }
 
 fn resize_zeroed(v: &mut Vec<f64>, len: usize) {
@@ -99,14 +103,16 @@ impl StepBlock {
             windows: Vec::new(),
             losses: Vec::new(),
             goodputs: Vec::new(),
+            sender_rtts: Vec::new(),
         };
         block.reshape(n, cap);
         block
     }
 
-    /// Resize for a run shape, zeroing every column and resetting the
-    /// cursor. Reusable workspaces call this once per run; when the shape
-    /// matches the previous run the buffers are reused in place.
+    /// Resize for a run shape, zeroing every column, resetting the cursor
+    /// and dropping per-sender RTT tracking. Reusable workspaces call this
+    /// once per run; when the shape matches the previous run the buffers
+    /// are reused in place.
     pub fn reshape(&mut self, n: usize, cap: usize) {
         self.n = n;
         self.cap = cap.max(1);
@@ -118,6 +124,14 @@ impl StepBlock {
         resize_zeroed(&mut self.windows, n * self.cap);
         resize_zeroed(&mut self.losses, n * self.cap);
         resize_zeroed(&mut self.goodputs, n * self.cap);
+        self.sender_rtts.clear();
+    }
+
+    /// Give every sender its own RTT column, staged with
+    /// [`stage_sender_rtt`](StepBlock::stage_sender_rtt), instead of the
+    /// shared link column.
+    pub fn track_sender_rtts(&mut self) {
+        resize_zeroed(&mut self.sender_rtts, self.n * self.cap);
     }
 
     /// Start a new (empty) block whose first row is absolute step `start`.
@@ -152,6 +166,13 @@ impl StepBlock {
         self.windows[at] = window;
         self.losses[at] = loss;
         self.goodputs[at] = goodput;
+    }
+
+    /// Stage sender `i`'s own RTT for the current row (the block must
+    /// [track](StepBlock::track_sender_rtts) per-sender RTTs).
+    #[inline]
+    pub fn stage_sender_rtt(&mut self, i: usize, rtt: f64) {
+        self.sender_rtts[i * self.cap + self.len] = rtt;
     }
 
     /// Commit the current row; returns `true` when the block is full —
@@ -218,6 +239,16 @@ impl StepBlock {
         &self.goodputs[i * self.cap..i * self.cap + self.len]
     }
 
+    /// Sender `i`'s committed RTT column: its own when the block tracks
+    /// per-sender RTTs, the shared link column otherwise.
+    pub fn sender_rtts(&self, i: usize) -> &[f64] {
+        if self.sender_rtts.is_empty() {
+            self.rtts()
+        } else {
+            &self.sender_rtts[i * self.cap..i * self.cap + self.len]
+        }
+    }
+
     /// The [`StepRecord`] row `k` holds for sender `i` — exactly what the
     /// per-step path would have passed to `on_step`.
     pub fn record(&self, i: usize, k: usize) -> StepRecord {
@@ -225,7 +256,7 @@ impl StepBlock {
         StepRecord {
             window: self.windows[at],
             loss: self.losses[at],
-            rtt: self.rtts[k],
+            rtt: self.sender_rtts(i)[k],
             goodput: self.goodputs[at],
         }
     }
@@ -292,13 +323,14 @@ impl Default for MetricSet {
     }
 }
 
-/// Static shape of the run the accumulators will consume — everything the
-/// trace path would have read from `RunTrace` metadata — plus the
-/// [`MetricSet`] selecting which families to maintain.
+/// Static shape of the run the accumulators will consume — the link, the
+/// length and the per-sender flags a `RunTrace` records as metadata —
+/// plus the evaluation parameters and the [`MetricSet`] selecting which
+/// families to maintain.
 #[derive(Debug, Clone)]
 pub struct MetricConfig {
     /// The (nominal) link of the run; capacity and RTT floor come from
-    /// here, exactly as the trace evaluators read `trace.link`.
+    /// here.
     pub link: LinkParams,
     /// Total number of steps the run will execute.
     pub steps: usize,
@@ -318,6 +350,23 @@ pub struct MetricConfig {
 }
 
 impl MetricConfig {
+    /// The shape of a finished trace — its link, length and per-sender
+    /// `loss_based` flags — with the default evaluation parameters: the
+    /// [`DEFAULT_TAIL_FRACTION`], [`DEFAULT_MIN_HORIZON`] and
+    /// [`DEFAULT_ESCAPE_BETA`], and every metric family. Override fields
+    /// with struct-update syntax.
+    pub fn for_trace(trace: &RunTrace) -> Self {
+        MetricConfig {
+            link: trace.link,
+            steps: trace.len(),
+            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
+            tail_fraction: DEFAULT_TAIL_FRACTION,
+            min_horizon: DEFAULT_MIN_HORIZON,
+            escape_beta: DEFAULT_ESCAPE_BETA,
+            metrics: MetricSet::ALL,
+        }
+    }
+
     /// The tail boundary this configuration implies — identical to
     /// `RunTrace::tail_start` on the finished trace.
     pub fn tail_start(&self) -> usize {
@@ -326,8 +375,18 @@ impl MetricConfig {
     }
 }
 
-/// Metric I (efficiency) online: min-fold of `X^(t)/C` over the tail,
-/// plus the mean-utilization companion sum.
+/// **Metric I: link-utilization.** Paper, Section 3: *"P is α-efficient
+/// if when all senders employ P, for any initial configuration of
+/// senders' window sizes, there is some time step T such that from T
+/// onwards `X^(t) ≥ αC`."*
+///
+/// On a finite run the existential over `T` is read as "over the tail":
+/// the score is the min-fold of `X^(t)/C` over the tail, capped at 1 —
+/// mirroring Table 1's `min(1, ·)` forms: a total window that never drops
+/// below capacity is fully efficient; buffer occupancy beyond `C` is not
+/// extra efficiency. The universal quantifier over initial configurations
+/// is realized by the scenario sweeps in `axcc-analysis`. The
+/// mean-utilization companion sum rides along.
 #[derive(Debug, Clone)]
 pub struct EfficiencyAcc {
     capacity: f64,
@@ -377,7 +436,8 @@ impl EfficiencyAcc {
         self.t += totals.len();
     }
 
-    /// `efficiency::measured_efficiency` of the stream so far.
+    /// The largest `α` with `X^(t) ≥ αC` on every tail step, capped at 1;
+    /// 0 for an empty tail.
     pub fn measured(&self) -> f64 {
         let worst = if self.worst_ratio.is_finite() {
             self.worst_ratio
@@ -387,7 +447,8 @@ impl EfficiencyAcc {
         worst.min(1.0)
     }
 
-    /// `efficiency::mean_utilization` of the stream so far.
+    /// Mean utilization `X/C` over the tail (0 for an empty tail) — a
+    /// companion statistic, not the paper's worst-case metric.
     pub fn mean_utilization(&self) -> f64 {
         if self.tail_len == 0 {
             return 0.0;
@@ -404,8 +465,14 @@ impl EfficiencyAcc {
     }
 }
 
-/// Metric III (loss-avoidance) online: max-fold and sum of the link loss
-/// column over the tail.
+/// **Metric III: loss-avoidance.** Paper, Section 3: *"P is
+/// α-loss-avoiding if when all senders employ P, for any initial
+/// configuration of senders' window sizes, there is some time step T such
+/// that from T onwards the loss rate `L^(t)` is bounded by α."* Protocols
+/// that are 0-loss-avoiding are "0-loss".
+///
+/// The score is the max-fold of the link loss column over the tail (smaller
+/// is better); the sum feeds the mean-loss companion.
 #[derive(Debug, Clone)]
 pub struct LossAvoidanceAcc {
     tail_start: usize,
@@ -453,12 +520,12 @@ impl LossAvoidanceAcc {
         self.t += losses.len();
     }
 
-    /// `loss_avoidance::measured_loss_bound` of the stream so far.
+    /// The smallest `α` the tail supports: its maximum link loss rate.
     pub fn measured(&self) -> f64 {
         self.worst
     }
 
-    /// `loss_avoidance::mean_loss` of the stream so far.
+    /// Mean link loss rate over the tail (0 for an empty tail).
     pub fn mean(&self) -> f64 {
         if self.tail_len == 0 {
             0.0
@@ -467,7 +534,7 @@ impl LossAvoidanceAcc {
         }
     }
 
-    /// Whether the tail is 0-loss (`loss_avoidance::is_zero_loss`).
+    /// Whether the tail is 0-loss (no loss event after the transient).
     pub fn is_zero_loss(&self) -> bool {
         self.measured() <= 1e-12
     }
@@ -481,14 +548,18 @@ impl LossAvoidanceAcc {
     }
 }
 
-/// Metric VIII (latency-avoidance) online: max-fold of `RTT/(2Θ) − 1`
-/// over the tail, unbounded as soon as a tail step shows loss.
+/// **Metric VIII: latency-avoidance.** Paper, Section 3: *"P is
+/// α-latency-avoiding if for sufficiently large link capacity C and buffer
+/// size τ, and regardless of sender's initial window sizes, when all
+/// senders on the link employ P, there is some time step T such that from
+/// T onwards `RTT(t) < (1 + α)·2Θ`."*
 ///
-/// The trace evaluator returns `INFINITY` the moment it meets a lossy
-/// step; the stream cannot early-return, so it latches a flag instead —
-/// the folded `worst` is discarded whenever the flag is set, which makes
-/// the two bit-identical (on a loss-free tail the folds see the same
-/// steps in the same order).
+/// The score is the max-fold of `RTT/(2Θ) − 1` over the tail (smaller is
+/// better), and unbounded (`INFINITY`) as soon as a tail step shows loss:
+/// a timeout-capped step has no meaningful latency bound, which is why
+/// Table 1 calls loss-based protocols' latency scores "unbounded". The
+/// fold latches a flag on the first lossy tail step and discards `worst`
+/// from then on.
 #[derive(Debug, Clone)]
 pub struct LatencyAcc {
     floor: f64,
@@ -537,7 +608,8 @@ impl LatencyAcc {
         self.t += rtts.len();
     }
 
-    /// `latency::measured_latency_inflation` of the stream so far.
+    /// The smallest `α` with `RTT(t) < (1 + α)·2Θ` over the tail, or
+    /// `INFINITY` if the tail saw loss.
     pub fn measured(&self) -> f64 {
         if self.saw_tail_loss {
             return f64::INFINITY;
@@ -553,9 +625,22 @@ impl LatencyAcc {
     }
 }
 
-/// Metrics IV and VII (fairness / friendliness) online: per-sender tail
-/// sums of window and goodput, combined at finish time exactly like
-/// `SenderTrace::mean_window_from` / `mean_goodput_from`.
+/// **Metrics IV and VII: fairness and TCP-friendliness.** Paper, Section
+/// 3: *"P is α-fair if when all senders use P and for any configuration
+/// of senders' window sizes, from some time T > 0 onwards, the average
+/// window size of each sender i is at least an α-fraction that of any
+/// other sender j"*; *"P is α-friendly to another protocol Q if, for any
+/// combination of sender-protocols such that some senders use P and
+/// others use Q, … for every P-sender i and Q-sender j, from some point in
+/// time T > 0 onwards j's average window size is at least an α-fraction
+/// of i's average window size"* — and α-TCP-friendly when Q is AIMD(1,
+/// 0.5), TCP Reno.
+///
+/// Both are ratios of tail-average windows, so the fold keeps per-sender
+/// tail sums of window and goodput (the same sums as
+/// `SenderTrace::mean_window_from` / `mean_goodput_from`). Jain's index
+/// over tail goodputs (RFC 5166's standard fairness measure) is reported
+/// as a companion; it is not the axiom.
 #[derive(Debug, Clone)]
 pub struct FairnessAcc {
     tail_start: usize,
@@ -632,7 +717,9 @@ impl FairnessAcc {
         }
     }
 
-    /// `fairness::measured_fairness` of the stream so far.
+    /// Metric IV: `min_i avg_i / max_j avg_j` over tail-average windows.
+    /// 1 for fewer than two senders (the axiom quantifies over pairs) or
+    /// when all are idle; 0 when one starves while another sends.
     pub fn measured(&self) -> f64 {
         let n = self.win_sums.len();
         if n < 2 {
@@ -647,7 +734,8 @@ impl FairnessAcc {
         (min / max).clamp(0.0, 1.0)
     }
 
-    /// `fairness::jain_index` of the stream so far.
+    /// Jain's index `(Σ g_i)² / (n · Σ g_i²)` over tail-average goodputs:
+    /// from `1/n` (one sender hogs everything) to 1 (perfect equality).
     pub fn jain_index(&self) -> f64 {
         let n = self.goodput_sums.len() as f64;
         let g = (0..self.goodput_sums.len()).map(|i| self.tail_mean_goodput(i));
@@ -659,8 +747,10 @@ impl FairnessAcc {
         (sum * sum) / (n * sum_sq)
     }
 
-    /// `friendliness::measured_friendliness` of the stream so far, for
-    /// P-senders `p` and Q-senders `q` (indices into the sender order).
+    /// Metric VII for P-senders `p` and Q-senders `q` (indices into the
+    /// sender order): `(min_{j∈Q} avg_j) / (max_{i∈P} avg_i)`. 1 if either
+    /// set is empty or all P-senders are idle; not clamped above 1 (Q
+    /// out-competing P is reported as such).
     pub fn friendliness(&self, p: &[usize], q: &[usize]) -> f64 {
         if p.is_empty() || q.is_empty() {
             return 1.0;
@@ -688,8 +778,16 @@ impl FairnessAcc {
     }
 }
 
-/// Metric V (convergence) online: per-sender `[lo, hi]` window excursion
-/// over the tail.
+/// **Metric V: convergence.** Paper, Section 3: *"P is α-convergent, for
+/// α ∈ [0, 1], if there is a configuration of window sizes
+/// `(x*_1, …, x*_n) ∈ [0, M]^n` and time step T such that for any t > T
+/// and sender i, `α·x*_i ≤ x_i^(t) ≤ (2 − α)·x*_i`."*
+///
+/// The fold keeps each sender's `[lo, hi]` window excursion over the
+/// tail. The definition lets the protocol pick `x*`, so the score
+/// optimizes it per sender: for a band `[lo, hi]` the optimum has
+/// `α·x* = lo` and `(2−α)·x* = hi`, i.e. `x* = (lo + hi)/2` and
+/// `α = 2·lo/(lo + hi)`.
 #[derive(Debug, Clone)]
 pub struct ConvergenceAcc {
     steps: usize,
@@ -743,7 +841,9 @@ impl ConvergenceAcc {
         self.t += len;
     }
 
-    /// `convergence::measured_convergence` of the stream so far.
+    /// `min_i 2·lo_i / (lo_i + hi_i)`; 1 for an empty tail or a sender
+    /// constant at zero (the all-zeros fixed point satisfies the
+    /// definition exactly).
     pub fn measured(&self) -> f64 {
         if self.tail_start.min(self.steps) >= self.steps {
             return 1.0;
@@ -765,9 +865,17 @@ impl ConvergenceAcc {
     }
 }
 
-/// Metric VI (robustness) online: per-sender last-dip index below β, the
-/// third/fourth-quarter window sums behind `window_diverging`, and the
-/// final window.
+/// **Metric VI: robustness to non-congestion loss.** Paper, Section 3:
+/// *"Suppose that a single sender i sends on a link of infinite capacity
+/// … P is α-robust if when the sender experiences constant random packet
+/// loss rate of at most α ∈ [0, 1], then, for any choice of initial
+/// senders' window sizes and value β > 0, there is some T > 0 such that
+/// for every t > T, `x_i^(t) ≥ β`."*
+///
+/// A single run can only witness escape for the β it reaches; the search
+/// over loss rates lives in `axcc-analysis`. The fold keeps each sender's
+/// last dip below β, its third/fourth-quarter window sums (the "still
+/// growing" witness of divergence) and its final window.
 #[derive(Debug, Clone)]
 pub struct RobustnessAcc {
     beta: f64,
@@ -848,8 +956,10 @@ impl RobustnessAcc {
         self.t += len;
     }
 
-    /// `robustness::window_escapes(senders[i], beta, min_suffix_frac)` of
-    /// the stream so far.
+    /// Whether sender `i`'s window escapes to β: after its last dip below
+    /// β the window stays at or above β for the rest of the run, and that
+    /// suffix is non-empty and at least `min_suffix_frac` of the run (a
+    /// single final sample does not count).
     pub fn escapes(&self, i: usize, min_suffix_frac: f64) -> bool {
         let n = self.t;
         if n == 0 {
@@ -863,8 +973,11 @@ impl RobustnessAcc {
         suffix_len as f64 >= min_suffix_frac * n as f64 && suffix_len > 0
     }
 
-    /// `robustness::window_diverging(senders[i], growth_margin)` of the
-    /// stream so far.
+    /// Whether sender `i`'s window is still growing at the end: its mean
+    /// over the last quarter exceeds the third quarter's by
+    /// `growth_margin`. Under the axiom's infinite-capacity link a robust
+    /// protocol diverges, so a finite run of it ends in growth; a
+    /// non-robust one stalls. False for runs shorter than 8 steps.
     pub fn diverging(&self, i: usize, growth_margin: f64) -> bool {
         let n = self.steps;
         if n < 8 {
@@ -901,10 +1014,9 @@ impl RobustnessAcc {
     }
 }
 
-/// Per-sender streaming state for Metric II (fast-utilization): the
-/// segment scan of `fast_utilization::eligible_segments` fused with the
-/// per-segment cumulative-gain fold of `measured_fast_utilization`, using
-/// one step of lookback.
+/// Per-sender state for Metric II (fast-utilization): the eligible-segment
+/// scan fused with the per-segment cumulative-gain fold, using one step of
+/// lookback.
 #[derive(Debug, Clone)]
 struct FastUtilSender {
     check_rtt: bool,
@@ -952,8 +1064,8 @@ impl FastUtilSender {
                 self.finalize_segment(s, t, min_horizon);
             }
             // A back-off or RTT rise ends a segment but can begin a new
-            // one at the post-event window; a lossy step cannot — exactly
-            // the `eligible_segments` rule.
+            // one at the post-event window; a lossy step cannot — its
+            // window predates the reaction.
             if !lossy {
                 self.seg_start = Some(t);
                 self.x1 = r.window;
@@ -992,7 +1104,24 @@ impl FastUtilSender {
     }
 }
 
-/// Metric II (fast-utilization) online, per sender.
+/// **Metric II: fast-utilization**, per sender. Paper, Section 3: *"P is
+/// α-fast-utilizing if there exists T > 0 such that if a P-sender i's
+/// window size is `x_i^(t1)` at time step `t1` and by time step
+/// `t1 + Δt`, for any `Δt ≥ T`, does not experience loss, nor increased
+/// RTT (if not loss-based), then
+/// `Σ_{t=t1}^{t1+Δt} (x_i^(t) − x_i^(t1)) ≥ αΔt²/2`."*
+///
+/// The fold scans each sender for *eligible segments* — maximal stretches
+/// with zero loss and, for non-loss-based protocols, non-increasing RTT. A
+/// window drop of more than 1% also ends a segment: in sampled traces the
+/// loss-triggered back-off can land one sample after the interval whose
+/// loss column marked the event, and an ascent must not span a back-off.
+/// The protocol picks the horizon `T`; on a segment of length `L` the best
+/// choice is `T = L − 1`, so each segment scores its normalized cumulative
+/// gain at the largest horizon, `2·Σ(x(t) − x(t1)) / (L−1)²` (a minimum
+/// over all horizons would under-score back-loaded ascents like MIMD's and
+/// CUBIC's, which the axiom permits via `T`). The score is the worst such
+/// value over segments longer than the minimum horizon.
 #[derive(Debug, Clone)]
 pub struct FastUtilizationAcc {
     from: usize,
@@ -1034,8 +1163,8 @@ impl FastUtilizationAcc {
         let len = block.len();
         let start = self.from.saturating_sub(self.t).min(len);
         let (t0, from, min_horizon) = (self.t, self.from, self.min_horizon);
-        let rtts = block.rtts();
         for (i, s) in self.senders.iter_mut().enumerate() {
+            let rtts = block.sender_rtts(i);
             let windows = block.windows(i);
             let losses = block.sender_losses(i);
             let goodputs = block.goodputs(i);
@@ -1052,8 +1181,9 @@ impl FastUtilizationAcc {
         self.t += len;
     }
 
-    /// `fast_utilization::measured_fast_utilization(senders[i], from,
-    /// min_horizon)` of the stream so far.
+    /// The largest `α` consistent with sender `i`'s ascents, or `None`
+    /// when no eligible segment was long enough to judge (the axiom is then
+    /// vacuous on this run, and the caller should lengthen it).
     pub fn measured(&self, i: usize) -> Option<f64> {
         self.senders[i].measured(self.t, self.min_horizon)
     }
@@ -1069,7 +1199,8 @@ impl FastUtilizationAcc {
 
 /// The combined single-pass evaluator: one instance per run, consuming
 /// each step's shared link state and per-sender records, exposing every
-/// axiom score the trace evaluators would produce — bit-identically.
+/// axiom score. Engines drive it as they run; a finished trace is scored
+/// by [`replay`](MetricAccumulator::replay).
 #[derive(Debug, Clone)]
 pub struct MetricAccumulator {
     steps: usize,
@@ -1106,8 +1237,8 @@ impl MetricAccumulator {
     }
 
     /// Consume one step: the shared total window, link RTT and link loss
-    /// (the trace path's `total_window` / `rtt` / `loss` columns), plus
-    /// one record per sender in sender order.
+    /// (a trace's `total_window` / `rtt` / `loss` columns), plus one
+    /// record per sender in sender order.
     pub fn push_step(&mut self, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
         debug_assert_eq!(records.len(), self.n);
         let m = self.metrics;
@@ -1169,6 +1300,41 @@ impl MetricAccumulator {
         self.t += block.len();
     }
 
+    /// Score a finished trace: feed its columns — per-sender RTT columns
+    /// included, for packet-level traces — through the same
+    /// [`StepBlock`] fold an engine drives, in blocks of
+    /// [`StepBlock::DEFAULT_CAPACITY`] steps. `cfg` must describe the
+    /// trace's shape; [`MetricConfig::for_trace`] builds one.
+    pub fn replay(trace: &RunTrace, cfg: &MetricConfig) -> Self {
+        debug_assert_eq!(cfg.steps, trace.len());
+        debug_assert_eq!(cfg.loss_based.len(), trace.num_senders());
+        let mut acc = MetricAccumulator::new(cfg);
+        let n = trace.num_senders();
+        let own_rtts = trace.senders.iter().any(|s| s.rtt.is_some());
+        let mut block = StepBlock::new(n, StepBlock::DEFAULT_CAPACITY);
+        if own_rtts {
+            block.track_sender_rtts();
+        }
+        let mut start = 0;
+        while start < trace.len() {
+            let end = (start + block.capacity()).min(trace.len());
+            block.begin(start);
+            for t in start..end {
+                block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
+                for (i, s) in trace.senders.iter().enumerate() {
+                    block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
+                    if own_rtts {
+                        block.stage_sender_rtt(i, trace.sender_rtt(i)[t]);
+                    }
+                }
+                block.advance();
+            }
+            acc.push_steps(&block);
+            start = end;
+        }
+        acc
+    }
+
     /// Steps consumed so far.
     pub fn steps_seen(&self) -> usize {
         self.t
@@ -1184,81 +1350,82 @@ impl MetricAccumulator {
         self.n
     }
 
-    /// Metric I: `efficiency::measured_efficiency`.
+    /// Metric I (see [`EfficiencyAcc::measured`]).
     pub fn measured_efficiency(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::EFFICIENCY));
         self.efficiency.measured()
     }
 
-    /// Companion: `efficiency::mean_utilization`.
+    /// Companion: mean tail utilization.
     pub fn mean_utilization(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::EFFICIENCY));
         self.efficiency.mean_utilization()
     }
 
-    /// Metric III: `loss_avoidance::measured_loss_bound`.
+    /// Metric III (see [`LossAvoidanceAcc::measured`]).
     pub fn measured_loss_bound(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.measured()
     }
 
-    /// Companion: `loss_avoidance::mean_loss`.
+    /// Companion: mean tail loss rate.
     pub fn mean_loss(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.mean()
     }
 
-    /// `loss_avoidance::is_zero_loss`.
+    /// Whether the tail is 0-loss.
     pub fn is_zero_loss(&self) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.is_zero_loss()
     }
 
-    /// Metric VIII: `latency::measured_latency_inflation`.
+    /// Metric VIII (see [`LatencyAcc::measured`]).
     pub fn measured_latency_inflation(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LATENCY));
         self.latency.measured()
     }
 
-    /// Metric IV: `fairness::measured_fairness`.
+    /// Metric IV (see [`FairnessAcc::measured`]).
     pub fn measured_fairness(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.measured()
     }
 
-    /// Companion: `fairness::jain_index`.
+    /// Companion: Jain's index over tail goodputs.
     pub fn jain_index(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.jain_index()
     }
 
-    /// Metric V: `convergence::measured_convergence`.
+    /// Metric V (see [`ConvergenceAcc::measured`]).
     pub fn measured_convergence(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::CONVERGENCE));
         self.convergence.measured()
     }
 
-    /// Metric II per sender: `fast_utilization::measured_fast_utilization`.
+    /// Metric II per sender (see [`FastUtilizationAcc::measured`]).
     pub fn measured_fast_utilization(&self, i: usize) -> Option<f64> {
         debug_assert!(self.metrics.contains(MetricSet::FAST_UTILIZATION));
         self.fast_utilization.measured(i)
     }
 
-    /// Metric VII: `friendliness::measured_friendliness` for P-set `p`
-    /// and Q-set `q`.
+    /// Metric VII for P-set `p` and Q-set `q` (see
+    /// [`FairnessAcc::friendliness`]).
     pub fn measured_friendliness(&self, p: &[usize], q: &[usize]) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.friendliness(p, q)
     }
 
-    /// Metric VI per sender: `robustness::window_escapes` at the
-    /// configured β.
+    /// Metric VI per sender: escape above the configured β (see
+    /// [`RobustnessAcc::escapes`]).
     pub fn window_escapes(&self, i: usize, min_suffix_frac: f64) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::ROBUSTNESS));
         self.robustness.escapes(i, min_suffix_frac)
     }
 
-    /// Metric VI per sender: `robustness::window_diverging`.
+    /// Metric VI per sender: end-of-run growth (see
+    /// [`RobustnessAcc::diverging`]).
     pub fn window_diverging(&self, i: usize, growth_margin: f64) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::ROBUSTNESS));
         self.robustness.diverging(i, growth_margin)
@@ -1301,25 +1468,27 @@ impl MetricAccumulator {
 mod tests {
     use super::*;
     use crate::axioms::testutil::{small_link, trace_from_windows};
-    use crate::axioms::{
-        convergence, efficiency, fairness, fast_utilization, friendliness, latency, loss_avoidance,
-        robustness,
-    };
-    use crate::trace::RunTrace;
+    use crate::trace::SenderTrace;
 
-    /// Drive an accumulator with exactly the columns a finished trace
-    /// holds — the reference replay every equivalence test uses.
-    fn accumulate(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricAccumulator {
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
+    /// The replay's configuration for a hand-built trace: tail from
+    /// `floor(len · tail_fraction)`, escape threshold `beta`.
+    fn config(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricConfig {
+        MetricConfig {
             tail_fraction,
-            min_horizon: fast_utilization::DEFAULT_MIN_HORIZON,
             escape_beta: beta,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
+            ..MetricConfig::for_trace(trace)
+        }
+    }
+
+    /// Score a trace through the public replay.
+    fn score(trace: &RunTrace, tail_fraction: f64) -> MetricAccumulator {
+        MetricAccumulator::replay(trace, &config(trace, tail_fraction, 50.0))
+    }
+
+    /// Drive an accumulator row by row through `push_step` — the per-step
+    /// ingest the block fold must reproduce bit for bit.
+    fn accumulate(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricAccumulator {
+        let mut acc = MetricAccumulator::new(&config(trace, tail_fraction, beta));
         let mut records = Vec::with_capacity(trace.num_senders());
         for t in 0..trace.len() {
             records.clear();
@@ -1336,200 +1505,478 @@ mod tests {
         acc
     }
 
-    fn assert_matches_trace(trace: &RunTrace, tail_fraction: f64) {
-        let tail = trace.tail_start(tail_fraction);
-        let beta = 50.0;
-        let acc = accumulate(trace, tail_fraction, beta);
-        assert_eq!(
-            acc.measured_efficiency().to_bits(),
-            efficiency::measured_efficiency(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.mean_utilization().to_bits(),
-            efficiency::mean_utilization(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_loss_bound().to_bits(),
-            loss_avoidance::measured_loss_bound(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.mean_loss().to_bits(),
-            loss_avoidance::mean_loss(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.is_zero_loss(),
-            loss_avoidance::is_zero_loss(trace, tail)
-        );
-        assert_eq!(
-            acc.measured_latency_inflation().to_bits(),
-            latency::measured_latency_inflation(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_fairness().to_bits(),
-            fairness::measured_fairness(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.jain_index().to_bits(),
-            fairness::jain_index(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_convergence().to_bits(),
-            convergence::measured_convergence(trace, tail).to_bits()
-        );
-        for (i, s) in trace.senders.iter().enumerate() {
-            assert_eq!(
-                acc.measured_fast_utilization(i).map(f64::to_bits),
-                fast_utilization::measured_fast_utilization(
-                    s,
-                    trace.sender_rtt(i),
-                    tail,
-                    fast_utilization::DEFAULT_MIN_HORIZON
-                )
-                .map(f64::to_bits),
-                "fast-utilization diverged for sender {i}"
-            );
-            assert_eq!(
-                acc.window_escapes(i, 0.2),
-                robustness::window_escapes(s, beta, 0.2)
-            );
-            assert_eq!(
-                acc.window_diverging(i, 1e-9),
-                robustness::window_diverging(s, 1e-9)
-            );
-            assert_eq!(
-                acc.last_window(i).to_bits(),
-                s.window.last().copied().unwrap_or(0.0).to_bits()
-            );
-            assert_eq!(
-                acc.tail_mean_window(i).to_bits(),
-                s.mean_window_from(tail).to_bits()
-            );
-            assert_eq!(
-                acc.tail_mean_goodput(i).to_bits(),
-                s.mean_goodput_from(tail).to_bits()
-            );
-        }
-        if trace.num_senders() >= 2 {
-            assert_eq!(
-                acc.measured_friendliness(&[0], &[1]).to_bits(),
-                friendliness::measured_friendliness(trace, &[0], &[1], tail).to_bits()
-            );
+    /// A one-sender trace with explicit loss and RTT columns (the link
+    /// columns mirror the sender's), for the per-sender metrics.
+    fn sender_trace(window: Vec<f64>, loss: Vec<f64>, rtt: Vec<f64>, loss_based: bool) -> RunTrace {
+        let n = window.len();
+        RunTrace {
+            link: small_link(),
+            total_window: window.clone(),
+            rtt,
+            loss: loss.clone(),
+            senders: vec![SenderTrace {
+                protocol: "test".into(),
+                loss_based,
+                goodput: vec![0.0; n],
+                window,
+                loss,
+                rtt: None,
+            }],
+            seed: 0,
         }
     }
 
+    fn lossless_sender(window: Vec<f64>) -> RunTrace {
+        let n = window.len();
+        sender_trace(window, vec![0.0; n], vec![0.1; n], true)
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-12
+    }
+
+    // Metric I — efficiency. small_link(): C = 100 MSS, τ = 20 MSS.
+
     #[test]
-    fn sawtooth_pair_matches_trace_evaluation() {
-        let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
-        let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
-        let trace = trace_from_windows(small_link(), &[a, b]);
-        for frac in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_matches_trace(&trace, frac);
-        }
+    fn efficiency_scores_the_worst_tail_utilization() {
+        let full = score(&trace_from_windows(small_link(), &[vec![100.0; 10]]), 0.0);
+        assert!(close(full.measured_efficiency(), 1.0));
+        let half = score(&trace_from_windows(small_link(), &[vec![50.0; 10]]), 0.0);
+        assert!(close(half.measured_efficiency(), 0.5));
+        // Sawtooth dipping to 60: α = 0.6 even though the peak is 1.2·C.
+        let saw = trace_from_windows(small_link(), &[vec![120.0, 60.0, 120.0, 60.0]]);
+        assert!(close(score(&saw, 0.0).measured_efficiency(), 0.6));
+        // Senders' windows sum.
+        let pair = trace_from_windows(small_link(), &[vec![40.0; 5], vec![40.0; 5]]);
+        assert!(close(score(&pair, 0.0).measured_efficiency(), 0.8));
     }
 
     #[test]
-    fn lossy_overflow_matches_trace_evaluation() {
-        // Overshoots C + τ = 120 periodically: loss steps exercise the
-        // latency INF path and fast-utilization segment splitting.
-        let w: Vec<f64> = (0..48)
-            .map(|t| if t % 6 == 5 { 140.0 } else { 80.0 + t as f64 })
+    fn efficiency_tail_skips_the_transient() {
+        // Slow start from 1, then steady at 90.
+        let mut w = vec![1.0, 2.0, 4.0, 8.0];
+        w.extend(vec![90.0; 4]);
+        let tr = trace_from_windows(small_link(), &[w]);
+        assert!(close(score(&tr, 0.0).measured_efficiency(), 0.01));
+        assert!(close(score(&tr, 0.5).measured_efficiency(), 0.9));
+    }
+
+    #[test]
+    fn efficiency_caps_a_standing_queue_at_one() {
+        // Total never dips below 106 (MIMD-style shallow back-off): the
+        // score caps at 1 per Table 1's min(1, ·).
+        let tr = trace_from_windows(small_link(), &[vec![118.0, 106.0, 118.0, 106.0]]);
+        assert_eq!(score(&tr, 0.0).measured_efficiency(), 1.0);
+    }
+
+    #[test]
+    fn efficiency_of_an_empty_tail_is_zero() {
+        let tr = trace_from_windows(small_link(), &[vec![50.0; 4]]);
+        let acc = score(&tr, 1.0);
+        assert_eq!(acc.measured_efficiency(), 0.0);
+        assert_eq!(acc.mean_utilization(), 0.0);
+    }
+
+    #[test]
+    fn mean_utilization_averages() {
+        let tr = trace_from_windows(small_link(), &[vec![50.0, 100.0]]);
+        assert!(close(score(&tr, 0.0).mean_utilization(), 0.75));
+    }
+
+    // Metric III — loss-avoidance. Loss starts above C + τ = 120.
+
+    #[test]
+    fn lossless_tail_is_zero_loss() {
+        let acc = score(&trace_from_windows(small_link(), &[vec![50.0; 10]]), 0.0);
+        assert_eq!(acc.measured_loss_bound(), 0.0);
+        assert!(acc.is_zero_loss());
+    }
+
+    #[test]
+    fn overflow_loss_is_measured() {
+        // X = 150 => L = 1 - 120/150 = 0.2.
+        let acc = score(&trace_from_windows(small_link(), &[vec![150.0; 10]]), 0.0);
+        assert!(close(acc.measured_loss_bound(), 0.2));
+        assert!(!acc.is_zero_loss());
+        // L(240) = 0.5 is the worst step.
+        let tr = trace_from_windows(small_link(), &[vec![120.0, 240.0, 121.0]]);
+        assert!(close(score(&tr, 0.0).measured_loss_bound(), 0.5));
+    }
+
+    #[test]
+    fn transient_loss_is_excluded_by_the_tail() {
+        let mut w = vec![200.0; 5];
+        w.extend(vec![100.0; 5]);
+        let tr = trace_from_windows(small_link(), &[w]);
+        assert!(score(&tr, 0.0).measured_loss_bound() > 0.0);
+        assert!(score(&tr, 0.5).is_zero_loss());
+    }
+
+    #[test]
+    fn mean_loss_averages() {
+        let tr = trace_from_windows(small_link(), &[vec![240.0, 120.0]]);
+        assert!(close(score(&tr, 0.0).mean_loss(), 0.25));
+        assert_eq!(score(&tr, 1.0).mean_loss(), 0.0);
+    }
+
+    // Metric VIII — latency-avoidance. B = 1000 MSS/s, 2Θ = 0.1 s.
+
+    #[test]
+    fn empty_pipe_has_zero_inflation() {
+        let acc = score(&trace_from_windows(small_link(), &[vec![80.0; 10]]), 0.0);
+        assert_eq!(acc.measured_latency_inflation(), 0.0);
+    }
+
+    #[test]
+    fn standing_queue_inflates_rtt() {
+        // X = 110 => 10 MSS queued = 10 ms over a 100 ms floor: 10%.
+        let acc = score(&trace_from_windows(small_link(), &[vec![110.0; 10]]), 0.0);
+        assert!((acc.measured_latency_inflation() - 0.1).abs() < 1e-9);
+        // Alternating 100 / 115: the worst step dominates.
+        let w: Vec<f64> = (0..10)
+            .map(|t| if t % 2 == 0 { 100.0 } else { 115.0 })
             .collect();
-        let trace = trace_from_windows(small_link(), &[w]);
-        for frac in [0.0, 0.5] {
-            assert_matches_trace(&trace, frac);
-        }
+        let acc = score(&trace_from_windows(small_link(), &[w]), 0.0);
+        assert!((acc.measured_latency_inflation() - 0.15).abs() < 1e-9);
     }
 
     #[test]
-    fn idle_and_staggered_senders_match_trace_evaluation() {
-        // Sender 1 idle for the first half (staggered entry shape).
-        let a = vec![50.0; 32];
-        let b: Vec<f64> = (0..32).map(|t| if t < 16 { 0.0 } else { 20.0 }).collect();
-        let trace = trace_from_windows(small_link(), &[a, b]);
-        for frac in [0.0, 0.25, 0.5, 0.75] {
-            assert_matches_trace(&trace, frac);
-        }
+    fn buffer_overflow_makes_latency_unbounded() {
+        let acc = score(&trace_from_windows(small_link(), &[vec![150.0; 10]]), 0.0);
+        assert_eq!(acc.measured_latency_inflation(), f64::INFINITY);
+        // A transient overflow outside the tail does not count.
+        let mut w = vec![150.0; 5];
+        w.extend(vec![100.0; 5]);
+        let tr = trace_from_windows(small_link(), &[w]);
+        assert_eq!(score(&tr, 0.0).measured_latency_inflation(), f64::INFINITY);
+        assert_eq!(score(&tr, 0.5).measured_latency_inflation(), 0.0);
     }
 
-    #[test]
-    fn all_idle_trace_matches_vacuous_scores() {
-        let trace = trace_from_windows(small_link(), &[vec![0.0; 10], vec![0.0; 10]]);
-        assert_matches_trace(&trace, 0.5);
-        let acc = accumulate(&trace, 0.5, 50.0);
-        assert_eq!(acc.measured_fairness(), 1.0);
-        assert_eq!(acc.measured_convergence(), 1.0);
-    }
+    // Metric IV — fairness.
 
     #[test]
-    fn empty_tail_matches_trace_evaluation() {
-        let trace = trace_from_windows(small_link(), &[vec![50.0; 8]]);
-        assert_matches_trace(&trace, 1.0);
-    }
-
-    #[test]
-    fn reset_reproduces_a_fresh_accumulator() {
-        let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
-        let trace = trace_from_windows(small_link(), &[w]);
-        let fresh = accumulate(&trace, 0.5, 50.0);
-        let mut reused = accumulate(&trace, 0.5, 50.0);
-        reused.reset();
-        // Replay after reset: every score must match the fresh pass.
-        let mut records = Vec::new();
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            reused.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &records);
-        }
-        assert_eq!(
-            reused.measured_efficiency().to_bits(),
-            fresh.measured_efficiency().to_bits()
+    fn fairness_is_the_worst_tail_average_ratio() {
+        let equal = score(
+            &trace_from_windows(small_link(), &[vec![40.0; 10], vec![40.0; 10]]),
+            0.0,
         );
-        assert_eq!(
-            reused.measured_fast_utilization(0).map(f64::to_bits),
-            fresh.measured_fast_utilization(0).map(f64::to_bits)
+        assert!(close(equal.measured_fairness(), 1.0));
+        assert!(close(equal.jain_index(), 1.0));
+        let split = trace_from_windows(small_link(), &[vec![60.0; 10], vec![30.0; 10]]);
+        assert!(close(score(&split, 0.0).measured_fairness(), 0.5));
+        let three = trace_from_windows(
+            small_link(),
+            &[vec![40.0; 10], vec![40.0; 10], vec![10.0; 10]],
         );
-        assert_eq!(
-            reused.measured_convergence().to_bits(),
-            fresh.measured_convergence().to_bits()
-        );
+        assert!(close(score(&three, 0.0).measured_fairness(), 0.25));
     }
 
     #[test]
-    fn robustness_quartiles_match_growing_window() {
+    fn fairness_uses_averages_not_instantaneous_windows() {
+        // Out-of-phase 20/60 alternation: instantaneous ratio 1/3, equal
+        // averages.
+        let a: Vec<f64> = (0..20)
+            .map(|t| if t % 2 == 0 { 20.0 } else { 60.0 })
+            .collect();
+        let b: Vec<f64> = (0..20)
+            .map(|t| if t % 2 == 0 { 60.0 } else { 20.0 })
+            .collect();
+        let tr = trace_from_windows(small_link(), &[a, b]);
+        assert!(close(score(&tr, 0.0).measured_fairness(), 1.0));
+    }
+
+    #[test]
+    fn starved_sender_scores_zero_and_halves_jain() {
+        let tr = trace_from_windows(small_link(), &[vec![80.0; 10], vec![0.0; 10]]);
+        let acc = score(&tr, 0.0);
+        assert_eq!(acc.measured_fairness(), 0.0);
+        assert!(close(acc.jain_index(), 0.5));
+    }
+
+    #[test]
+    fn lone_or_idle_senders_are_vacuously_fair() {
+        let lone = score(&trace_from_windows(small_link(), &[vec![80.0; 10]]), 0.0);
+        assert_eq!(lone.measured_fairness(), 1.0);
+        let idle = score(
+            &trace_from_windows(small_link(), &[vec![0.0; 5], vec![0.0; 5]]),
+            0.0,
+        );
+        assert_eq!(idle.measured_fairness(), 1.0);
+        assert_eq!(idle.jain_index(), 1.0);
+    }
+
+    // Metric VII — friendliness.
+
+    #[test]
+    fn friendliness_is_q_min_over_p_max() {
+        let equal = trace_from_windows(small_link(), &[vec![40.0; 10], vec![40.0; 10]]);
+        assert!(close(
+            score(&equal, 0.0).measured_friendliness(&[0], &[1]),
+            1.0
+        ));
+        // P takes 90, Q is squeezed to 10.
+        let greedy = trace_from_windows(small_link(), &[vec![90.0; 10], vec![10.0; 10]]);
+        let f = score(&greedy, 0.0).measured_friendliness(&[0], &[1]);
+        assert!(close(f, 10.0 / 90.0));
+        // A meek P scores above one: not clamped.
+        let meek = trace_from_windows(small_link(), &[vec![20.0; 10], vec![80.0; 10]]);
+        assert!(close(
+            score(&meek, 0.0).measured_friendliness(&[0], &[1]),
+            4.0
+        ));
+        // Two P (50, 70), two Q (30, 60): worst = 30/70.
+        let four = trace_from_windows(
+            small_link(),
+            &[vec![50.0; 8], vec![70.0; 8], vec![30.0; 8], vec![60.0; 8]],
+        );
+        let f = score(&four, 0.0).measured_friendliness(&[0, 1], &[2, 3]);
+        assert!(close(f, 30.0 / 70.0));
+    }
+
+    #[test]
+    fn friendliness_edge_cases() {
+        let starved = trace_from_windows(small_link(), &[vec![100.0; 8], vec![0.0; 8]]);
+        assert_eq!(score(&starved, 0.0).measured_friendliness(&[0], &[1]), 0.0);
+        let lone = score(&trace_from_windows(small_link(), &[vec![50.0; 8]]), 0.0);
+        assert_eq!(lone.measured_friendliness(&[], &[0]), 1.0);
+        assert_eq!(lone.measured_friendliness(&[0], &[]), 1.0);
+        let idle_p = trace_from_windows(small_link(), &[vec![0.0; 8], vec![50.0; 8]]);
+        assert_eq!(score(&idle_p, 0.0).measured_friendliness(&[0], &[1]), 1.0);
+    }
+
+    // Metric V — convergence.
+
+    #[test]
+    fn constant_windows_are_fully_convergent() {
+        let tr = trace_from_windows(small_link(), &[vec![40.0; 10], vec![60.0; 10]]);
+        assert!(close(score(&tr, 0.0).measured_convergence(), 1.0));
+        let zero = trace_from_windows(small_link(), &[vec![0.0; 10]]);
+        assert_eq!(score(&zero, 0.0).measured_convergence(), 1.0);
+    }
+
+    #[test]
+    fn aimd_sawtooth_scores_2b_over_1_plus_b() {
+        // AIMD(·, b) oscillates between b·W and W; the optimal
+        // x* = W(1+b)/2 gives α = 2b/(1+b) — Table 1's convergence entry.
+        let (b, peak) = (0.5, 80.0);
+        let w: Vec<f64> = (0..40)
+            .map(|t| b * peak + (1.0 - b) * peak * ((t % 8) as f64 / 7.0))
+            .collect();
+        let tr = trace_from_windows(small_link(), &[w]);
+        let m = score(&tr, 0.0).measured_convergence();
+        assert!((m - 2.0 * b / (1.0 + b)).abs() < 1e-9, "measured {m}");
+    }
+
+    #[test]
+    fn convergence_worst_sender_dominates() {
+        let wild: Vec<f64> = (0..20)
+            .map(|t| if t % 2 == 0 { 10.0 } else { 90.0 })
+            .collect();
+        let tr = trace_from_windows(small_link(), &[vec![50.0; 20], wild]);
+        // Wild sender: α = 2·10/(10+90) = 0.2.
+        assert!(close(score(&tr, 0.0).measured_convergence(), 0.2));
+        let dips: Vec<f64> = (0..10)
+            .map(|t| if t % 2 == 0 { 0.0 } else { 50.0 })
+            .collect();
+        let tr = trace_from_windows(small_link(), &[dips]);
+        assert_eq!(score(&tr, 0.0).measured_convergence(), 0.0);
+    }
+
+    #[test]
+    fn convergence_tail_excludes_the_transient() {
+        let mut w = vec![1.0, 100.0, 3.0, 90.0];
+        w.extend(vec![50.0; 4]);
+        let tr = trace_from_windows(small_link(), &[w]);
+        assert!(score(&tr, 0.0).measured_convergence() < 0.1);
+        assert!(close(score(&tr, 0.5).measured_convergence(), 1.0));
+        // An empty tail is vacuous.
+        assert_eq!(score(&tr, 1.0).measured_convergence(), 1.0);
+    }
+
+    // Metric VI — robustness.
+
+    fn escapes(window: Vec<f64>, beta: f64, min_suffix_frac: f64) -> bool {
+        let tr = lossless_sender(window);
+        MetricAccumulator::replay(&tr, &config(&tr, 0.5, beta)).window_escapes(0, min_suffix_frac)
+    }
+
+    fn diverging(window: Vec<f64>, growth_margin: f64) -> bool {
+        score(&lossless_sender(window), 0.5).window_diverging(0, growth_margin)
+    }
+
+    #[test]
+    fn growing_window_escapes_and_diverges() {
         let w: Vec<f64> = (0..100).map(|t| t as f64).collect();
-        let trace = trace_from_windows(crate::link::LinkParams::new(1.0e6, 0.05, 1.0e6), &[w]);
-        assert_matches_trace(&trace, 0.5);
-        let acc = accumulate(&trace, 0.5, 50.0);
-        assert!(acc.window_escapes(0, 0.25));
-        assert!(acc.window_diverging(0, 1.0));
+        assert!(escapes(w.clone(), 50.0, 0.25));
+        assert!(diverging(w, 1.0));
     }
 
-    /// Replay the same trace through `StepBlock`s of capacity `cap`,
-    /// flushing each full block through the batched `push_steps` ingest —
-    /// the path the engine's short-run sink specialization exercises.
+    #[test]
+    fn collapsed_window_neither_escapes_nor_diverges() {
+        // TCP under random loss: a sawtooth pinned near zero.
+        let w: Vec<f64> = (0..100).map(|t| 1.0 + (t % 4) as f64).collect();
+        assert!(!escapes(w.clone(), 50.0, 0.25));
+        assert!(!diverging(w, 1.0));
+    }
+
+    #[test]
+    fn late_dip_defeats_escape() {
+        let mut w: Vec<f64> = (0..100).map(|t| t as f64).collect();
+        w[95] = 0.5;
+        assert!(!escapes(w, 10.0, 0.25));
+    }
+
+    #[test]
+    fn escape_requires_a_long_suffix() {
+        // Above β only at the very last step.
+        let mut w = vec![1.0; 99];
+        w.push(100.0);
+        assert!(!escapes(w.clone(), 50.0, 0.25));
+        assert!(escapes(w, 50.0, 0.005));
+    }
+
+    #[test]
+    fn empty_run_never_escapes() {
+        assert!(!escapes(Vec::new(), 1.0, 0.1));
+        assert!(!diverging(Vec::new(), 0.0));
+    }
+
+    #[test]
+    fn stalled_window_escapes_below_its_plateau_without_diverging() {
+        assert!(!diverging(vec![500.0; 100], 1.0));
+        assert!(escapes(vec![500.0; 100], 499.0, 0.9));
+    }
+
+    // Metric II — fast-utilization (whole run, minimum horizon 8).
+
+    fn fast(tr: &RunTrace) -> Option<f64> {
+        score(tr, 0.0).measured_fast_utilization(0)
+    }
+
+    #[test]
+    fn additive_increase_scores_its_slope() {
+        for a in [0.5, 1.0, 2.0] {
+            let w: Vec<f64> = (0..64).map(|t| 10.0 + a * t as f64).collect();
+            let m = fast(&lossless_sender(w)).unwrap();
+            // Σ_{k=0}^{Δt} a·k = a·Δt(Δt+1)/2 ≥ aΔt²/2.
+            assert!(m >= a - 1e-9 && m <= a * 1.2, "a={a}, measured {m}");
+        }
+    }
+
+    #[test]
+    fn constant_window_scores_zero() {
+        assert_eq!(fast(&lossless_sender(vec![50.0; 40])), Some(0.0));
+    }
+
+    #[test]
+    fn superlinear_growth_scores_high() {
+        let w: Vec<f64> = (0..20).map(|t| 2.0_f64.powi(t)).collect();
+        assert!(fast(&lossless_sender(w)).unwrap() > 10.0);
+    }
+
+    #[test]
+    fn loss_splits_ascents() {
+        // Two slope-1 ascents of 20 steps separated by one lossy step:
+        // each scores 2·Σ_{k=1}^{19} k / 19² = 20/19.
+        let mut w: Vec<f64> = (0..20).map(|t| 10.0 + t as f64).collect();
+        let mut loss = vec![0.0; 20];
+        w.push(5.0);
+        loss.push(0.3);
+        w.extend((0..20).map(|t| 5.0 + t as f64));
+        loss.extend(vec![0.0; 20]);
+        let n = w.len();
+        let m = fast(&sender_trace(w, loss, vec![0.1; n], true)).unwrap();
+        assert!(close(m, 20.0 / 19.0), "measured {m}");
+    }
+
+    #[test]
+    fn rtt_rise_splits_ascents_only_for_latency_protocols() {
+        let w: Vec<f64> = (0..30).map(|t| 10.0 + t as f64).collect();
+        let mut rtt = vec![0.1; 30];
+        rtt[15] = 0.2;
+        // Split at t = 15 into two 15-step ascents: 2·105 / 14².
+        let split = fast(&sender_trace(w.clone(), vec![0.0; 30], rtt.clone(), false)).unwrap();
+        assert!(close(split, 210.0 / 196.0), "measured {split}");
+        // A loss-based protocol ignores the RTT rise: one 30-step ascent.
+        let whole = fast(&sender_trace(w, vec![0.0; 30], rtt, true)).unwrap();
+        assert!(close(whole, 870.0 / 841.0), "measured {whole}");
+    }
+
+    #[test]
+    fn no_long_ascent_yields_none() {
+        let mut loss = vec![0.0; 30];
+        for t in (0..30).step_by(3) {
+            loss[t] = 0.1;
+        }
+        assert_eq!(
+            fast(&sender_trace(vec![10.0; 30], loss, vec![0.1; 30], true)),
+            None
+        );
+    }
+
+    #[test]
+    fn slow_probe_fails_fast_utilization() {
+        // The Claim-1 protocol: +1 MSS every 10 RTTs, α ≈ 0.1.
+        let w: Vec<f64> = (0..100).map(|t| 10.0 + (t / 10) as f64).collect();
+        assert!(fast(&lossless_sender(w)).unwrap() < 0.2);
+    }
+
+    // The fold itself.
+
+    /// Every score of two accumulators equal to the bit.
+    fn assert_same_scores(a: &MetricAccumulator, b: &MetricAccumulator) {
+        assert_eq!(a.steps_seen(), b.steps_seen());
+        let pairs = [
+            (a.measured_efficiency(), b.measured_efficiency()),
+            (a.mean_utilization(), b.mean_utilization()),
+            (a.measured_loss_bound(), b.measured_loss_bound()),
+            (a.mean_loss(), b.mean_loss()),
+            (
+                a.measured_latency_inflation(),
+                b.measured_latency_inflation(),
+            ),
+            (a.measured_fairness(), b.measured_fairness()),
+            (a.jain_index(), b.jain_index()),
+            (a.measured_convergence(), b.measured_convergence()),
+        ];
+        for (k, (x, y)) in pairs.iter().enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "score {k}");
+        }
+        assert_eq!(a.is_zero_loss(), b.is_zero_loss());
+        for i in 0..a.num_senders() {
+            assert_eq!(
+                a.measured_fast_utilization(i).map(f64::to_bits),
+                b.measured_fast_utilization(i).map(f64::to_bits),
+                "fast-utilization of sender {i}"
+            );
+            assert_eq!(a.window_escapes(i, 0.2), b.window_escapes(i, 0.2));
+            assert_eq!(a.window_diverging(i, 1e-9), b.window_diverging(i, 1e-9));
+            assert_eq!(a.last_window(i).to_bits(), b.last_window(i).to_bits());
+            assert_eq!(
+                a.tail_mean_window(i).to_bits(),
+                b.tail_mean_window(i).to_bits()
+            );
+            assert_eq!(
+                a.tail_mean_goodput(i).to_bits(),
+                b.tail_mean_goodput(i).to_bits()
+            );
+        }
+        if a.num_senders() >= 2 {
+            assert_eq!(
+                a.measured_friendliness(&[0], &[1]).to_bits(),
+                b.measured_friendliness(&[0], &[1]).to_bits()
+            );
+        }
+    }
+
+    /// Replay the trace through `StepBlock`s of capacity `cap`.
     fn accumulate_blocks(
         trace: &RunTrace,
         tail_fraction: f64,
         beta: f64,
         cap: usize,
     ) -> MetricAccumulator {
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
-            tail_fraction,
-            min_horizon: fast_utilization::DEFAULT_MIN_HORIZON,
-            escape_beta: beta,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
+        let mut acc = MetricAccumulator::new(&config(trace, tail_fraction, beta));
         let mut block = StepBlock::new(trace.num_senders(), cap);
         for t in 0..trace.len() {
             block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
@@ -1547,77 +1994,24 @@ mod tests {
         acc
     }
 
-    fn assert_blocks_match_steps(trace: &RunTrace, tail_fraction: f64, cap: usize) {
-        let beta = 50.0;
-        let by_step = accumulate(trace, tail_fraction, beta);
-        let by_block = accumulate_blocks(trace, tail_fraction, beta, cap);
-        assert_eq!(by_block.steps_seen(), by_step.steps_seen());
-        assert_eq!(
-            by_block.measured_efficiency().to_bits(),
-            by_step.measured_efficiency().to_bits()
-        );
-        assert_eq!(
-            by_block.mean_utilization().to_bits(),
-            by_step.mean_utilization().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_loss_bound().to_bits(),
-            by_step.measured_loss_bound().to_bits()
-        );
-        assert_eq!(
-            by_block.mean_loss().to_bits(),
-            by_step.mean_loss().to_bits()
-        );
-        assert_eq!(by_block.is_zero_loss(), by_step.is_zero_loss());
-        assert_eq!(
-            by_block.measured_latency_inflation().to_bits(),
-            by_step.measured_latency_inflation().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_fairness().to_bits(),
-            by_step.measured_fairness().to_bits()
-        );
-        assert_eq!(
-            by_block.jain_index().to_bits(),
-            by_step.jain_index().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_convergence().to_bits(),
-            by_step.measured_convergence().to_bits()
-        );
-        for i in 0..trace.num_senders() {
-            assert_eq!(
-                by_block.measured_fast_utilization(i).map(f64::to_bits),
-                by_step.measured_fast_utilization(i).map(f64::to_bits),
-                "fast-utilization diverged for sender {i} at cap {cap}"
-            );
-            assert_eq!(
-                by_block.window_escapes(i, 0.2),
-                by_step.window_escapes(i, 0.2)
-            );
-            assert_eq!(
-                by_block.window_diverging(i, 1e-9),
-                by_step.window_diverging(i, 1e-9)
-            );
-            assert_eq!(
-                by_block.last_window(i).to_bits(),
-                by_step.last_window(i).to_bits()
-            );
-            assert_eq!(
-                by_block.tail_mean_window(i).to_bits(),
-                by_step.tail_mean_window(i).to_bits()
-            );
-            assert_eq!(
-                by_block.tail_mean_goodput(i).to_bits(),
-                by_step.tail_mean_goodput(i).to_bits()
-            );
-        }
-        if trace.num_senders() >= 2 {
-            assert_eq!(
-                by_block.measured_friendliness(&[0], &[1]).to_bits(),
-                by_step.measured_friendliness(&[0], &[1]).to_bits()
-            );
-        }
+    fn test_traces() -> Vec<RunTrace> {
+        let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
+        let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
+        // Overshoots C + τ = 120 periodically: loss steps exercise the
+        // latency latch and fast-utilization segment splitting.
+        let lossy: Vec<f64> = (0..48)
+            .map(|t| if t % 6 == 5 { 140.0 } else { 80.0 + t as f64 })
+            .collect();
+        // Sender 1 idle for the first half (staggered entry shape).
+        let idle_b: Vec<f64> = (0..32).map(|t| if t < 16 { 0.0 } else { 20.0 }).collect();
+        // A long run spanning several 128-step replay blocks.
+        let long: Vec<f64> = (0..300).map(|t| 50.0 + (t % 37) as f64 * 2.0).collect();
+        vec![
+            trace_from_windows(small_link(), &[a, b]),
+            trace_from_windows(small_link(), &[lossy]),
+            trace_from_windows(small_link(), &[vec![50.0; 32], idle_b]),
+            trace_from_windows(small_link(), &[long.clone(), long]),
+        ]
     }
 
     #[test]
@@ -1625,23 +2019,49 @@ mod tests {
         // Odd capacities force tail boundaries and quartile cuts to land
         // mid-block; cap 1 degenerates to the per-step path; a cap larger
         // than the run exercises the final partial flush.
-        let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
-        let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
-        let sawtooth = trace_from_windows(small_link(), &[a, b]);
-        let lossy: Vec<f64> = (0..48)
-            .map(|t| if t % 6 == 5 { 140.0 } else { 80.0 + t as f64 })
-            .collect();
-        let lossy = trace_from_windows(small_link(), &[lossy]);
-        let idle_a = vec![50.0; 32];
-        let idle_b: Vec<f64> = (0..32).map(|t| if t < 16 { 0.0 } else { 20.0 }).collect();
-        let staggered = trace_from_windows(small_link(), &[idle_a, idle_b]);
-        for trace in [&sawtooth, &lossy, &staggered] {
+        for trace in &test_traces() {
             for frac in [0.0, 0.25, 0.5, 0.9, 1.0] {
+                let by_step = accumulate(trace, frac, 50.0);
                 for cap in [1, 7, 16, 1024] {
-                    assert_blocks_match_steps(trace, frac, cap);
+                    assert_same_scores(&accumulate_blocks(trace, frac, 50.0, cap), &by_step);
                 }
+                assert_same_scores(&score(trace, frac), &by_step);
             }
         }
+    }
+
+    #[test]
+    fn replay_reads_per_sender_rtt_columns() {
+        // A latency protocol's RTT rise recorded only in its own column
+        // (the packet-level case): the replay must split its ascent.
+        let w: Vec<f64> = (0..30).map(|t| 10.0 + t as f64).collect();
+        let mut tr = sender_trace(w, vec![0.0; 30], vec![0.1; 30], false);
+        let mut own = vec![0.1; 30];
+        own[15] = 0.2;
+        tr.senders[0].rtt = Some(own);
+        assert!(close(fast(&tr).unwrap(), 210.0 / 196.0));
+        assert_same_scores(&score(&tr, 0.0), &accumulate(&tr, 0.0, 50.0));
+    }
+
+    #[test]
+    fn reset_reproduces_a_fresh_accumulator() {
+        let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
+        let trace = trace_from_windows(small_link(), &[w]);
+        let fresh = accumulate(&trace, 0.5, 50.0);
+        let mut reused = accumulate(&trace, 0.5, 50.0);
+        reused.reset();
+        let mut block = StepBlock::new(1, 16);
+        for t in 0..trace.len() {
+            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
+            let s = &trace.senders[0];
+            block.stage_sender(0, s.window[t], s.loss[t], s.goodput[t]);
+            if block.advance() {
+                reused.push_steps(&block);
+                block.begin(t + 1);
+            }
+        }
+        reused.push_steps(&block);
+        assert_same_scores(&reused, &fresh);
     }
 
     #[test]
@@ -1660,6 +2080,7 @@ mod tests {
         assert_eq!(block.totals(), &[100.0, 101.0, 102.0]);
         assert_eq!(block.windows(0), &[1.0, 2.0, 3.0]);
         assert_eq!(block.windows(1), &[2.0, 3.0, 4.0]);
+        assert_eq!(block.sender_rtts(1), block.rtts());
         let r = block.record(1, 2);
         assert_eq!(r.window, 4.0);
         assert_eq!(r.loss, 0.5);
@@ -1671,7 +2092,15 @@ mod tests {
         block.stage_sender(1, 5.0, 0.0, 8.0);
         assert!(block.advance());
         assert_eq!(block.len(), block.capacity());
-        // Reshape resets and re-zeroes for a new run shape.
+        // Per-sender RTT columns override the shared one when tracked.
+        block.track_sender_rtts();
+        block.begin(14);
+        block.stage_shared(1.0, 0.05, 0.0);
+        block.stage_sender_rtt(1, 0.07);
+        assert!(!block.advance());
+        assert_eq!(block.sender_rtts(1), &[0.07]);
+        assert_eq!(block.record(1, 0).rtt, 0.07);
+        // Reshape resets, re-zeroes and drops the per-sender RTTs.
         block.reshape(3, 8);
         assert!(block.is_empty());
         assert_eq!(block.num_senders(), 3);
@@ -1679,6 +2108,7 @@ mod tests {
         block.stage_shared(1.0, 0.1, 0.0);
         assert!(!block.advance());
         assert_eq!(block.windows(2), &[0.0]);
+        assert_eq!(block.sender_rtts(2), &[0.1]);
     }
 
     #[test]
@@ -1687,16 +2117,7 @@ mod tests {
         // the open segment; reading mid-stream must not corrupt state.
         let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
         let trace = trace_from_windows(small_link(), std::slice::from_ref(&w));
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: vec![true],
-            tail_fraction: 0.0,
-            min_horizon: 8,
-            escape_beta: 50.0,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
+        let mut acc = MetricAccumulator::new(&config(&trace, 0.0, 50.0));
         for (t, &wt) in w.iter().enumerate() {
             let rec = [StepRecord {
                 window: wt,
@@ -1709,13 +2130,9 @@ mod tests {
         }
         assert_eq!(
             acc.measured_fast_utilization(0).map(f64::to_bits),
-            fast_utilization::measured_fast_utilization(
-                &trace.senders[0],
-                trace.sender_rtt(0),
-                0,
-                8
-            )
-            .map(f64::to_bits)
+            score(&trace, 0.0)
+                .measured_fast_utilization(0)
+                .map(f64::to_bits)
         );
     }
 }

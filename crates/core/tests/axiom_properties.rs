@@ -1,11 +1,9 @@
-//! Property tests for the axiom evaluators and the link model: structural
+//! Property tests for the axiom folds and the link model: structural
 //! facts that must hold for *every* trace and link, not just the examples
 //! in the unit tests.
 
 #![allow(clippy::float_cmp)] // exact comparisons are deliberate in tests
-use axcc_core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, latency, loss_avoidance,
-};
+use axcc_core::axioms::streaming::{MetricAccumulator, MetricConfig};
 use axcc_core::trace::{RunTrace, SenderTrace};
 use axcc_core::LinkParams;
 use proptest::prelude::*;
@@ -47,6 +45,16 @@ fn trace_from(link: LinkParams, windows: Vec<Vec<f64>>) -> RunTrace {
         loss: losses,
         seed: 0,
     }
+}
+
+/// Score a trace through the replay with the tail from
+/// `floor(len · tail_fraction)`.
+fn score(trace: &RunTrace, tail_fraction: f64) -> MetricAccumulator {
+    let cfg = MetricConfig {
+        tail_fraction,
+        ..MetricConfig::for_trace(trace)
+    };
+    MetricAccumulator::replay(trace, &cfg)
 }
 
 fn arb_windows() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -91,20 +99,20 @@ proptest! {
     #[test]
     fn scores_stay_in_range(link in arb_link(), windows in arb_windows(), frac in 0.0f64..1.0) {
         let trace = trace_from(link, windows);
-        let tail = trace.tail_start(frac);
-        let eff = efficiency::measured_efficiency(&trace, tail);
-        prop_assert!((0.0..=1.0).contains(&eff));
-        let loss = loss_avoidance::measured_loss_bound(&trace, tail);
-        prop_assert!((0.0..1.0).contains(&loss));
-        let fair = fairness::measured_fairness(&trace, tail);
-        prop_assert!((0.0..=1.0).contains(&fair));
-        let jain = fairness::jain_index(&trace, tail);
+        let acc = score(&trace, frac);
+        prop_assert!((0.0..=1.0).contains(&acc.measured_efficiency()));
+        prop_assert!((0.0..1.0).contains(&acc.measured_loss_bound()));
+        prop_assert!((0.0..=1.0).contains(&acc.measured_fairness()));
+        let jain = acc.jain_index();
         prop_assert!(jain >= 1.0 / trace.num_senders() as f64 - 1e-9);
         prop_assert!(jain <= 1.0 + 1e-9);
-        let conv = convergence::measured_convergence(&trace, tail);
-        prop_assert!((0.0..=1.0).contains(&conv));
-        let lat = latency::measured_latency_inflation(&trace, tail);
-        prop_assert!(lat >= 0.0);
+        prop_assert!((0.0..=1.0).contains(&acc.measured_convergence()));
+        prop_assert!(acc.measured_latency_inflation() >= 0.0);
+        for i in 0..trace.num_senders() {
+            if let Some(f) = acc.measured_fast_utilization(i) {
+                prop_assert!(f >= 0.0);
+            }
+        }
     }
 
     /// Growing the tail (starting it later) can only improve or preserve
@@ -112,56 +120,11 @@ proptest! {
     #[test]
     fn later_tail_never_hurts(link in arb_link(), windows in arb_windows()) {
         let trace = trace_from(link, windows);
-        let t1 = trace.tail_start(0.25);
-        let t2 = trace.tail_start(0.75);
-        prop_assert!(
-            efficiency::measured_efficiency(&trace, t2)
-                >= efficiency::measured_efficiency(&trace, t1) - 1e-12
-        );
-        prop_assert!(
-            loss_avoidance::measured_loss_bound(&trace, t2)
-                <= loss_avoidance::measured_loss_bound(&trace, t1) + 1e-12
-        );
-        let l1 = latency::measured_latency_inflation(&trace, t1);
-        let l2 = latency::measured_latency_inflation(&trace, t2);
+        let (early, late) = (score(&trace, 0.25), score(&trace, 0.75));
+        prop_assert!(late.measured_efficiency() >= early.measured_efficiency() - 1e-12);
+        prop_assert!(late.measured_loss_bound() <= early.measured_loss_bound() + 1e-12);
+        prop_assert!(late.measured_convergence() >= early.measured_convergence() - 1e-12);
+        let (l1, l2) = (early.measured_latency_inflation(), late.measured_latency_inflation());
         prop_assert!(l2 <= l1 || (l1.is_infinite() && l2.is_infinite()) || l2.is_finite());
-    }
-
-    /// `satisfies_*` predicates agree with their `measured_*` scores.
-    #[test]
-    fn predicates_agree_with_scores(link in arb_link(), windows in arb_windows(), alpha in 0.0f64..1.2) {
-        let trace = trace_from(link, windows);
-        let tail = trace.tail_start(0.5);
-        prop_assert_eq!(
-            efficiency::satisfies_efficiency(&trace, tail, alpha),
-            efficiency::measured_efficiency(&trace, tail) >= alpha - 1e-12
-        );
-        prop_assert_eq!(
-            loss_avoidance::satisfies_loss_avoidance(&trace, tail, alpha),
-            loss_avoidance::measured_loss_bound(&trace, tail) <= alpha + 1e-12
-        );
-        prop_assert_eq!(
-            fairness::satisfies_fairness(&trace, tail, alpha),
-            fairness::measured_fairness(&trace, tail) >= alpha - 1e-12
-        );
-    }
-
-    /// Eligible segments partition correctly: they never contain a lossy
-    /// step, never overlap, and appear in order.
-    #[test]
-    fn segments_are_disjoint_and_clean(link in arb_link(), windows in arb_windows()) {
-        let trace = trace_from(link, windows);
-        let s = &trace.senders[0];
-        let segs = fast_utilization::eligible_segments(s, trace.sender_rtt(0), 0, false);
-        let mut prev_end = 0;
-        for seg in &segs {
-            prop_assert!(seg.start >= prev_end);
-            prop_assert!(seg.end <= s.len());
-            prop_assert!(!seg.is_empty());
-            for t in seg.start..seg.end {
-                prop_assert_eq!(s.loss[t], 0.0, "lossy step inside segment");
-            }
-            prev_end = seg.end;
-        }
     }
 }

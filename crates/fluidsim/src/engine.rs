@@ -4,12 +4,13 @@
 //! per-step visitor ([`StepSink`]). Two sinks cover every consumer:
 //!
 //! * [`TraceSink`] appends each step to trace columns and yields the full
-//!   [`RunTrace`] — the historical behavior, still what
-//!   [`try_run_scenario`] returns and what plotting/CSV export needs;
+//!   [`RunTrace`] — what [`try_run_scenario`] returns and what
+//!   plotting/CSV export needs;
 //! * [`MetricAccumulator`] (via [`try_run_scenario_streaming`]) folds each
 //!   step straight into the axiom scores in O(senders) memory, never
-//!   materializing a trajectory — the fast path for metric-only sweeps,
-//!   bit-identical to evaluating the axioms on the recorded trace.
+//!   materializing a trajectory. A recorded trace is scored by replaying
+//!   it through the same fold ([`MetricAccumulator::replay`]), so the two
+//!   agree to the bit.
 
 use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
 use crate::scenario::{FeedbackMode, MathMode, Scenario};
@@ -25,7 +26,7 @@ use std::cell::RefCell;
 /// Per-step visitor over the simulation loop.
 ///
 /// `records` holds one entry per sender, in sender order, exactly the
-/// values the trace path would append to that sender's columns (idle
+/// values a recorded trace appends to that sender's columns (idle
 /// senders appear with zero window and goodput so consumers see a
 /// rectangular run). `total`, `rtt` and `loss` are the shared link-state
 /// columns. The slice is a buffer reused across steps — sinks must copy
@@ -660,8 +661,8 @@ pub fn try_run_scenario(scenario: Scenario) -> Result<RunTrace, ScenarioError> {
     Ok(trace)
 }
 
-/// Evaluation parameters for the streaming path — the knobs the axiom
-/// evaluators take as arguments on the trace path.
+/// Evaluation parameters for the streaming path: the tail, horizon and
+/// escape threshold of the axiom folds, and the metric families to keep.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
     /// Fraction of the run treated as transient (`RunTrace::tail_start`).
@@ -682,15 +683,15 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             tail_fraction: axcc_core::axioms::DEFAULT_TAIL_FRACTION,
-            min_horizon: axcc_core::axioms::fast_utilization::DEFAULT_MIN_HORIZON,
-            escape_beta: 50.0,
+            min_horizon: axcc_core::axioms::DEFAULT_MIN_HORIZON,
+            escape_beta: axcc_core::axioms::DEFAULT_ESCAPE_BETA,
             metrics: MetricSet::ALL,
         }
     }
 }
 
 /// The [`MetricAccumulator`] matching `scenario`'s shape: same link, step
-/// count and per-sender `loss_based` flags the trace path would record.
+/// count and per-sender `loss_based` flags a recorded trace would carry.
 pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> MetricAccumulator {
     MetricAccumulator::new(&MetricConfig {
         link: scenario.link,
@@ -707,10 +708,25 @@ pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> M
     })
 }
 
+/// Score a recorded trace with `options`: its columns replay through the
+/// same fold a streaming run drives ([`MetricAccumulator::replay`]).
+pub fn replay_trace(trace: &RunTrace, options: &StreamOptions) -> MetricAccumulator {
+    MetricAccumulator::replay(
+        trace,
+        &MetricConfig {
+            tail_fraction: options.tail_fraction,
+            min_horizon: options.min_horizon,
+            escape_beta: options.escape_beta,
+            metrics: options.metrics,
+            ..MetricConfig::for_trace(trace)
+        },
+    )
+}
+
 /// Run a scenario through the trace-free streaming path, returning the
-/// populated accumulator. Bit-identical to running [`try_run_scenario`]
-/// and evaluating the axioms on the trace, without the O(steps × senders)
-/// trace allocation.
+/// populated accumulator. Bit-identical to replaying the trace
+/// [`try_run_scenario`] records, without the O(steps × senders) trace
+/// allocation.
 pub fn try_run_scenario_streaming(
     scenario: Scenario,
     options: &StreamOptions,
@@ -784,6 +800,11 @@ mod tests {
     /// C = 100 MSS, τ = 20 MSS.
     fn link() -> LinkParams {
         LinkParams::new(1000.0, 0.05, 20.0)
+    }
+
+    /// Score a recorded trace over its second half.
+    fn score(trace: &RunTrace) -> MetricAccumulator {
+        MetricAccumulator::replay(trace, &MetricConfig::for_trace(trace))
     }
 
     /// A verbatim copy of the pre-SoA scalar engine: per-step admission,
@@ -935,12 +956,12 @@ mod tests {
             .steps(1000)
             .run();
         trace.validate(axcc_core::protocol::MAX_WINDOW).unwrap();
-        let tail = trace.tail_start(0.5);
         // Sawtooth between 0.5·(C+τ) = 60 and C+τ = 120: mean utilization
         // well above the worst-case b = 0.5.
-        let eff = axcc_core::axioms::efficiency::measured_efficiency(&trace, tail);
+        let acc = score(&trace);
+        let eff = acc.measured_efficiency();
         assert!(eff >= 0.5, "efficiency {eff}");
-        let mean = axcc_core::axioms::efficiency::mean_utilization(&trace, tail);
+        let mean = acc.mean_utilization();
         assert!(mean > 0.8, "mean utilization {mean}");
     }
 
@@ -967,8 +988,7 @@ mod tests {
             .sender(SenderConfig::new(Box::new(Aimd::reno())).initial_window(1.0))
             .steps(3000)
             .run();
-        let tail = trace.tail_start(0.5);
-        let f = axcc_core::axioms::fairness::measured_fairness(&trace, tail);
+        let f = score(&trace).measured_fairness();
         assert!(f > 0.8, "fairness {f}");
     }
 
@@ -979,8 +999,7 @@ mod tests {
             .sender(SenderConfig::new(Box::new(Mimd::scalable())).initial_window(10.0))
             .steps(2000)
             .run();
-        let tail = trace.tail_start(0.5);
-        let f = axcc_core::axioms::fairness::measured_fairness(&trace, tail);
+        let f = score(&trace).measured_fairness();
         // Ratio stays 1:4 — far from fair (Table 1's <0> fairness).
         assert!(f < 0.3, "fairness {f}");
     }
@@ -1185,15 +1204,13 @@ mod tests {
             .homogeneous(&Vegas::classic(), 2, 1.0)
             .steps(1500)
             .run();
-        let tail = trace.tail_start(0.5);
-        let inflation = axcc_core::axioms::latency::measured_latency_inflation(&trace, tail);
+        let acc = score(&trace);
+        let inflation = acc.measured_latency_inflation();
         // 2 senders × β = 4 packets of standing queue over C = 100:
         // inflation ≈ 8% worst case.
         assert!(inflation < 0.12, "latency inflation {inflation}");
         // And no loss at all in the tail.
-        assert!(axcc_core::axioms::loss_avoidance::is_zero_loss(
-            &trace, tail
-        ));
+        assert!(acc.is_zero_loss());
     }
 
     #[test]
@@ -1315,8 +1332,7 @@ mod tests {
                 .seed(5)
                 .steps(4000)
                 .run();
-            let tail = trace.tail_start(0.5);
-            axcc_core::axioms::fairness::measured_fairness(&trace, tail)
+            score(&trace).measured_fairness()
         };
         let sync = run(FeedbackMode::Synchronized);
         let unsync = run(FeedbackMode::PerPacket);
@@ -1421,55 +1437,33 @@ mod tests {
         }
     }
 
-    /// The two sinks over one loop: streaming scores must equal the trace
-    /// path's bit-for-bit.
+    /// The two sinks over one loop: the accumulator folded as the engine
+    /// runs must score exactly what the replay of the recorded trace
+    /// scores — the trace sink records the very columns the fold saw.
     fn assert_streaming_matches(build: impl Fn() -> Scenario, opts: StreamOptions) {
-        use axcc_core::axioms::{
-            convergence, efficiency, fairness, fast_utilization, latency, loss_avoidance,
-            robustness,
-        };
         let trace = build().try_run().unwrap();
         let acc = try_run_scenario_streaming(build(), &opts).unwrap();
-        let tail = trace.tail_start(opts.tail_fraction);
-        assert_eq!(
-            acc.measured_efficiency().to_bits(),
-            efficiency::measured_efficiency(&trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.mean_utilization().to_bits(),
-            efficiency::mean_utilization(&trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_loss_bound().to_bits(),
-            loss_avoidance::measured_loss_bound(&trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_latency_inflation().to_bits(),
-            latency::measured_latency_inflation(&trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_fairness().to_bits(),
-            fairness::measured_fairness(&trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_convergence().to_bits(),
-            convergence::measured_convergence(&trace, tail).to_bits()
-        );
-        for (i, s) in trace.senders.iter().enumerate() {
+        let replayed = replay_trace(&trace, &opts);
+        let pairs = [
+            (acc.measured_efficiency(), replayed.measured_efficiency()),
+            (acc.mean_utilization(), replayed.mean_utilization()),
+            (acc.measured_loss_bound(), replayed.measured_loss_bound()),
+            (
+                acc.measured_latency_inflation(),
+                replayed.measured_latency_inflation(),
+            ),
+            (acc.measured_fairness(), replayed.measured_fairness()),
+            (acc.measured_convergence(), replayed.measured_convergence()),
+        ];
+        for (k, (a, b)) in pairs.iter().enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "score {k}");
+        }
+        for i in 0..trace.num_senders() {
             assert_eq!(
                 acc.measured_fast_utilization(i).map(f64::to_bits),
-                fast_utilization::measured_fast_utilization(
-                    s,
-                    trace.sender_rtt(i),
-                    tail,
-                    opts.min_horizon
-                )
-                .map(f64::to_bits)
+                replayed.measured_fast_utilization(i).map(f64::to_bits)
             );
-            assert_eq!(
-                acc.window_escapes(i, 0.2),
-                robustness::window_escapes(s, opts.escape_beta, 0.2)
-            );
+            assert_eq!(acc.window_escapes(i, 0.2), replayed.window_escapes(i, 0.2));
         }
     }
 
@@ -1547,7 +1541,7 @@ mod tests {
 
     #[test]
     fn churn_accumulator_streams_bit_identically_to_the_trace() {
-        use axcc_core::axioms::churn::{self, ChurnAccumulator, ChurnConfig};
+        use axcc_core::axioms::churn::{ChurnAccumulator, ChurnConfig};
         let plan = axcc_topo::ChurnPlan::poisson(0.015, 150.0).seed(6);
         let steps = 800usize;
         let base = 2usize;
@@ -1580,21 +1574,34 @@ mod tests {
         let mut acc = ChurnAccumulator::new(&cfg, base + intervals.len());
         try_run_scenario_with(build(), &mut acc).unwrap();
 
-        // Traced: record, then evaluate the slice forms.
+        // Recorded: the trace's rows, fed step by step.
         let trace = build().try_run().unwrap();
-        let goodputs: Vec<&[f64]> = trace.senders.iter().map(|s| s.goodput.as_slice()).collect();
+        let mut replayed = ChurnAccumulator::new(&cfg, trace.num_senders());
+        for t in 0..trace.len() {
+            let records: Vec<StepRecord> = trace
+                .senders
+                .iter()
+                .map(|s| StepRecord {
+                    window: s.window[t],
+                    loss: s.loss[t],
+                    rtt: trace.rtt[t],
+                    goodput: s.goodput[t],
+                })
+                .collect();
+            replayed.push_step(trace.total_window[t], &records);
+        }
+        assert!(!arrivals.is_empty());
         assert_eq!(
             acc.mean_settle_after_arrival().to_bits(),
-            churn::mean_settle_after_arrival(&trace.total_window, &arrivals, cfg.settle_threshold)
-                .to_bits()
+            replayed.mean_settle_after_arrival().to_bits()
         );
         assert_eq!(
             acc.coexistence_fairness().to_bits(),
-            churn::coexistence_fairness(&goodputs, &boundaries, steps).to_bits()
+            replayed.coexistence_fairness().to_bits()
         );
         assert_eq!(
             acc.utilization_under_churn().to_bits(),
-            churn::utilization_under_churn(&trace.total_window, cfg.capacity, &activity).to_bits()
+            replayed.utilization_under_churn().to_bits()
         );
     }
 
@@ -1773,9 +1780,8 @@ mod tests {
         for (a, b) in exact.total_window.iter().zip(&fast.total_window) {
             assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
         }
-        let tail = exact.tail_start(0.5);
-        let ea = axcc_core::axioms::efficiency::measured_efficiency(&exact, tail);
-        let eb = axcc_core::axioms::efficiency::measured_efficiency(&fast, tail);
+        let ea = score(&exact).measured_efficiency();
+        let eb = score(&fast).measured_efficiency();
         assert!((ea - eb).abs() < 1e-6, "{ea} vs {eb}");
     }
 

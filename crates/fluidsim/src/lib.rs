@@ -19,13 +19,14 @@
 //! * **typed errors** — [`Scenario::try_run`] returns
 //!   [`ScenarioError`](axcc_core::ScenarioError) for invalid
 //!   configurations and numerically divergent runs instead of panicking;
-//! * **trace recording** — the engine emits the [`RunTrace`] consumed by
-//!   every axiom evaluator in `axcc-core` / `axcc-analysis`;
-//! * **streaming evaluation** — the same loop can instead drive a
-//!   [`MetricAccumulator`] ([`try_run_scenario_streaming`]), folding each
-//!   step straight into the axiom scores in O(senders) memory with
-//!   bit-identical results; [`try_run_scenario_with`] exposes the
-//!   underlying [`StepSink`] visitor for custom consumers;
+//! * **streaming evaluation** — the loop drives a [`MetricAccumulator`]
+//!   ([`try_run_scenario_streaming`]), folding each step straight into
+//!   the axiom scores in O(senders) memory;
+//! * **trace recording** — the same loop can instead emit the full
+//!   [`RunTrace`] for plotting and trajectory analysis, scored by
+//!   replaying it through the same folds
+//!   ([`MetricAccumulator::replay`]); [`try_run_scenario_with`] exposes
+//!   the underlying [`StepSink`] visitor for custom consumers;
 //! * **flow churn** — sender populations can grow and shrink mid-run:
 //!   every sender has an optional stop step, and [`Scenario::churn`] /
 //!   [`NetScenario::churn`] expand a deterministic seeded
@@ -65,10 +66,10 @@ mod scenario;
 pub mod stats;
 
 pub use engine::{
-    metric_accumulator_for, run_scenario, run_scenario_streaming, run_scenario_streaming_into,
-    try_run_scenario, try_run_scenario_streaming, try_run_scenario_streaming_into,
-    try_run_scenario_with, try_run_scenario_with_workspace, EngineWorkspace, StepSink,
-    StreamOptions, TraceSink,
+    metric_accumulator_for, replay_trace, run_scenario, run_scenario_streaming,
+    run_scenario_streaming_into, try_run_scenario, try_run_scenario_streaming,
+    try_run_scenario_streaming_into, try_run_scenario_with, try_run_scenario_with_workspace,
+    EngineWorkspace, StepSink, StreamOptions, TraceSink,
 };
 pub use loss::{LossModel, LossProcess};
 pub use network::{FlowConfig, NetScenario, NetTrace, Topology};

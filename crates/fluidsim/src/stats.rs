@@ -1,47 +1,33 @@
-//! Accounting of trace allocations avoided by the streaming path.
+//! Work counters of the streaming path.
 //!
-//! A recorded fluid run allocates, per step, three shared link columns
-//! plus three per-sender columns (window, loss, goodput — the per-sender
-//! RTT column is deduplicated into the shared one), all `f64`. The
-//! streaming path allocates none of them; every streaming run credits its
-//! would-be footprint here so `bench-engine` can report the eliminated
-//! bytes alongside wall-clock. Counters are atomic because sweep workers
-//! run streaming jobs concurrently; they feed reporting only, never
-//! results.
+//! Every completed streaming run credits its shape here, so a benchmark
+//! can turn wall-clock into a per-sender-step cost and check that two
+//! passes over the same jobs did the same work. Counters are atomic
+//! because sweep workers run streaming jobs concurrently; they feed
+//! reporting only, never results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static ELIMINATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static STREAMED_RUNS: AtomicU64 = AtomicU64::new(0);
 static STREAMED_STEPS: AtomicU64 = AtomicU64::new(0);
 static STREAMED_SENDER_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Bytes of trace columns a recorded run of this shape allocates: per
-/// step, 3 shared `f64` columns plus 3 per-sender `f64` columns.
-pub fn trace_bytes(steps: usize, senders: usize) -> u64 {
-    8 * (steps as u64) * (3 * senders as u64 + 3)
-}
-
 /// Credit one completed streaming run of the given shape.
 pub(crate) fn record_streamed(steps: usize, senders: usize) {
-    ELIMINATED_BYTES.fetch_add(trace_bytes(steps, senders), Ordering::Relaxed);
     STREAMED_RUNS.fetch_add(1, Ordering::Relaxed);
     STREAMED_STEPS.fetch_add(steps as u64, Ordering::Relaxed);
     STREAMED_SENDER_STEPS.fetch_add(steps as u64 * senders as u64, Ordering::Relaxed);
 }
 
-/// Snapshot of the streaming-path accounting since the last [`take`].
+/// Snapshot of the streaming-path counters since the last [`take`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamingStats {
     /// Completed streaming runs.
     pub runs: u64,
-    /// Total trace bytes those runs did not allocate.
-    pub eliminated_bytes: u64,
     /// Total simulation steps those runs executed.
     pub steps: u64,
     /// Total sender-steps (steps × senders) those runs executed — the
-    /// denominator for per-lane throughput (`bench-engine`'s
-    /// steps-per-second and ns-per-step columns).
+    /// denominator for per-lane throughput.
     pub sender_steps: u64,
 }
 
@@ -49,20 +35,7 @@ pub struct StreamingStats {
 pub fn take() -> StreamingStats {
     StreamingStats {
         runs: STREAMED_RUNS.swap(0, Ordering::Relaxed),
-        eliminated_bytes: ELIMINATED_BYTES.swap(0, Ordering::Relaxed),
         steps: STREAMED_STEPS.swap(0, Ordering::Relaxed),
         sender_steps: STREAMED_SENDER_STEPS.swap(0, Ordering::Relaxed),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trace_bytes_formula() {
-        // 100 steps × (3·2 + 3) columns × 8 bytes.
-        assert_eq!(trace_bytes(100, 2), 7200);
-        assert_eq!(trace_bytes(0, 5), 0);
     }
 }

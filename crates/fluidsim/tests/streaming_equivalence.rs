@@ -1,8 +1,9 @@
-//! Property test for the tentpole invariant of the streaming engine path:
-//! for *arbitrary* scenarios — protocol mixes, links, staggered starts,
-//! wire-loss models, bandwidth changes and feedback modes — the
-//! [`MetricAccumulator`] produced by the trace-free streaming run scores
-//! every axiom **bit-identically** to evaluating the recorded trace.
+//! Property test for the sink invariant of the engine: for *arbitrary*
+//! scenarios — protocol mixes, links, staggered starts, wire-loss models,
+//! bandwidth changes and feedback modes — the accumulator folded as the
+//! engine runs scores every axiom **bit-identically** to replaying the
+//! recorded trace through the same fold, i.e. the trace sink records
+//! exactly the columns the streaming sink consumed.
 //!
 //! The unit tests in `engine.rs` pin a handful of hand-picked scenarios;
 //! this test quantifies over the scenario space.
@@ -11,13 +12,10 @@
 // allow-unwrap-in-tests exemption does not reach.
 #![allow(clippy::unwrap_used)]
 
-use axcc_core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, friendliness, latency, loss_avoidance,
-    robustness,
-};
 use axcc_core::LinkParams;
 use axcc_fluidsim::{
-    try_run_scenario_streaming, FeedbackMode, LossModel, Scenario, SenderConfig, StreamOptions,
+    replay_trace, try_run_scenario_streaming, FeedbackMode, LossModel, Scenario, SenderConfig,
+    StreamOptions,
 };
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
@@ -135,53 +133,35 @@ fn arb_params() -> impl Strategy<Value = Params> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Streaming accumulator ≡ trace evaluation, to the exact f64 bits,
-    /// for every axiom and every sender, on arbitrary scenarios.
+    /// Streaming accumulator ≡ replay of the recorded trace, to the exact
+    /// f64 bits, for every axiom and every sender, on arbitrary scenarios.
     #[test]
-    fn streaming_equals_trace_bitwise(p in arb_params()) {
+    fn streaming_equals_trace_replay_bitwise(p in arb_params()) {
         let opts = StreamOptions {
             tail_fraction: p.tail_fraction,
             ..StreamOptions::default()
         };
         let trace = build(&p).try_run().unwrap();
         let acc = try_run_scenario_streaming(build(&p), &opts).unwrap();
+        let replayed = replay_trace(&trace, &opts);
         let tail = trace.tail_start(opts.tail_fraction);
         let n = trace.senders.len();
 
         // Link-level axioms.
-        prop_assert_eq!(
-            acc.measured_efficiency().to_bits(),
-            efficiency::measured_efficiency(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.mean_utilization().to_bits(),
-            efficiency::mean_utilization(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.measured_loss_bound().to_bits(),
-            loss_avoidance::measured_loss_bound(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.mean_loss().to_bits(),
-            loss_avoidance::mean_loss(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(acc.is_zero_loss(), loss_avoidance::is_zero_loss(&trace, tail));
-        prop_assert_eq!(
-            acc.measured_latency_inflation().to_bits(),
-            latency::measured_latency_inflation(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.measured_fairness().to_bits(),
-            fairness::measured_fairness(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.jain_index().to_bits(),
-            fairness::jain_index(&trace, tail).to_bits()
-        );
-        prop_assert_eq!(
-            acc.measured_convergence().to_bits(),
-            convergence::measured_convergence(&trace, tail).to_bits()
-        );
+        let pairs = [
+            (acc.measured_efficiency(), replayed.measured_efficiency()),
+            (acc.mean_utilization(), replayed.mean_utilization()),
+            (acc.measured_loss_bound(), replayed.measured_loss_bound()),
+            (acc.mean_loss(), replayed.mean_loss()),
+            (acc.measured_latency_inflation(), replayed.measured_latency_inflation()),
+            (acc.measured_fairness(), replayed.measured_fairness()),
+            (acc.jain_index(), replayed.jain_index()),
+            (acc.measured_convergence(), replayed.measured_convergence()),
+        ];
+        for (a, b) in pairs {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        prop_assert_eq!(acc.is_zero_loss(), replayed.is_zero_loss());
 
         // Friendliness over every proper prefix split {0..k} vs {k..n}.
         for k in 1..n {
@@ -189,30 +169,19 @@ proptest! {
             let q_set: Vec<usize> = (k..n).collect();
             prop_assert_eq!(
                 acc.measured_friendliness(&p_set, &q_set).to_bits(),
-                friendliness::measured_friendliness(&trace, &p_set, &q_set, tail).to_bits()
+                replayed.measured_friendliness(&p_set, &q_set).to_bits()
             );
         }
 
-        // Per-sender axioms and tail summaries.
+        // Per-sender axioms, and the tail summaries against the trace's
+        // own column statistics.
         for (i, s) in trace.senders.iter().enumerate() {
             prop_assert_eq!(
                 acc.measured_fast_utilization(i).map(f64::to_bits),
-                fast_utilization::measured_fast_utilization(
-                    s,
-                    trace.sender_rtt(i),
-                    tail,
-                    opts.min_horizon
-                )
-                .map(f64::to_bits)
+                replayed.measured_fast_utilization(i).map(f64::to_bits)
             );
-            prop_assert_eq!(
-                acc.window_escapes(i, 0.2),
-                robustness::window_escapes(s, opts.escape_beta, 0.2)
-            );
-            prop_assert_eq!(
-                acc.window_diverging(i, 1e-9),
-                robustness::window_diverging(s, 1e-9)
-            );
+            prop_assert_eq!(acc.window_escapes(i, 0.2), replayed.window_escapes(i, 0.2));
+            prop_assert_eq!(acc.window_diverging(i, 1e-9), replayed.window_diverging(i, 1e-9));
             prop_assert_eq!(
                 acc.last_window(i).to_bits(),
                 s.window.last().copied().unwrap_or(0.0).to_bits()

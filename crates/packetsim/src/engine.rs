@@ -762,6 +762,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axcc_core::axioms::streaming::{MetricAccumulator, MetricConfig};
     use axcc_core::units::Bandwidth;
     use axcc_protocols::{Aimd, RobustAimd};
 
@@ -791,8 +792,8 @@ mod tests {
             .homogeneous(&Aimd::reno(), 2)
             .duration_secs(60.0)
             .run();
-        let tail = out.trace.tail_start(0.5);
-        let f = axcc_core::axioms::fairness::measured_fairness(&out.trace, tail);
+        let cfg = MetricConfig::for_trace(&out.trace);
+        let f = MetricAccumulator::replay(&out.trace, &cfg).measured_fairness();
         assert!(f > 0.5, "fairness {f}");
         assert!(out.conservation_ok());
     }

@@ -35,6 +35,7 @@
 //! invariant (`sent = acked + lost + in flight`) the test-suite enforces.
 //!
 //! ```
+//! use axcc_core::axioms::streaming::{MetricAccumulator, MetricConfig};
 //! use axcc_core::{units::Bandwidth, LinkParams};
 //! use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 //! use axcc_protocols::Aimd;
@@ -47,8 +48,9 @@
 //!     .sender(PacketSenderConfig::new(Box::new(Aimd::reno())))
 //!     .duration_secs(30.0)
 //!     .run();
-//! let tail = out.trace.tail_start(0.5);
-//! let fair = axcc_core::axioms::fairness::measured_fairness(&out.trace, tail);
+//! // Score Metric IV by replaying the trace through the axiom folds.
+//! let cfg = MetricConfig::for_trace(&out.trace);
+//! let fair = MetricAccumulator::replay(&out.trace, &cfg).measured_fairness();
 //! assert!(fair > 0.5, "two Renos share fairly, got {fair}");
 //! ```
 

@@ -21,11 +21,13 @@
 //! cancellation signal.
 
 use crate::protocol::{ErrorKind, EvalSpec, ExperimentSpec, Op};
-use axcc_analysis::estimators::solo_metrics_of_trace;
+use axcc_analysis::estimators::{solo_metrics_of_acc, stream_options_for};
 use axcc_analysis::experiments::{find_experiment, RunBudget};
 use axcc_core::units::Bandwidth;
-use axcc_core::{LinkParams, RunTrace};
-use axcc_fluidsim::{LossModel, Scenario, SenderConfig};
+use axcc_core::LinkParams;
+use axcc_fluidsim::{
+    try_run_scenario_streaming, LossModel, MetricAccumulator, MetricSet, Scenario, SenderConfig,
+};
 use axcc_protocols::registry::resolve;
 use axcc_sweep::{interrupted_payload, Cacheable, CancelSignal, Record, SweepRunner};
 use serde_json::{Map, Value};
@@ -232,7 +234,9 @@ fn validate_link(spec: &EvalSpec) -> Result<(), (ErrorKind, String)> {
     Ok(())
 }
 
-fn build_and_run(spec: &EvalSpec) -> Result<RunTrace, (ErrorKind, String)> {
+/// Run the spec's scenario, folding every step into the solo metric
+/// families (Metrics I–V and VIII plus the per-sender tail means).
+fn build_and_run(spec: &EvalSpec) -> Result<MetricAccumulator, (ErrorKind, String)> {
     validate_link(spec)?;
     let link = LinkParams::from_experiment(Bandwidth::Mbps(spec.mbps), spec.rtt_ms, spec.buffer);
     let mut sc = Scenario::new(link).steps(spec.steps).seed(spec.seed);
@@ -245,7 +249,7 @@ fn build_and_run(spec: &EvalSpec) -> Result<RunTrace, (ErrorKind, String)> {
         let proto = resolve(name).map_err(|e| (ErrorKind::InvalidScenario, e.to_string()))?;
         sc = sc.sender(SenderConfig::new(proto).initial_window(1.0));
     }
-    sc.try_run()
+    try_run_scenario_streaming(sc, &stream_options_for(MetricSet::SOLO))
         .map_err(|e| (ErrorKind::InvalidScenario, e.to_string()))
 }
 
@@ -289,21 +293,13 @@ impl Cacheable for CachedEval {
 fn run_eval(spec: &EvalSpec, runner: &SweepRunner) -> JobResult {
     let cached = runner.run_cached("serve/eval", spec, || {
         CachedEval(match build_and_run(spec) {
-            Ok(trace) => {
-                let tail = trace.tail_start(0.5);
-                let m = solo_metrics_of_trace(&trace);
+            Ok(acc) => {
+                let m = solo_metrics_of_acc(&acc);
+                let senders = 0..acc.num_senders();
                 Ok(EvalOutcome {
                     protocols: spec.protocols.clone(),
-                    mean_window: trace
-                        .senders
-                        .iter()
-                        .map(|s| s.mean_window_from(tail))
-                        .collect(),
-                    mean_goodput: trace
-                        .senders
-                        .iter()
-                        .map(|s| s.mean_goodput_from(tail))
-                        .collect(),
+                    mean_window: senders.clone().map(|i| acc.tail_mean_window(i)).collect(),
+                    mean_goodput: senders.map(|i| acc.tail_mean_goodput(i)).collect(),
                     efficiency: m.efficiency,
                     loss_bound: m.loss_bound,
                     fairness: m.fairness,

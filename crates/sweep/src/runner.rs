@@ -28,21 +28,15 @@ fn default_engine_tag() -> String {
     format!("axcc-{}+r{}", env!("CARGO_PKG_VERSION"), ENGINE_REVISION)
 }
 
-/// How an experiment evaluates its scenarios: the streaming fast path
-/// folds each engine step straight into the axiom accumulators (no trace
-/// columns are ever allocated), while the traced path records a full
-/// [`RunTrace`](axcc_core::RunTrace) and scores it afterwards. The two
-/// are bit-identical in their metric outputs; the mode still participates
-/// in every job fingerprint so a cache populated under one mode is never
-/// answered under the other (the *path taken* is part of what a cached
-/// result attests to).
+/// How an experiment evaluates its scenarios. There is one way: each
+/// engine step folds straight into the axiom accumulators. The tag stays
+/// in job fingerprints as a constant so every job keeps the content
+/// address earlier builds gave it — warm stores stay warm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Single-pass accumulator evaluation (the default fast path).
+    /// Single-pass accumulator evaluation.
     #[default]
     Streaming,
-    /// Record a full trace, then score it (`--record-traces`).
-    Traced,
 }
 
 impl Fingerprint for EvalMode {
@@ -50,7 +44,6 @@ impl Fingerprint for EvalMode {
         fp.write_str("EvalMode");
         fp.write_u8(match self {
             EvalMode::Streaming => 0,
-            EvalMode::Traced => 1,
         });
     }
 }
@@ -104,7 +97,6 @@ pub struct SweepRunner {
     workers: usize,
     cache: Option<Arc<ResultCache>>,
     engine_tag: String,
-    eval_mode: EvalMode,
     cancel: Option<CancelSignal>,
     interrupt_hook: Option<InterruptHook>,
     chunk_size: Option<usize>,
@@ -119,7 +111,6 @@ impl std::fmt::Debug for SweepRunner {
             .field("workers", &self.workers)
             .field("caching", &self.cache.is_some())
             .field("engine_tag", &self.engine_tag)
-            .field("eval_mode", &self.eval_mode)
             .field("cancellable", &self.cancel.is_some())
             .finish()
     }
@@ -131,7 +122,6 @@ impl SweepRunner {
             workers: resolve_workers(workers),
             cache,
             engine_tag: default_engine_tag(),
-            eval_mode: EvalMode::default(),
             cancel: None,
             interrupt_hook: None,
             chunk_size: None,
@@ -177,20 +167,6 @@ impl SweepRunner {
     pub fn with_engine_tag(mut self, tag: &str) -> Self {
         self.engine_tag = tag.to_string();
         self
-    }
-
-    /// Select the evaluation mode experiments driven by this runner
-    /// should use (default [`EvalMode::Streaming`]). Experiments read it
-    /// via [`eval_mode`](Self::eval_mode) and must mix it into their job
-    /// fingerprints.
-    pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
-    /// The evaluation mode experiments should run under.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.eval_mode
     }
 
     /// Attach a cancellation signal. The runner polls it before every job
@@ -507,13 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_mode_defaults_to_streaming_and_is_overridable() {
-        assert_eq!(SweepRunner::serial().eval_mode(), EvalMode::Streaming);
-        let traced = SweepRunner::serial().with_eval_mode(EvalMode::Traced);
-        assert_eq!(traced.eval_mode(), EvalMode::Traced);
-    }
-
-    #[test]
     fn tiny_batches_fall_back_to_serial() {
         let runner = SweepRunner::new(4);
         // The configured count is clamped to the host, so compute the
@@ -664,20 +633,14 @@ mod tests {
     }
 
     #[test]
-    fn eval_mode_changes_the_job_digest() {
-        // A job that fingerprints the runner's mode (as every mode-aware
-        // experiment must) gets a different address per mode, so cached
-        // streaming results are never served to a traced run.
-        struct ModedJob(EvalMode);
-        impl Fingerprint for ModedJob {
-            fn fingerprint(&self, fp: &mut Fingerprinter) {
-                fp.write_str("ModedJob");
-                self.0.fingerprint(fp);
-            }
-        }
-        let runner = SweepRunner::serial();
-        let streaming = runner.job_digest("moded", &ModedJob(EvalMode::Streaming));
-        let traced = runner.job_digest("moded", &ModedJob(EvalMode::Traced));
-        assert_ne!(streaming, traced);
+    fn evaluation_tag_fingerprint_bytes_are_stable() {
+        // Jobs write the tag into their digests; its bytes must never
+        // change, or every stored result loses its address.
+        let mut tagged = Fingerprinter::new();
+        EvalMode::Streaming.fingerprint(&mut tagged);
+        let mut expected = Fingerprinter::new();
+        expected.write_str("EvalMode");
+        expected.write_u8(0);
+        assert_eq!(tagged.finish(), expected.finish());
     }
 }

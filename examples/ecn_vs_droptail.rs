@@ -13,7 +13,7 @@
 //! cargo run --release --example ecn_vs_droptail
 //! ```
 
-use axiomatic_cc::core::axioms::{efficiency, latency, loss_avoidance};
+use axiomatic_cc::core::axioms::streaming::{MetricAccumulator, MetricConfig};
 use axiomatic_cc::core::units::{sec_to_ms, Bandwidth};
 use axiomatic_cc::core::LinkParams;
 use axiomatic_cc::packetsim::PacketScenario;
@@ -37,7 +37,8 @@ fn main() {
         }
         let out = sc.run();
         let tail = out.trace.tail_start(0.5);
-        let loss = loss_avoidance::measured_loss_bound(&out.trace, tail);
+        let acc = MetricAccumulator::replay(&out.trace, &MetricConfig::for_trace(&out.trace));
+        let loss = acc.measured_loss_bound();
         let mean_rtt: f64 = {
             let r = &out.trace.sender_rtt(0)[tail..];
             r.iter().sum::<f64>() / r.len() as f64
@@ -51,8 +52,8 @@ fn main() {
             loss,
             sec_to_ms(mean_rtt),
         );
-        let util = efficiency::mean_utilization(&out.trace, tail);
-        let lat = latency::measured_latency_inflation(&out.trace, tail);
+        let util = acc.mean_utilization();
+        let lat = acc.measured_latency_inflation();
         println!(
             "{:<22} mean utilization {:.2}, latency inflation {}",
             "",

@@ -13,6 +13,7 @@
 //! cargo run --release --example late_joiner
 //! ```
 
+use axiomatic_cc::core::axioms::streaming::{MetricAccumulator, MetricConfig};
 use axiomatic_cc::core::{LinkParams, Protocol};
 use axiomatic_cc::fluidsim::{Scenario, SenderConfig};
 use axiomatic_cc::protocols::registry::resolve;
@@ -57,7 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .position(|&w| w >= half_share);
         let tail = trace.tail_start(0.75);
-        let fair = axiomatic_cc::core::axioms::fairness::measured_fairness(&trace, tail);
+        let cfg = MetricConfig {
+            tail_fraction: 0.75,
+            ..MetricConfig::for_trace(&trace)
+        };
+        let fair = MetricAccumulator::replay(&trace, &cfg).measured_fairness();
         let w0 = trace.senders[0].mean_window_from(tail);
         let w1 = trace.senders[1].mean_window_from(tail);
         println!(

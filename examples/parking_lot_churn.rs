@@ -15,7 +15,7 @@
 //! cargo run --release --example parking_lot_churn
 //! ```
 
-use axiomatic_cc::core::axioms::churn::mean_settle_after_arrival;
+use axiomatic_cc::core::axioms::churn::SettleAcc;
 use axiomatic_cc::core::{LinkParams, Protocol, ScenarioError};
 use axiomatic_cc::fluidsim::{ChurnPlan, FlowConfig, NetScenario, Topology};
 use axiomatic_cc::protocols::{Aimd, Vegas};
@@ -65,7 +65,9 @@ fn main() -> Result<(), ScenarioError> {
         let tail = net.tail_start(0.5);
 
         println!("— {label} —");
-        let settle = mean_settle_after_arrival(&net.link_load[0], &arrivals, settle_threshold);
+        let mut settle = SettleAcc::new(arrivals.clone(), settle_threshold);
+        settle.push_block(&net.link_load[0]);
+        let settle = settle.measured();
         println!(
             "  convergence after arrival: {settle:.0} steps to re-reach \
              {settle_threshold:.0} MSS on hop 0"

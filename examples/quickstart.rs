@@ -8,9 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use axiomatic_cc::core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, latency, loss_avoidance,
-};
+use axiomatic_cc::core::axioms::streaming::{MetricAccumulator, MetricConfig};
 use axiomatic_cc::core::units::sec_to_ms;
 use axiomatic_cc::core::LinkParams;
 use axiomatic_cc::fluidsim::{Scenario, SenderConfig};
@@ -52,38 +50,34 @@ fn main() {
         );
     }
 
-    // Score the tail of the run against the axioms.
-    let tail = trace.tail_start(0.5);
+    // Score the tail of the run against the axioms: replay the trace's
+    // columns through the axiom folds (the default tail is the final half).
+    let acc = MetricAccumulator::replay(&trace, &MetricConfig::for_trace(&trace));
     println!("\naxiom scores over the final half of the run:");
     println!(
         "  Metric I    (efficiency):       α = {:.3}",
-        efficiency::measured_efficiency(&trace, tail)
+        acc.measured_efficiency()
     );
     println!(
         "  Metric II   (fast-utilization): α = {:?}",
-        fast_utilization::measured_fast_utilization(
-            &trace.senders[0],
-            trace.sender_rtt(0),
-            tail,
-            8
-        )
+        acc.measured_fast_utilization(0)
     );
     println!(
         "  Metric III  (loss bound):       α = {:.4}",
-        loss_avoidance::measured_loss_bound(&trace, tail)
+        acc.measured_loss_bound()
     );
     println!(
         "  Metric IV   (fairness):         α = {:.3}  (Jain index {:.3})",
-        fairness::measured_fairness(&trace, tail),
-        fairness::jain_index(&trace, tail)
+        acc.measured_fairness(),
+        acc.jain_index()
     );
     println!(
         "  Metric V    (convergence):      α = {:.3}",
-        convergence::measured_convergence(&trace, tail)
+        acc.measured_convergence()
     );
     println!(
         "  Metric VIII (latency):          α = {}",
-        match latency::measured_latency_inflation(&trace, tail) {
+        match acc.measured_latency_inflation() {
             x if x.is_infinite() => "unbounded (loss-based protocol fills the buffer)".to_string(),
             x => format!("{x:.3}"),
         }

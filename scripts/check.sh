@@ -13,6 +13,8 @@ cargo run -q -p xtask -- tidy --baseline tidy.baseline
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Byte identity of every report, job digest and serve response line is
+# pinned by tests/golden_reports.rs, part of this step.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -36,10 +38,6 @@ echo "==> bench-sweep smoke gate (parallel vs serial at 4 workers on the gauntle
 # path, so anything below is dispatch-layer regression, not scheduling.
 cargo run -q --release -p axcc-bench --bin bench-sweep -- --jobs 4 --only gauntlet \
   --reps 15 --min-speedup 0.90 --out target/BENCH_sweep_smoke.json > /dev/null
-
-echo "==> bench-engine --smoke (streaming ≡ traced identity + speedup gate)"
-cargo run -q --release -p axcc-bench --bin bench-engine -- --smoke \
-  --min-speedup 0.95 --out target/BENCH_engine_smoke.json > /dev/null
 
 echo "==> bench-serve --spawn (service smoke: daemon up, bench, drain)"
 cargo run -q -p axcc-cli -- bench-serve --spawn --levels 1,2 --requests 3 \

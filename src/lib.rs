@@ -16,7 +16,7 @@
 //! use axiomatic_cc::core::LinkParams;
 //! use axiomatic_cc::fluidsim::{Scenario, SenderConfig};
 //! use axiomatic_cc::protocols::Aimd;
-//! use axiomatic_cc::core::axioms::fairness;
+//! use axiomatic_cc::core::axioms::streaming::{MetricAccumulator, MetricConfig};
 //!
 //! // Two Reno senders on one bottleneck; measure Metric IV (fairness).
 //! let link = LinkParams::new(1000.0, 0.05, 20.0);
@@ -25,7 +25,9 @@
 //!     .sender(SenderConfig::new(Box::new(Aimd::reno())).initial_window(1.0))
 //!     .steps(3000)
 //!     .run();
-//! let score = fairness::measured_fairness(&trace, trace.tail_start(0.5));
+//! // Replay the trace through the axiom folds (tail: the final half).
+//! let acc = MetricAccumulator::replay(&trace, &MetricConfig::for_trace(&trace));
+//! let score = acc.measured_fairness();
 //! assert!(score > 0.8);
 //! ```
 //!
