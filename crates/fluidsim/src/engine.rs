@@ -203,6 +203,9 @@ pub struct EngineWorkspace {
     boundaries: Vec<u64>,
     /// The staging block batched into the sink.
     block: StepBlock,
+    /// Wire-loss sampler; its Gilbert–Elliott chain flags are reused
+    /// across runs like the lanes.
+    wire_loss: LossProcess,
 }
 
 impl EngineWorkspace {
@@ -211,8 +214,9 @@ impl EngineWorkspace {
         EngineWorkspace::default()
     }
 
-    /// Size every lane for an `n`-sender run and clear run state.
-    fn prepare(&mut self, n: usize) {
+    /// Size every lane for an `n`-sender run under `loss_model` and clear
+    /// run state.
+    fn prepare(&mut self, n: usize, loss_model: LossModel) {
         reset_lane(&mut self.lanes.windows, n, 0.0);
         reset_lane(&mut self.lanes.losses, n, 0.0);
         reset_lane(&mut self.lanes.goodputs, n, 0.0);
@@ -226,6 +230,7 @@ impl EngineWorkspace {
         self.active.reserve(n);
         self.boundaries.clear();
         self.block.reshape(n, StepBlock::DEFAULT_CAPACITY);
+        self.wire_loss.reset(loss_model, n);
     }
 }
 
@@ -340,7 +345,6 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
     let n = senders.len();
     let horizon = steps as u64;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut wire_loss = LossProcess::new(loss_model, n);
 
     // When no per-sender RNG draw is involved, the composed loss is one
     // shared value per step and the loss pass is a fill instead of n
@@ -352,12 +356,13 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         _ => None,
     };
 
-    ws.prepare(n);
+    ws.prepare(n, loss_model);
     let EngineWorkspace {
         lanes,
         active,
         boundaries,
         block,
+        wire_loss,
     } = ws;
     let SenderLanes {
         windows,

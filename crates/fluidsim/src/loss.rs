@@ -35,7 +35,7 @@
 //! draw sequences are identical to the pre-fault-layer engine, keeping
 //! old seeds bit-compatible.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -177,9 +177,22 @@ pub struct LossProcess {
 impl LossProcess {
     /// A process for `model` serving `n_senders` independent chains.
     pub fn new(model: LossModel, n_senders: usize) -> Self {
-        LossProcess {
+        let mut process = LossProcess {
             model,
-            in_bad: vec![false; n_senders],
+            in_bad: Vec::new(),
+        };
+        process.reset(model, n_senders);
+        process
+    }
+
+    /// Re-arm the process for a new run, reusing its flag storage: every
+    /// chain restarts in the good state. Only Gilbert–Elliott carries
+    /// per-sender state, so the other models allocate nothing.
+    pub fn reset(&mut self, model: LossModel, n_senders: usize) {
+        self.model = model;
+        self.in_bad.clear();
+        if matches!(model, LossModel::GilbertElliott { .. }) {
+            self.in_bad.resize(n_senders, false);
         }
     }
 
@@ -203,6 +216,13 @@ impl LossProcess {
                 emitted
             }
         }
+    }
+}
+
+impl Default for LossProcess {
+    /// A lossless process with no chains.
+    fn default() -> Self {
+        LossProcess::new(LossModel::None, 0)
     }
 }
 
@@ -233,18 +253,13 @@ pub fn sample_loss_fraction(rng: &mut ChaCha8Rng, window: f64, rate: f64) -> f64
 
 /// Draw from Binomial(n, p).
 ///
-/// Exact Bernoulli summation for small `n`; for large `n` a normal
+/// Exact Bernoulli summation for small `n` (one uniform draw per packet,
+/// counted in place by [`RngCore::count_below`]); for large `n` a normal
 /// approximation (clamped to `[0, n]`) keeps steps O(1) — at `n·p ≫ 10` the
 /// approximation error is far below the model's own fidelity.
 fn sample_binomial(rng: &mut ChaCha8Rng, n: u64, p: f64) -> u64 {
     if n <= 1024 {
-        let mut k = 0;
-        for _ in 0..n {
-            if rng.gen::<f64>() < p {
-                k += 1;
-            }
-        }
-        k
+        rng.count_below(n, p)
     } else {
         let mean = n as f64 * p;
         let sd = (n as f64 * p * (1.0 - p)).sqrt();
@@ -436,6 +451,25 @@ mod tests {
             (mean_run - 10.0).abs() < 2.5,
             "mean burst length {mean_run}, expected ~10"
         );
+    }
+
+    #[test]
+    fn only_gilbert_elliott_allocates_chain_flags() {
+        for m in [
+            LossModel::None,
+            LossModel::Constant { rate: 0.01 },
+            LossModel::Bernoulli { rate: 0.01 },
+        ] {
+            assert_eq!(LossProcess::new(m, 64).in_bad.capacity(), 0, "{m:?}");
+        }
+        let mut p = LossProcess::new(LossModel::bursty(0.05, 5.0, 0.5), 8);
+        assert_eq!(p.in_bad, vec![false; 8]);
+        // A reset restarts every chain in the good state on the same storage.
+        p.in_bad[3] = true;
+        let storage = p.in_bad.as_ptr();
+        p.reset(LossModel::bursty(0.05, 5.0, 0.5), 8);
+        assert_eq!(p.in_bad, vec![false; 8]);
+        assert_eq!(p.in_bad.as_ptr(), storage);
     }
 
     #[test]

@@ -18,6 +18,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The vendored crates are excluded from the workspace, so their own unit
+# tests run separately; their build output stays under target/vendor.
+echo "==> vendored crates' unit tests (rand, rand_chacha)"
+cargo test -q --manifest-path vendor/rand/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/rand_chacha/Cargo.toml --target-dir target/vendor
+
 echo "==> axcc run-all --jobs 2 --smoke (full suite through the sweep engine)"
 cargo run -q -p axcc-cli -- run-all --jobs 2 --smoke \
   --cache-dir target/sweep-cache-ci --out-dir target/run-all-ci
