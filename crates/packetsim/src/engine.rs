@@ -234,6 +234,27 @@ impl PacketScenario {
         if self.senders.is_empty() {
             return Err(ScenarioError::NoSenders);
         }
+        // `LinkParams::new` asserts these, but the fields are public.
+        let link = &self.link;
+        for (field, value) in [
+            ("link.bandwidth", link.bandwidth),
+            ("link.prop_delay", link.prop_delay),
+        ] {
+            if !(value > 0.0 && value.is_finite()) {
+                return Err(ScenarioError::InvalidParameter {
+                    field,
+                    value,
+                    constraint: "positive and finite",
+                });
+            }
+        }
+        if !(link.buffer >= 0.0 && link.buffer.is_finite()) {
+            return Err(ScenarioError::InvalidParameter {
+                field: "link.buffer",
+                value: link.buffer,
+                constraint: "finite and >= 0",
+            });
+        }
         if !(self.duration_secs > 0.0 && self.duration_secs.is_finite()) {
             return Err(ScenarioError::InvalidParameter {
                 field: "duration_secs",
@@ -361,6 +382,14 @@ impl SimOutput {
     }
 }
 
+/// When a recurring timer with period `period` fires next: at least one
+/// nanosecond after `now`, so a period that rounds to zero (a pacing
+/// interval or RTT below half a nanosecond) cannot reschedule the timer
+/// at the same instant forever.
+fn next_tick(now: Time, period: Time) -> Time {
+    now + period.max(Time::NANOSECOND)
+}
+
 /// Per-flow accumulators between consecutive trace samples.
 #[derive(Default, Clone)]
 struct IntervalAccum {
@@ -410,9 +439,13 @@ impl Engine {
         debug_assert_eq!(cfg.validate(), Ok(()));
         let link = cfg.link;
         let serialization = Time::from_secs_f64(1.0 / link.bandwidth);
-        let feedback_delay = Time::from_secs_f64(link.min_rtt());
+        // Feedback and sampling take at least one tick, so neither an ACK
+        // clock nor the sampler can spin at one instant on a link whose
+        // RTT rounds to zero nanoseconds.
+        let feedback_delay = Time::from_secs_f64(link.min_rtt()).max(Time::NANOSECOND);
         let sample_interval =
-            Time::from_secs_f64(cfg.sample_interval_secs.unwrap_or_else(|| link.min_rtt()));
+            Time::from_secs_f64(cfg.sample_interval_secs.unwrap_or_else(|| link.min_rtt()))
+                .max(Time::NANOSECOND);
         let end = Time::from_secs_f64(cfg.duration_secs);
 
         let mut events = EventQueue::new();
@@ -529,7 +562,8 @@ impl Engine {
                         if self.senders[flow].pacing_gate_open() {
                             self.transmit_one(flow, now);
                         }
-                        let next = now + self.senders[flow].pacing_interval(self.link.min_rtt());
+                        let next =
+                            next_tick(now, self.senders[flow].pacing_interval(self.link.min_rtt()));
                         if next <= self.end {
                             self.events.schedule(next, Event::PacedSend { flow });
                         }
@@ -544,7 +578,7 @@ impl Engine {
                         } else {
                             self.link.min_rtt()
                         };
-                        let next = now + Time::from_secs_f64(rtt);
+                        let next = next_tick(now, Time::from_secs_f64(rtt));
                         if next <= self.end {
                             self.events.schedule(next, Event::MiBoundary { flow });
                         }
@@ -552,7 +586,7 @@ impl Engine {
                 }
                 Event::Sample => {
                     self.record_sample();
-                    let next = now + self.sample_interval;
+                    let next = next_tick(now, self.sample_interval);
                     if next <= self.end {
                         self.events.schedule(next, Event::Sample);
                     }
@@ -769,6 +803,10 @@ mod tests {
     /// 20 Mbps, 42 ms RTT, 100-MSS buffer: a paper Emulab configuration.
     fn paper_link() -> LinkParams {
         LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0)
+    }
+
+    fn reno() -> PacketSenderConfig {
+        PacketSenderConfig::new(Box::new(Aimd::reno()))
     }
 
     #[test]
@@ -1442,6 +1480,59 @@ mod tests {
         // Marks are visible in the flow stats and conservation still holds.
         assert!(ecn.flows.iter().any(|f| f.marked > 0));
         assert!(ecn.conservation_ok());
+    }
+
+    #[test]
+    fn huge_access_delay_saturates_the_clock_instead_of_overflowing() {
+        // 2 × 1e10 s is past the nanosecond clock's range: the flow's
+        // feedback is scheduled at `Time::NEVER` and never arrives.
+        for extra in [1e10, f64::MAX] {
+            let out = PacketScenario::new(paper_link())
+                .sender(reno().extra_delay_secs(extra))
+                .sender(reno())
+                .duration_secs(1.0)
+                .try_run()
+                .unwrap();
+            assert!(out.conservation_ok());
+            assert_eq!(out.flows[0].acked + out.flows[0].lost, 0);
+            assert_eq!(out.in_flight_at_end[0], out.flows[0].sent);
+            assert!(out.flows[1].acked > 0, "the other flow still runs");
+        }
+    }
+
+    /// A link whose RTT is `rtt` seconds: 10⁹ MSS/s (1 ns per packet),
+    /// 100-MSS buffer.
+    fn fast_link(rtt: f64) -> LinkParams {
+        LinkParams::new(1e9, rtt / 2.0, 100.0)
+    }
+
+    #[test]
+    fn sub_nanosecond_pacing_interval_still_advances_the_clock() {
+        // RTT / cwnd = 1 µs / 10⁴ rounds to 0 ns.
+        let out = PacketScenario::new(fast_link(1e-6))
+            .sender(reno().paced().initial_cwnd(1e4))
+            .duration_secs(1e-4)
+            .try_run()
+            .unwrap();
+        assert!(out.conservation_ok());
+        assert!(out.flows[0].sent > 0);
+    }
+
+    #[test]
+    fn sub_nanosecond_rtt_timers_still_advance_the_clock() {
+        // A 0.2 ns RTT rounds to 0 ns: the monitor-interval timer, the
+        // default sampler and the feedback delay all tick once per ns.
+        let out = PacketScenario::new(fast_link(2e-10))
+            .sender(reno().paced())
+            .sender(reno())
+            .duration_secs(1e-6)
+            .try_run()
+            .unwrap();
+        assert!(out.conservation_ok());
+        // One sample per nanosecond, both ends included.
+        assert_eq!(out.trace.len(), 1001);
+        assert!(out.flows.iter().all(|f| f.acked > 0));
+        assert!(out.flows[0].epochs > 0, "monitor intervals closed");
     }
 
     #[test]

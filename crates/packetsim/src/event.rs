@@ -1,13 +1,28 @@
-//! The event heap.
+//! The event queue: sorted delay lines plus a heap.
 //!
-//! A binary min-heap keyed by `(time, insertion sequence)`. The sequence
-//! number makes simultaneous events fire in insertion order, which is what
-//! makes the simulation deterministic (smoltcp-style "no surprises"): two
-//! runs of the same scenario pop events in exactly the same order.
+//! Events pop in increasing `(time, insertion sequence)` order. The
+//! sequence number makes simultaneous events fire in insertion order,
+//! which is what makes the simulation deterministic (smoltcp-style "no
+//! surprises"): two runs of the same scenario pop events in exactly the
+//! same order.
+//!
+//! Almost every event the engine schedules lands at `now + D` for a
+//! constant `D`: ACKs and loss notices one feedback delay out, ACK-path
+//! losses two, departures one serialization time, samples one sample
+//! interval. The clock `now` never goes back, so each such stream is
+//! already sorted by time. The queue keeps up to [`MAX_LANES`] FIFO
+//! *delay lines*: `schedule` appends an event to the line whose last
+//! event is the latest one not after it (best fit), and only events that
+//! fit no line (jittered or reordered feedback, one-off timers) go to a
+//! binary heap. Sequence numbers only grow, so appending keeps every line
+//! sorted by `(time, seq)`; `pop` takes the least of the line fronts and
+//! the heap top, which is the global minimum. The pop order is therefore
+//! exactly that of a single heap on `(time, seq)`, while most events cost
+//! a ring-buffer append and a front read instead of two heap sifts.
 
 use crate::time::Time;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +106,21 @@ impl PartialOrd for Scheduled {
     }
 }
 
+/// Most delay lines a queue keeps; events that fit none go to the heap.
+/// A run has a handful of constant-delay streams (feedback, ACK-path
+/// loss, departures, samples, timers), so a few lines absorb nearly all
+/// of its events.
+pub const MAX_LANES: usize = 8;
+
 /// Deterministic event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
+    /// FIFO delay lines, each sorted by `(time, seq)`.
+    lanes: Vec<VecDeque<Scheduled>>,
+    /// Events that fit no delay line.
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
+    len: usize,
 }
 
 impl EventQueue {
@@ -108,22 +133,57 @@ impl EventQueue {
     pub fn schedule(&mut self, at: Time, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        self.len += 1;
+        let item = Scheduled { at, seq, event };
+        // Best fit: the line whose last event is the latest not after
+        // `at`; an empty line takes anything but is the last resort.
+        let mut fit: Option<(usize, Time)> = None;
+        let mut empty = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            match lane.back() {
+                Some(last) if last.at <= at && fit.is_none_or(|(_, t)| last.at > t) => {
+                    fit = Some((i, last.at));
+                }
+                None if empty.is_none() => empty = Some(i),
+                _ => {}
+            }
+        }
+        match fit.map(|(i, _)| i).or(empty) {
+            Some(i) => self.lanes[i].push_back(item),
+            None if self.lanes.len() < MAX_LANES => self.lanes.push(VecDeque::from([item])),
+            None => self.heap.push(item),
+        }
     }
 
     /// Pop the earliest event (ties broken by insertion order).
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        let mut best = self.heap.peek().map(|s| (s.at, s.seq));
+        let mut from_lane = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(front) = lane.front() {
+                let key = (front.at, front.seq);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                    from_lane = Some(i);
+                }
+            }
+        }
+        let next = match from_lane {
+            Some(i) => self.lanes[i].pop_front(),
+            None => self.heap.pop(),
+        }?;
+        self.len -= 1;
+        Some((next.at, next.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 

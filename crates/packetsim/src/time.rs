@@ -2,9 +2,13 @@
 //!
 //! Floating-point timestamps make event ordering platform- and
 //! history-dependent (`a + b + c ≠ a + c + b`); integer nanoseconds keep
-//! the heap ordering exact and the whole simulation bit-for-bit
+//! the event ordering exact and the whole simulation bit-for-bit
 //! reproducible, at a resolution (1 ns) five orders of magnitude finer than
 //! any delay the experiments use.
+//!
+//! Addition saturates at [`Time::NEVER`]: a delay too large for the clock
+//! schedules an event that never fires before the run ends, instead of
+//! wrapping into the past.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -20,16 +24,23 @@ impl Time {
     /// Simulation start.
     pub const ZERO: Time = Time(0);
 
-    /// Construct from seconds (rounded to the nearest nanosecond).
+    /// The smallest step the clock can take.
+    pub const NANOSECOND: Time = Time(1);
+
+    /// The end of the clock, where saturating arithmetic stops; later
+    /// than any run's end.
+    pub const NEVER: Time = Time(u64::MAX);
+
+    /// Construct from seconds, rounded to the nearest nanosecond. Values
+    /// past the clock's range (about 584 years), `+∞` included, saturate
+    /// at [`Time::NEVER`].
     ///
     /// # Panics
     ///
-    /// Panics on negative or non-finite input.
+    /// Panics on negative or NaN input.
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "time must be finite and >= 0, got {secs}"
-        );
+        assert!(secs >= 0.0, "time must be >= 0 and not NaN, got {secs}");
+        // The float-to-int `as` cast saturates at u64::MAX.
         Time((secs * 1e9).round() as u64)
     }
 
@@ -51,14 +62,15 @@ impl Time {
 
 impl Add for Time {
     type Output = Time;
+    /// Saturating: the sum never passes [`Time::NEVER`].
     fn add(self, rhs: Time) -> Time {
-        Time(self.0 + rhs.0)
+        Time(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Time {
     fn add_assign(&mut self, rhs: Time) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -109,6 +121,17 @@ mod tests {
     }
 
     #[test]
+    fn addition_saturates_at_never() {
+        assert_eq!(Time::from_secs_f64(1e11), Time::NEVER);
+        assert_eq!(Time::from_secs_f64(f64::INFINITY), Time::NEVER);
+        assert_eq!(Time(5) + Time::NEVER, Time::NEVER);
+        assert_eq!(Time(u64::MAX - 1) + Time(2), Time::NEVER);
+        let mut t = Time(u64::MAX - 3);
+        t += Time(10);
+        assert_eq!(t, Time::NEVER);
+    }
+
+    #[test]
     fn ordering_is_total_and_exact() {
         assert!(Time(1) < Time(2));
         assert_eq!(Time(5), Time(5));
@@ -121,9 +144,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite and >= 0")]
+    #[should_panic(expected = ">= 0 and not NaN")]
     fn negative_seconds_rejected() {
         Time::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = ">= 0 and not NaN")]
+    fn nan_seconds_rejected() {
+        Time::from_secs_f64(f64::NAN);
     }
 
     #[test]

@@ -24,6 +24,12 @@ echo "==> vendored crates' unit tests (rand, rand_chacha)"
 cargo test -q --manifest-path vendor/rand/Cargo.toml --target-dir target/vendor
 cargo test -q --manifest-path vendor/rand_chacha/Cargo.toml --target-dir target/vendor
 
+# perfbench is its own workspace, outside `crates/*`, so the step above
+# neither builds nor tests it; its self-tests also prove it still compiles
+# against the crates' public API.
+echo "==> perfbench self-tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> axcc run-all --jobs 2 --smoke (full suite through the sweep engine)"
 cargo run -q -p axcc-cli -- run-all --jobs 2 --smoke \
   --cache-dir target/sweep-cache-ci --out-dir target/run-all-ci
