@@ -350,20 +350,62 @@ pub fn empirically_more_aggressive(
 /// paper's ε values (0.5%, 0.7%, 1%) plus coarser rates.
 pub const ROBUSTNESS_RATES: [f64; 7] = [0.001, 0.002, 0.005, 0.007, 0.009, 0.02, 0.05];
 
+/// The largest of `levels` that a strict majority of `seeds` pass, or 0
+/// when none does: the score of a "largest tolerated level" sweep such as
+/// Metric VI's robustness rate or the gauntlet's burst frequency.
+///
+/// The search is exact but lazy. Levels are tried from the highest value
+/// down, so the first level that passes is the maximum and ends the
+/// search; within a level, seeds stop running as soon as the verdict is
+/// decided (a majority has passed, or too many have failed for one to).
+/// Levels that are not positive are never tried: they cannot raise the
+/// score above 0. The result equals the exhaustive scan that runs every
+/// `(level, seed)` pair and keeps `best = level.max(best)` from 0, for
+/// any level order and any seed count, provided each `passes` call
+/// depends only on its own `(level, seed)`.
+pub fn largest_passing<S: Copy>(
+    levels: &[f64],
+    seeds: &[S],
+    mut passes: impl FnMut(f64, S) -> bool,
+) -> f64 {
+    let mut descending: Vec<f64> = levels.iter().copied().filter(|&l| l > 0.0).collect();
+    descending.sort_unstable_by(|a, b| b.total_cmp(a));
+    let majority = seeds.len() / 2 + 1;
+    let max_failures = seeds.len() - majority;
+    descending
+        .into_iter()
+        .find(|&level| {
+            let (mut passed, mut failed) = (0, 0);
+            for &seed in seeds {
+                if passes(level, seed) {
+                    passed += 1;
+                } else {
+                    failed += 1;
+                }
+                if passed == majority || failed > max_failures {
+                    break;
+                }
+            }
+            passed == majority
+        })
+        .unwrap_or(0.0)
+}
+
 /// Measure robustness (Metric VI): on an effectively infinite-capacity
 /// link under constant non-congestion loss, the score is the largest rate
 /// in `rates` at which the sender's window still **diverges** (keeps
 /// growing at the end of the run — the trace witness that it escapes every
 /// finite `β`). Returns 0 when even the smallest rate defeats the
-/// protocol.
+/// protocol. Rates are searched from the highest down
+/// ([`largest_passing`]), so only the rates above the score and the score
+/// itself are simulated.
 pub fn measure_robustness_fluid(proto: &dyn Protocol, rates: &[f64], steps: usize) -> f64 {
     // A link whose capacity exceeds the model's maximum window: congestion
     // loss can never occur.
     let infinite = LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW);
     let opts = stream_options_for(MetricSet::ROBUSTNESS);
     let mut acc: Option<MetricAccumulator> = None;
-    let mut best = 0.0;
-    for &rate in rates {
+    largest_passing(rates, &[()], |rate, ()| {
         let sc = Scenario::new(infinite)
             .sender(SenderConfig::new(proto.clone_box()).initial_window(10.0))
             .wire_loss(LossModel::Constant { rate })
@@ -378,11 +420,8 @@ pub fn measure_robustness_fluid(proto: &dyn Protocol, rates: &[f64], steps: usiz
         let escaped = acc.window_escapes(0, 0.2);
         let growing = acc.window_diverging(0, 1e-9);
         let capped = acc.last_window(0) >= 0.9 * MAX_WINDOW;
-        if escaped && (growing || capped) {
-            best = rate.max(best);
-        }
-    }
-    best
+        escaped && (growing || capped)
+    })
 }
 
 /// Convenience: the full empirical 8-tuple for a protocol (fluid backend):

@@ -31,6 +31,14 @@
 //! burst frequency collapses with `L` while Robust-AIMD's degrades slowly
 //! — the headline [`GauntletReport::degrades_slower`] predicate.
 //!
+//! **The search.** A column's score is found by
+//! [`largest_passing`](crate::estimators::largest_passing) rather than by
+//! running every cell: frequencies are tried from the highest down and the
+//! first withstood one is the score, and a cell stops running seeds once
+//! its majority verdict is decided. Every run owns its seed and its RNG,
+//! so skipping runs changes no other run, and the score is the one the
+//! exhaustive scan of every (frequency, seed) pair would report.
+//!
 //! Side-effect columns guard against robustness "won" by pure aggression:
 //! efficiency (Metric I) and TCP-friendliness (Metric VII) are re-measured
 //! on a standard congested link *under* a reference impairment.
@@ -41,7 +49,7 @@
 //! flow's goodput share relative to the mean short flow — how badly the
 //! protocol's dynamics punish multi-bottleneck paths.
 
-use crate::estimators::{stream_options_for, TAIL_FRACTION};
+use crate::estimators::{largest_passing, stream_options_for, TAIL_FRACTION};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::protocol::MAX_WINDOW;
@@ -197,21 +205,21 @@ fn withstands(proto: &dyn Protocol, model: &LossModel, steps: usize, seed: u64) 
         .window_escapes(0, 0.2)
 }
 
-/// Largest withstood burst frequency for one burst length.
-fn cell_score(proto: &dyn Protocol, burst_len: usize, base_steps: usize) -> f64 {
-    let mut best = 0.0;
-    for &freq in &BURST_FREQS {
-        let model = cell_model(burst_len, freq);
-        let steps = cell_steps(base_steps, freq);
-        let passes = GAUNTLET_SEEDS
-            .iter()
-            .filter(|&&seed| withstands(proto, &model, steps, seed))
-            .count();
-        if 2 * passes > GAUNTLET_SEEDS.len() {
-            best = freq.max(best);
-        }
-    }
-    best
+/// Largest withstood burst frequency in `freqs` (the job passes
+/// [`BURST_FREQS`]) for one burst length: the highest frequency a
+/// majority of [`GAUNTLET_SEEDS`] withstand. The search starts at the
+/// highest frequency, whose runs are the shortest, and stops at the first
+/// withstood cell ([`largest_passing`]), so the long low-frequency runs
+/// happen only when every higher frequency was lost.
+fn cell_score(proto: &dyn Protocol, burst_len: usize, base_steps: usize, freqs: &[f64]) -> f64 {
+    largest_passing(freqs, &GAUNTLET_SEEDS, |freq, seed| {
+        withstands(
+            proto,
+            &cell_model(burst_len, freq),
+            cell_steps(base_steps, freq),
+            seed,
+        )
+    })
 }
 
 /// Metric I on the congested link under the reference impairment.
@@ -276,7 +284,12 @@ impl SweepJob for CellScoreJob {
     type Output = f64;
     fn run(&self) -> f64 {
         let lineup = gauntlet_lineup();
-        cell_score(lineup[self.index].as_ref(), self.burst_len, self.steps)
+        cell_score(
+            lineup[self.index].as_ref(),
+            self.burst_len,
+            self.steps,
+            &BURST_FREQS,
+        )
     }
 }
 
@@ -370,9 +383,12 @@ pub fn run_gauntlet(steps: usize) -> GauntletReport {
 }
 
 /// [`run_gauntlet`] through an explicit sweep runner. The grain is one
-/// job per (protocol, burst length) column — the low-frequency cells
-/// dominate the wall-clock (`cell_steps` stretches them to ~200k steps),
-/// so splitting below protocol level is what lets the pool balance.
+/// job per (protocol, burst length) column, and column costs differ
+/// widely: a withstood column stops at its first passing frequency, while
+/// a never-withstood one (Reno and Vegas at L = 4 and 8) searches down to
+/// the cells `cell_steps` stretches to ~200k steps and dominates the
+/// wall-clock. Splitting below protocol level is what lets the pool
+/// balance them.
 pub fn run_gauntlet_with(runner: &SweepRunner, steps: usize) -> GauntletReport {
     let lineup = gauntlet_lineup();
     let mut cell_jobs = Vec::new();
@@ -497,6 +513,84 @@ mod tests {
         use std::sync::OnceLock;
         static REPORT: OnceLock<GauntletReport> = OnceLock::new();
         REPORT.get_or_init(|| run_gauntlet(2500))
+    }
+
+    /// The exhaustive scan the search replaced, kept as its oracle: run
+    /// every (frequency, seed) pair and keep the largest frequency a
+    /// majority of seeds withstand. Also returns the pass count of every
+    /// cell, in `freqs` order.
+    fn exhaustive_cell_score(
+        proto: &dyn Protocol,
+        burst_len: usize,
+        base_steps: usize,
+        freqs: &[f64],
+    ) -> (f64, Vec<usize>) {
+        let mut best = 0.0;
+        let mut counts = Vec::new();
+        for &freq in freqs {
+            let model = cell_model(burst_len, freq);
+            let steps = cell_steps(base_steps, freq);
+            let passes = GAUNTLET_SEEDS
+                .iter()
+                .filter(|&&seed| withstands(proto, &model, steps, seed))
+                .count();
+            if 2 * passes > GAUNTLET_SEEDS.len() {
+                best = freq.max(best);
+            }
+            counts.push(passes);
+        }
+        (best, counts)
+    }
+
+    /// `cell_score` over `freqs` equals the exhaustive scan on the column
+    /// of lineup entry `index` at `burst_len`, at the paper's 2500-step
+    /// budget; returns the column's pass counts.
+    fn assert_column_matches_exhaustive(
+        index: usize,
+        burst_len: usize,
+        freqs: &[f64],
+    ) -> Vec<usize> {
+        let lineup = gauntlet_lineup();
+        let proto = lineup[index].as_ref();
+        let (want, counts) = exhaustive_cell_score(proto, burst_len, 2500, freqs);
+        let got = cell_score(proto, burst_len, 2500, freqs);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{} at L = {burst_len}: search {got}, exhaustive {want}, passes per frequency {counts:?}",
+            proto.name()
+        );
+        counts
+    }
+
+    #[test]
+    fn cell_search_matches_the_exhaustive_scan_on_three_kinds_of_column() {
+        // CUBIC at L = 1 withstands every cell; Reno at L = 8 withstands
+        // none; R-AIMD at L = 8 splits by seed (3/5 at f = 0.001, 1/5 at
+        // 0.002). The two rarest frequencies, whose 80k–200k-step runs
+        // would make the oracle slow under the test profile, are left to
+        // the full-grid test below.
+        let freqs = &BURST_FREQS[2..];
+        let all = GAUNTLET_SEEDS.len();
+        let cubic = assert_column_matches_exhaustive(1, 1, freqs);
+        assert!(cubic.iter().all(|&c| c == all), "{cubic:?}");
+        let reno = assert_column_matches_exhaustive(0, 8, freqs);
+        assert!(reno.iter().all(|&c| c == 0), "{reno:?}");
+        let raimd = assert_column_matches_exhaustive(3, 8, freqs);
+        assert!(raimd.iter().any(|&c| c > 0 && c < all), "{raimd:?}");
+    }
+
+    /// Every column of the paper grid: 18 columns × 8 frequencies × 5
+    /// seeds, exhaustively. About a second in release; run with
+    /// `cargo test --release -p axcc-analysis gauntlet_full_grid -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive paper grid; run in release with --ignored"]
+    fn gauntlet_full_grid_search_matches_exhaustive_scan() {
+        for index in 0..gauntlet_lineup().len() {
+            for &burst_len in &BURST_LENS {
+                assert_column_matches_exhaustive(index, burst_len, &BURST_FREQS);
+            }
+        }
     }
 
     #[test]

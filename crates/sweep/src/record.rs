@@ -94,7 +94,10 @@ impl Record {
     pub fn decode(text: &str) -> Option<Record> {
         let mut lines = text.split('\n');
         let count: usize = lines.next()?.parse().ok()?;
-        let mut fields = Vec::with_capacity(count);
+        // Every field takes at least its own newline, so a count above the
+        // text's length is malformed; capping the reservation keeps a
+        // hostile count from overflowing or exhausting the allocator.
+        let mut fields = Vec::with_capacity(count.min(text.len()));
         for _ in 0..count {
             fields.push(unescape(lines.next()?)?);
         }

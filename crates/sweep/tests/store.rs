@@ -2,7 +2,8 @@
 //! arbitrary records append, reopen, index, and read back bit-identical
 //! (NaN payloads and escaping included), and a segment whose tail was
 //! chopped mid-entry heals into plain misses while every surviving entry
-//! still decodes to its exact original bits.
+//! still decodes to its exact original bits — at sampled cuts and at
+//! every byte offset of one segment.
 
 use axcc_core::fingerprint::{Digest, Fingerprint};
 use axcc_sweep::{Record, ResultCache};
@@ -147,4 +148,96 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `(digest, end offset)` of each entry in a segment, in file order,
+/// read from the `axcc1 <digest> <body len>` headers; `None` unless the
+/// segment is a whole number of well-formed entries.
+fn entry_ends(segment: &[u8]) -> Option<Vec<(Digest, usize)>> {
+    let mut ends = Vec::new();
+    let mut pos = 0;
+    while pos < segment.len() {
+        let nl = segment[pos..].iter().position(|&b| b == b'\n')?;
+        let header = std::str::from_utf8(&segment[pos..pos + nl]).ok()?;
+        let fields: Vec<&str> = header.split(' ').collect();
+        let [_, digest, body_len] = fields.as_slice() else {
+            return None;
+        };
+        pos += nl + 1 + body_len.parse::<usize>().ok()?;
+        ends.push((Digest::from_hex(digest)?, pos));
+    }
+    (pos == segment.len()).then_some(ends)
+}
+
+/// Truncating a segment at *every* byte offset, not a sample of cuts:
+/// after each cut the reopened store returns exactly the entries that
+/// end at or before the cut, bit-identical, and misses the rest. A cut
+/// strictly inside an entry is a heal event and the file shrinks back to
+/// the last whole entry; a cut on an entry boundary leaves a clean,
+/// shorter segment. Re-appending then restores every entry.
+#[test]
+fn truncation_at_every_byte_offset_heals() {
+    // Records whose digests share shard 0, so one segment holds them all.
+    let entries: Vec<(Digest, Record)> = (0u64..)
+        .map(|i| (format!("store-every-cut-{i}").digest(), i))
+        .filter(|(digest, _)| digest.hi >> 60 == 0)
+        .take(5)
+        .map(|(digest, i)| {
+            let bits: Vec<u64> = (0..=i % 3)
+                .map(|k| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ k)
+                .collect();
+            (
+                digest,
+                record_from(&bits, &note_from(i.wrapping_mul(0x0101_0101))),
+            )
+        })
+        .collect();
+    let dir = fresh_dir("every-cut");
+    ResultCache::with_disk(dir.clone()).put_batch(entries.clone());
+    let segments = segment_paths(&dir);
+    assert_eq!(segments.len(), 1, "every entry lives in one shard");
+    let victim = &segments[0];
+    let original = std::fs::read(victim).expect("read segment");
+    let ends = entry_ends(&original).expect("segment parses into whole entries");
+    assert_eq!(ends.len(), entries.len());
+
+    for cut in 0..original.len() {
+        std::fs::write(victim, &original[..cut]).expect("write truncated segment");
+        let reopened = ResultCache::with_disk(dir.clone());
+        let whole = ends.iter().filter(|&&(_, end)| end <= cut).count();
+        for (k, (digest, _)) in ends.iter().enumerate() {
+            let (_, record) = entries
+                .iter()
+                .find(|(d, _)| d == digest)
+                .expect("segment entry was written by this test");
+            let got = reopened.get(digest);
+            if k < whole {
+                assert_eq!(got.as_ref(), Some(record), "cut {cut}: entry {k} survives");
+            } else {
+                assert_eq!(got, None, "cut {cut}: entry {k} is lost");
+            }
+        }
+        let kept = if whole == 0 { 0 } else { ends[whole - 1].1 };
+        let heals = reopened.stats().heal_events;
+        if cut == kept {
+            assert_eq!(heals, 0, "cut {cut} lies on an entry boundary");
+        } else {
+            assert!(heals >= 1, "cut {cut} is inside an entry: a heal event");
+        }
+        let healed_len = std::fs::metadata(victim).expect("segment metadata").len();
+        assert_eq!(
+            healed_len, kept as u64,
+            "cut {cut}: healed to the last whole entry"
+        );
+
+        reopened.put_batch(entries.clone());
+        for (digest, record) in &entries {
+            assert_eq!(
+                reopened.get(digest).as_ref(),
+                Some(record),
+                "cut {cut}: re-append"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

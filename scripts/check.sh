@@ -18,11 +18,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The lazy gauntlet search against the exhaustive scan on every column of
+# the paper grid: too slow for the test profile, about a second in release.
+echo "==> gauntlet full-grid oracle (release)"
+cargo test --release -q -p axcc-analysis gauntlet_full_grid -- --ignored
+
 # The vendored crates are excluded from the workspace, so their own unit
 # tests run separately; their build output stays under target/vendor.
-echo "==> vendored crates' unit tests (rand, rand_chacha)"
+echo "==> vendored crates' unit tests (rand, rand_chacha, serde_json)"
 cargo test -q --manifest-path vendor/rand/Cargo.toml --target-dir target/vendor
 cargo test -q --manifest-path vendor/rand_chacha/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml --target-dir target/vendor
 
 # perfbench is its own workspace, outside `crates/*`, so the step above
 # neither builds nor tests it; its self-tests also prove it still compiles
