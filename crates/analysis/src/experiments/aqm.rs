@@ -25,10 +25,9 @@ use axcc_fluidsim::MetricSet;
 use axcc_packetsim::{PacketScenario, RedConfig};
 use axcc_protocols::presets;
 use axcc_sweep::{Cacheable, Record, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The disciplines compared.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Discipline {
     /// FIFO droptail (the paper's model).
     DropTail,
@@ -56,7 +55,7 @@ impl Discipline {
 }
 
 /// One (protocol, discipline) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AqmCell {
     /// Protocol name.
     pub protocol: String,
@@ -79,7 +78,7 @@ pub struct AqmCell {
 }
 
 /// The comparison result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AqmComparison {
     /// All cells, protocol-major.
     pub cells: Vec<AqmCell>,
@@ -202,13 +201,8 @@ fn aqm_lineup() -> Vec<Box<dyn Protocol>> {
 }
 
 /// Run the comparison: each protocol × discipline, `n` flows for
-/// `duration_secs` on the paper-grade 20 Mbps / 42 ms / 100 MSS link.
-pub fn run_aqm_comparison(n: usize, duration_secs: f64) -> AqmComparison {
-    run_aqm_comparison_with(&SweepRunner::serial(), n, duration_secs)
-}
-
-/// [`run_aqm_comparison`] through an explicit sweep runner: one job per
-/// (protocol, discipline) pair.
+/// `duration_secs` on the paper-grade 20 Mbps / 42 ms / 100 MSS link,
+/// one sweep job per (protocol, discipline) pair.
 pub fn run_aqm_comparison_with(
     runner: &SweepRunner,
     n: usize,
@@ -278,7 +272,7 @@ mod tests {
     use super::*;
 
     fn quick() -> AqmComparison {
-        run_aqm_comparison(2, 20.0)
+        run_aqm_comparison_with(&SweepRunner::serial(), 2, 20.0)
     }
 
     #[test]

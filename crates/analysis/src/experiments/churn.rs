@@ -33,7 +33,6 @@ use axcc_fluidsim::{try_run_scenario_with, ChurnPlan, MetricSet, Scenario};
 use axcc_packetsim::PacketScenario;
 use axcc_protocols::{presets, Binomial};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// Seed of every churn plan in this experiment (one shared seed keeps the
 /// arrival pattern comparable across protocols and engines).
@@ -217,7 +216,7 @@ impl SweepJob for PacketChurnJob {
 }
 
 /// One (protocol, arrival rate) cell of the churn report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnCell {
     /// Arrival rate of this cell (arrivals per RTT step).
     pub rate: f64,
@@ -230,7 +229,7 @@ pub struct ChurnCell {
 }
 
 /// One protocol's churn results across the arrival-rate sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnRow {
     /// Protocol name.
     pub protocol: String,
@@ -241,7 +240,7 @@ pub struct ChurnRow {
 }
 
 /// The full churn report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnReport {
     /// The arrival rates actually swept.
     pub rates: Vec<f64>,
@@ -249,14 +248,8 @@ pub struct ChurnReport {
     pub rows: Vec<ChurnRow>,
 }
 
-/// Run the churn sweep serially.
-pub fn run_churn(steps: usize, packet_secs: f64) -> ChurnReport {
-    run_churn_with(&SweepRunner::serial(), steps, packet_secs)
-}
-
-/// [`run_churn`] through an explicit sweep runner: one job per
-/// (protocol, rate) fluid cell plus one packet-level storm job per
-/// protocol.
+/// Run the churn sweep: one sweep job per (protocol, rate) fluid cell
+/// plus one packet-level storm job per protocol.
 pub fn run_churn_with(runner: &SweepRunner, steps: usize, packet_secs: f64) -> ChurnReport {
     let lineup = churn_lineup();
     let mut cell_jobs = Vec::new();
@@ -389,7 +382,7 @@ mod tests {
     fn report() -> &'static ChurnReport {
         use std::sync::OnceLock;
         static REPORT: OnceLock<ChurnReport> = OnceLock::new();
-        REPORT.get_or_init(|| run_churn(1000, 8.0))
+        REPORT.get_or_init(|| run_churn_with(&SweepRunner::serial(), 1000, 8.0))
     }
 
     #[test]

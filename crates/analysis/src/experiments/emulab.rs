@@ -25,7 +25,6 @@ use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
 use axcc_protocols::{build_protocol, SlowStart};
 use axcc_sweep::{SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The three Linux protocols of the validation, as analytic specs.
 pub fn emulab_specs() -> Vec<ProtocolSpec> {
@@ -101,7 +100,7 @@ impl EmulabConfig {
 }
 
 /// Measured metrics of one protocol in one grid cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EmulabCell {
     /// Protocol name.
     pub protocol: String,
@@ -116,7 +115,7 @@ pub struct EmulabCell {
 }
 
 /// The validation result: all cells plus per-metric hierarchy agreement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EmulabValidation {
     /// Per-cell measurements.
     pub cells: Vec<EmulabCell>,
@@ -125,7 +124,7 @@ pub struct EmulabValidation {
 }
 
 /// Per-metric hierarchy comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HierarchyResult {
     /// Metric label.
     pub metric: String,
@@ -187,13 +186,8 @@ impl SweepJob for CellJob {
     }
 }
 
-/// Run the grid and compare hierarchies.
-pub fn run_emulab_validation(cfg: &EmulabConfig) -> EmulabValidation {
-    run_emulab_validation_with(&SweepRunner::serial(), cfg)
-}
-
-/// [`run_emulab_validation`] through an explicit sweep runner: one job
-/// per (cell × protocol) packet-level run.
+/// Run the grid and compare hierarchies: one sweep job per
+/// (cell × protocol) packet-level run.
 pub fn run_emulab_validation_with(runner: &SweepRunner, cfg: &EmulabConfig) -> EmulabValidation {
     let specs = emulab_specs();
     let mut jobs = Vec::with_capacity(cfg.total_runs());
@@ -359,7 +353,7 @@ mod tests {
 
     #[test]
     fn quick_grid_runs_and_agrees_reasonably() {
-        let v = run_emulab_validation(&EmulabConfig::quick());
+        let v = run_emulab_validation_with(&SweepRunner::serial(), &EmulabConfig::quick());
         assert_eq!(v.cells.len(), 3); // 1 cell × 3 protocols
         assert_eq!(v.hierarchies.len(), VALIDATED_METRICS.len());
         // The paper's claim: hierarchies match. On the quick grid we demand
@@ -374,7 +368,7 @@ mod tests {
 
     #[test]
     fn efficiency_hierarchy_matches_theory_on_quick_grid() {
-        let v = run_emulab_validation(&EmulabConfig::quick());
+        let v = run_emulab_validation_with(&SweepRunner::serial(), &EmulabConfig::quick());
         let eff = v
             .hierarchies
             .iter()
@@ -394,7 +388,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_protocols() {
-        let v = run_emulab_validation(&EmulabConfig::quick());
+        let v = run_emulab_validation_with(&SweepRunner::serial(), &EmulabConfig::quick());
         let s = v.render();
         for spec in emulab_specs() {
             assert!(s.contains(&spec.name()), "{s}");

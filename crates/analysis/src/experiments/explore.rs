@@ -38,7 +38,6 @@ use axcc_fluidsim::{
 };
 use axcc_protocols::{Aimd, Binomial, Cubic, Mimd, RobustAimd};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
-use serde::Serialize;
 
 use super::RunBudget;
 
@@ -67,7 +66,7 @@ pub const FAMILIES: [&str; 5] = ["AIMD", "MIMD", "BIN", "CUBIC", "R-AIMD"];
 /// data (not a `Box<dyn Protocol>`): jobs rebuild the protocol inside
 /// `run`, so the job list is `Send + Sync` and the fingerprint covers the
 /// parameters themselves rather than an index into a side table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamPoint {
     /// AIMD(a, b): additive increase `a`, decrease factor `b`.
     Aimd {
@@ -350,7 +349,7 @@ pub fn front_2d(points: &[(f64, f64)]) -> Vec<usize> {
 }
 
 /// Pareto summary of one (loss level, family) group.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FrontSummary {
     /// Wire-loss level of the group.
     pub loss: f64,
@@ -373,7 +372,7 @@ pub struct FrontSummary {
 }
 
 /// The rendered outcome of one exploration run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// The loss ladder actually swept.
     pub loss_levels: Vec<f64>,
@@ -463,11 +462,6 @@ impl ExploreReport {
             fmt_score(self.best_heavy_efficiency),
         )
     }
-}
-
-/// Run the exploration serially (tests, `gen_*`-style use).
-pub fn run_explore(budget: RunBudget) -> ExploreReport {
-    run_explore_with(&SweepRunner::serial(), budget)
 }
 
 /// Run the exploration through an explicit sweep runner. The job list is
@@ -660,7 +654,7 @@ mod tests {
 
     #[test]
     fn smoke_run_is_deterministic_and_passes() {
-        let first = run_explore(RunBudget::smoke());
+        let first = run_explore_with(&SweepRunner::serial(), RunBudget::smoke());
         assert!(first.passed(), "{}", first.render());
         assert_eq!(first.jobs, 310);
         assert_eq!(
@@ -672,7 +666,7 @@ mod tests {
         for fam in FAMILIES {
             assert!(txt.contains(fam), "{txt}");
         }
-        let second = run_explore(RunBudget::smoke());
+        let second = run_explore_with(&SweepRunner::serial(), RunBudget::smoke());
         assert_eq!(txt, second.render(), "explore must be deterministic");
     }
 

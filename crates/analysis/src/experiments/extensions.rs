@@ -18,10 +18,9 @@ use axcc_core::{LinkParams, Protocol};
 use axcc_fluidsim::{MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{presets, Bbr, HighSpeed, Tfrc};
 use axcc_sweep::{Cacheable, Record, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// One protocol's extension-metric measurements.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExtensionRow {
     /// Protocol name.
     pub protocol: String,
@@ -36,7 +35,7 @@ pub struct ExtensionRow {
 }
 
 /// The full extension report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExtensionReport {
     /// One row per protocol.
     pub rows: Vec<ExtensionRow>,
@@ -135,13 +134,8 @@ impl SweepJob for ExtensionJob {
     }
 }
 
-/// Run the extension experiments with `steps` fluid steps per run.
-pub fn run_extension_report(steps: usize) -> ExtensionReport {
-    run_extension_report_with(&SweepRunner::serial(), steps)
-}
-
-/// [`run_extension_report`] through an explicit sweep runner: one job
-/// per lineup protocol.
+/// Run the extension experiments with `steps` fluid steps per run
+/// through a sweep runner: one job per lineup protocol.
 pub fn run_extension_report_with(runner: &SweepRunner, steps: usize) -> ExtensionReport {
     let jobs: Vec<ExtensionJob> = extension_lineup()
         .iter()
@@ -188,7 +182,7 @@ mod tests {
 
     #[test]
     fn smoothness_orders_by_backoff_factor() {
-        let rep = run_extension_report(1500);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 1500);
         let get = |n: &str| {
             rep.rows
                 .iter()
@@ -210,7 +204,7 @@ mod tests {
 
     #[test]
     fn tfrc_is_the_smoothest_loss_based_protocol() {
-        let rep = run_extension_report(1500);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 1500);
         let tfrc = rep.rows.iter().find(|r| r.protocol == "TFRC").unwrap();
         let reno = rep
             .rows
@@ -223,7 +217,7 @@ mod tests {
 
     #[test]
     fn everyone_reclaims_doubled_capacity_eventually() {
-        let rep = run_extension_report(2000);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 2000);
         for r in &rep.rows {
             // Vegas's fixed backlog target tracks capacity automatically;
             // window-based protocols climb. All must get there.
@@ -240,7 +234,7 @@ mod tests {
     fn mimd_reclaims_faster_than_reno() {
         // The flip side of MIMD's aggression: superlinear growth reclaims
         // new capacity quickly; Reno needs ~C/a steps.
-        let rep = run_extension_report(2500);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 2500);
         let get = |n: &str| {
             rep.rows
                 .iter()
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn latency_column_separates_classes() {
-        let rep = run_extension_report(1500);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 1500);
         let vegas = rep
             .rows
             .iter()
@@ -271,7 +265,7 @@ mod tests {
 
     #[test]
     fn render_has_all_rows() {
-        let rep = run_extension_report(800);
+        let rep = run_extension_report_with(&SweepRunner::serial(), 800);
         let s = rep.render();
         for r in &rep.rows {
             assert!(s.contains(&r.protocol), "{s}");

@@ -21,7 +21,6 @@ use axcc_core::theory::theorems::theorem2_friendliness_upper_bound;
 use axcc_core::{AxiomScores, LinkParams};
 use axcc_protocols::Aimd;
 use axcc_sweep::{Cacheable, EvalMode, Record, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// Default α (fast-utilization) grid for the surface.
 pub const DEFAULT_ALPHAS: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 3.0];
@@ -29,7 +28,7 @@ pub const DEFAULT_ALPHAS: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 3.0];
 pub const DEFAULT_BETAS: [f64; 5] = [0.5, 0.6, 0.7, 0.8, 0.9];
 
 /// One point of the Figure 1 surface.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure1Point {
     /// Fast-utilization coordinate α.
     pub alpha: f64,
@@ -47,7 +46,7 @@ pub struct Figure1Point {
 }
 
 /// The generated figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure1 {
     /// Surface points, β-major.
     pub points: Vec<Figure1Point>,
@@ -138,12 +137,7 @@ impl SweepJob for PointJob {
 
 /// The surface with feasibility validation: each point's AIMD(α, β) is
 /// simulated solo (efficiency, fast-utilization) and against Reno
-/// (friendliness) on `link` for `steps` fluid steps.
-pub fn validated_surface(alphas: &[f64], betas: &[f64], link: LinkParams, steps: usize) -> Figure1 {
-    validated_surface_with(&SweepRunner::serial(), alphas, betas, link, steps)
-}
-
-/// [`validated_surface`] through an explicit sweep runner: one job per
+/// (friendliness) on `link` for `steps` fluid steps, one sweep job per
 /// (α, β) grid point.
 pub fn validated_surface_with(
     runner: &SweepRunner,
@@ -265,7 +259,7 @@ mod tests {
     fn validation_attains_the_bound_within_tolerance() {
         // A small grid, small link, enough steps to converge.
         let link = LinkParams::new(1000.0, 0.05, 20.0);
-        let fig = validated_surface(&[1.0, 2.0], &[0.5], link, 3000);
+        let fig = validated_surface_with(&SweepRunner::serial(), &[1.0, 2.0], &[0.5], link, 3000);
         for p in &fig.points {
             let measured = p.measured_friendliness.unwrap();
             // Feasible: measured friendliness within ~35% of the analytic

@@ -23,7 +23,6 @@ use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::{LinkParams, Protocol};
 use axcc_protocols::{Aimd, Bbr, Binomial, Cubic, HighSpeed, Mimd, Pcc, RobustAimd, Tfrc, Vegas};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The 4-metric subspace: Figure 1's three plus robustness.
 pub const ROBUST_METRICS: [Metric; 4] = [
@@ -55,7 +54,7 @@ pub fn candidate_pool() -> Vec<Box<dyn Protocol>> {
 }
 
 /// The search result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierSearch {
     /// Every candidate with its measured scores.
     pub points: Vec<(String, axcc_core::AxiomScores)>,
@@ -94,12 +93,7 @@ impl SweepJob for CandidateJob {
     }
 }
 
-/// Score the pool on `link` and extract the frontiers.
-pub fn search_frontier(link: LinkParams, steps: usize) -> FrontierSearch {
-    search_frontier_with(&SweepRunner::serial(), link, steps)
-}
-
-/// [`search_frontier`] through an explicit sweep runner: one job per
+/// Score the pool on `link` and extract the frontiers: one sweep job per
 /// candidate protocol.
 pub fn search_frontier_with(
     runner: &SweepRunner,
@@ -171,7 +165,11 @@ mod tests {
     use super::*;
 
     fn quick() -> FrontierSearch {
-        search_frontier(LinkParams::new(1000.0, 0.05, 20.0), 1200)
+        search_frontier_with(
+            &SweepRunner::serial(),
+            LinkParams::new(1000.0, 0.05, 20.0),
+            1200,
+        )
     }
 
     #[test]

@@ -59,7 +59,6 @@ use axcc_fluidsim::{
 };
 use axcc_protocols::presets;
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// Burst lengths swept (RTT steps spent in the bad state per episode);
 /// `1` is the memoryless baseline.
@@ -95,7 +94,7 @@ pub const GAUNTLET_SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 pub const PARKING_HOPS: usize = 3;
 
 /// One protocol's gauntlet results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GauntletRow {
     /// Protocol name.
     pub protocol: String,
@@ -123,7 +122,7 @@ impl GauntletRow {
 }
 
 /// The full gauntlet report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GauntletReport {
     /// The burstiness axis actually swept.
     pub burst_lens: Vec<usize>,
@@ -377,14 +376,9 @@ impl SweepJob for ParkingLotJob {
     }
 }
 
-/// Run the full gauntlet with `steps` fluid steps per run.
-pub fn run_gauntlet(steps: usize) -> GauntletReport {
-    run_gauntlet_with(&SweepRunner::serial(), steps)
-}
-
-/// [`run_gauntlet`] through an explicit sweep runner. The grain is one
-/// job per (protocol, burst length) column, and column costs differ
-/// widely: a withstood column stops at its first passing frequency, while
+/// Run the full gauntlet with `steps` fluid steps per run through a sweep
+/// runner. The grain is one job per (protocol, burst length) column, and
+/// column costs differ widely: a withstood column stops at its first passing frequency, while
 /// a never-withstood one (Reno and Vegas at L = 4 and 8) searches down to
 /// the cells `cell_steps` stretches to ~200k steps and dominates the
 /// wall-clock. Splitting below protocol level is what lets the pool
@@ -512,7 +506,7 @@ mod tests {
     fn report() -> &'static GauntletReport {
         use std::sync::OnceLock;
         static REPORT: OnceLock<GauntletReport> = OnceLock::new();
-        REPORT.get_or_init(|| run_gauntlet(2500))
+        REPORT.get_or_init(|| run_gauntlet_with(&SweepRunner::serial(), 2500))
     }
 
     /// The exhaustive scan the search replaced, kept as its oracle: run

@@ -17,14 +17,17 @@
 //! | [`churn`] | §6 dynamic populations: churn-aware metrics under seeded arrival storms |
 //! | [`hierarchy`] | shared machinery: per-metric rankings and theory/measurement agreement |
 //!
-//! Every experiment entry point has a `*_with(runner, …)` variant taking
+//! Every experiment entry point is a `*_with(runner, …)` function taking
 //! an [`axcc_sweep::SweepRunner`], which fans the experiment's
 //! independent simulations out over the runner's worker pool and answers
-//! repeats from its content-addressed cache. The plain entry points
-//! delegate to [`SweepRunner::serial`], so their behavior (and output
-//! bytes) are unchanged. The [`registry`] below is the single enumeration
-//! of all experiments that the CLI's `sweep` and `run-all` commands and
-//! the bench runner drive.
+//! repeats from its content-addressed cache; output bytes are the same
+//! for any worker count (tests pass [`SweepRunner::serial`]). The
+//! [`registry`] below is the single way to run an experiment: the CLI's
+//! `sweep` and `run-all` commands, the `axcc serve` `experiment` op and
+//! `perfbench` all drive it, and `axcc run-all --out-dir results`
+//! regenerates every committed report. The closed forms
+//! ([`table1::theoretical_table1`], [`figure1::frontier_surface`]) need no
+//! simulation and are plain functions.
 
 use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
@@ -54,7 +57,7 @@ pub struct RunBudget {
 }
 
 impl RunBudget {
-    /// Full artifact-regeneration scale (matches the `gen_*` binaries).
+    /// Full artifact-regeneration scale (the committed `results/`).
     pub fn paper() -> Self {
         RunBudget { smoke: false }
     }
@@ -86,7 +89,7 @@ impl RunBudget {
 /// What one registry-driven experiment run produced.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
-    /// The rendered text report (what the `gen_*` binaries print).
+    /// The rendered text report (one `results/<name>.txt` at paper scale).
     pub report: String,
     /// Whether the experiment's own success predicate held (experiments
     /// without a predicate always pass).

@@ -15,7 +15,7 @@
 //! The paper's claimed ordering — PCC ≥ Robust-AIMD ≫ {Reno, Cubic,
 //! Scalable} on robustness, Robust-AIMD ≥ the classics on efficiency — is
 //! asserted by `shootout_ordering_holds` in the test suite and printed by
-//! the `gen-table2 --shootout`-style binaries.
+//! the registry's `shootout` experiment.
 
 use crate::estimators::{
     measure_robustness_fluid, measure_solo_fluid, stream_options_for, SweepConfig, ROBUSTNESS_RATES,
@@ -26,13 +26,12 @@ use axcc_core::{LinkParams, Protocol};
 use axcc_fluidsim::{LossModel, MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{presets, Bbr};
 use axcc_sweep::{Cacheable, EvalMode, Record, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The loss rates the paper's Robust-AIMD evaluation names (ε values).
 pub const NOISE_RATES: [f64; 3] = [0.005, 0.007, 0.01];
 
 /// One protocol's shootout results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ShootoutRow {
     /// Protocol name.
     pub protocol: String,
@@ -46,7 +45,7 @@ pub struct ShootoutRow {
 }
 
 /// The full shootout.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Shootout {
     /// One row per protocol, paper lineup order:
     /// Reno, Cubic, Scalable, R-AIMD, PCC, (+ BBR as an extension).
@@ -151,13 +150,8 @@ impl SweepJob for LineupJob {
     }
 }
 
-/// Run the shootout with `steps` fluid steps per run.
-pub fn run_shootout(steps: usize) -> Shootout {
-    run_shootout_with(&SweepRunner::serial(), steps)
-}
-
-/// [`run_shootout`] through an explicit sweep runner: one job per lineup
-/// protocol.
+/// Run the shootout with `steps` fluid steps per run through a sweep
+/// runner: one job per lineup protocol.
 pub fn run_shootout_with(runner: &SweepRunner, steps: usize) -> Shootout {
     let jobs: Vec<LineupJob> = shootout_lineup()
         .iter()
@@ -245,13 +239,13 @@ mod tests {
 
     #[test]
     fn shootout_reproduces_paper_ordering() {
-        let s = run_shootout(1500);
+        let s = run_shootout_with(&SweepRunner::serial(), 1500);
         assert!(s.ordering_holds(), "{}", s.render());
     }
 
     #[test]
     fn classics_collapse_under_noise() {
-        let s = run_shootout(1200);
+        let s = run_shootout_with(&SweepRunner::serial(), 1200);
         let reno = s.rows.iter().find(|r| r.protocol == "AIMD(1,0.5)").unwrap();
         // Even 0.5% constant loss destroys Reno on a clean path.
         assert!(
@@ -264,7 +258,7 @@ mod tests {
 
     #[test]
     fn robust_aimd_retains_goodput_below_eps() {
-        let s = run_shootout(1200);
+        let s = run_shootout_with(&SweepRunner::serial(), 1200);
         let raimd = s
             .rows
             .iter()
@@ -286,7 +280,7 @@ mod tests {
 
     #[test]
     fn bbr_extension_is_also_robust() {
-        let s = run_shootout(1200);
+        let s = run_shootout_with(&SweepRunner::serial(), 1200);
         let bbr = s.rows.iter().find(|r| r.protocol == "BBR").unwrap();
         assert!(
             bbr.goodput_retention[2] > 0.5,
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn render_lists_everyone() {
-        let s = run_shootout(600);
+        let s = run_shootout_with(&SweepRunner::serial(), 600);
         let txt = s.render();
         for r in &s.rows {
             assert!(txt.contains(&r.protocol));

@@ -16,7 +16,6 @@ use axcc_core::theory::ProtocolSpec;
 use axcc_core::{AxiomScores, LinkParams};
 use axcc_protocols::build_protocol;
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The protocol instances characterized in the generated table: the three
 /// Linux protocols of the paper's experiments, one binomial representative
@@ -37,7 +36,7 @@ pub fn table1_specs() -> Vec<ProtocolSpec> {
 }
 
 /// One row of the generated Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// The protocol instance.
     pub spec: ProtocolSpec,
@@ -52,7 +51,7 @@ pub struct Table1Row {
 }
 
 /// The generated table, with the link parameters it was evaluated at.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Link capacity `C` (MSS).
     pub c: f64,
@@ -109,12 +108,7 @@ impl SweepJob for MeasureJob {
 
 /// Build the table **with** empirical validation: each protocol instance
 /// is simulated on `link` with `n` senders for `steps` fluid-model steps,
-/// and its measured 8-tuple is attached to the row.
-pub fn empirical_table1(link: LinkParams, n: usize, steps: usize) -> Table1 {
-    empirical_table1_with(&SweepRunner::serial(), link, n, steps)
-}
-
-/// [`empirical_table1`] through an explicit sweep runner: one job per
+/// and its measured 8-tuple is attached to the row. One sweep job per
 /// protocol row, fanned out and answered from the cache where possible.
 pub fn empirical_table1_with(
     runner: &SweepRunner,
@@ -240,7 +234,7 @@ mod tests {
     fn empirical_table_attaches_measurements() {
         // Small link + short runs to keep the test fast.
         let link = LinkParams::new(1000.0, 0.05, 20.0);
-        let t = empirical_table1(link, 2, 800);
+        let t = empirical_table1_with(&SweepRunner::serial(), link, 2, 800);
         for r in &t.rows {
             let m = r.measured.as_ref().expect("measured");
             assert!(m.efficiency > 0.0, "{} eff {}", r.name, m.efficiency);

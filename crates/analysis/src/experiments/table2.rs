@@ -25,7 +25,6 @@ use axcc_fluidsim::MetricSet;
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::{Aimd, Pcc, RobustAimd};
 use axcc_sweep::{SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// The paper's sender counts.
 pub const TABLE2_NS: [usize; 3] = [2, 3, 4];
@@ -37,7 +36,7 @@ pub const TABLE2_RTT_MS: f64 = 42.0;
 pub const TABLE2_BUFFER_MSS: f64 = 100.0;
 
 /// One `(n, BW)` cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Cell {
     /// Total senders on the link (n − 1 protocol senders + 1 Reno).
     pub n: usize,
@@ -62,7 +61,7 @@ impl Table2Cell {
 }
 
 /// The full grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// All `(n, BW)` cells, n-major (the paper's column order).
     pub cells: Vec<Table2Cell>,
@@ -153,22 +152,12 @@ impl SweepJob for CellJob {
 }
 
 /// Build Table 2 with the **fluid** backend (`steps` RTT steps per run).
-pub fn build_table2_fluid(steps: usize) -> Table2 {
-    build_table2_fluid_with(&SweepRunner::serial(), steps)
-}
-
-/// [`build_table2_fluid`] through an explicit sweep runner.
 pub fn build_table2_fluid_with(runner: &SweepRunner, steps: usize) -> Table2 {
     build_table2(runner, Table2Backend::Fluid, steps as f64)
 }
 
 /// Build Table 2 with the **packet-level** backend (`duration_secs` per
 /// run) — the closer analogue of the paper's testbed.
-pub fn build_table2_packet(duration_secs: f64) -> Table2 {
-    build_table2_packet_with(&SweepRunner::serial(), duration_secs)
-}
-
-/// [`build_table2_packet`] through an explicit sweep runner.
 pub fn build_table2_packet_with(runner: &SweepRunner, duration_secs: f64) -> Table2 {
     build_table2(runner, Table2Backend::Packet, duration_secs)
 }
@@ -178,11 +167,6 @@ pub fn build_table2_packet_with(runner: &SweepRunner, duration_secs: f64) -> Tab
 /// rendering of the paper's comparator. Robust-AIMD stays window-clocked
 /// ("the sender has a congestion window, similarly to TCP and unlike
 /// PCC").
-pub fn build_table2_packet_paced(duration_secs: f64) -> Table2 {
-    build_table2_packet_paced_with(&SweepRunner::serial(), duration_secs)
-}
-
-/// [`build_table2_packet_paced`] through an explicit sweep runner.
 pub fn build_table2_packet_paced_with(runner: &SweepRunner, duration_secs: f64) -> Table2 {
     build_table2(runner, Table2Backend::PacketPaced, duration_secs)
 }

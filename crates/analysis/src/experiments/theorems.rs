@@ -21,10 +21,9 @@ use axcc_core::{LinkParams, Protocol};
 use axcc_fluidsim::{run_scenario_streaming, MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{Aimd, CautiousProber, Mimd, RobustAimd, Vegas};
 use axcc_sweep::{Cacheable, EvalMode, Record, SweepJob, SweepRunner};
-use serde::Serialize;
 
 /// Outcome of one theorem check.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TheoremCheck {
     /// Which result was checked.
     pub name: String,
@@ -96,13 +95,8 @@ impl SweepJob for CheckJob {
 }
 
 /// Run every check. `steps` controls the run length of each simulation
-/// (3000 is comfortable; tests use less).
-pub fn check_all(steps: usize) -> Vec<TheoremCheck> {
-    check_all_with(&SweepRunner::serial(), steps)
-}
-
-/// [`check_all`] through an explicit sweep runner: the six checks are
-/// independent simulations and fan out as six jobs.
+/// (3000 is comfortable; tests use less). The six checks are independent
+/// simulations and fan out over the runner as six jobs.
 pub fn check_all_with(runner: &SweepRunner, steps: usize) -> Vec<TheoremCheck> {
     let jobs: Vec<CheckJob> = CHECKS
         .iter()

@@ -4,19 +4,14 @@ use crate::args::Args;
 use axcc_analysis::estimators::{
     empirical_scores_fluid, measure_friendliness_fluid, solo_metrics_of_trace,
 };
-use axcc_analysis::experiments::{
-    extensions, figure1, find_experiment, frontier, gauntlet, registry, shootout, table1, table2,
-    theorems, RunBudget,
-};
-use axcc_analysis::report::{fmt_ratio, fmt_score, TextTable};
+use axcc_analysis::experiments::{find_experiment, registry, RunBudget};
+use axcc_analysis::report::{fmt_score, TextTable};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{LossModel, MathMode, Scenario, SenderConfig};
+use axcc_fluidsim::{LossModel, Scenario, SenderConfig};
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::registry::resolve;
-use axcc_serve::bench::{run_bench, run_bench_spawned, BenchConfig, BenchReport};
 use axcc_serve::server::{run_until, ServeConfig};
-use axcc_serve::ServeReport;
 use axcc_sweep::progress::render_timings;
 use axcc_sweep::{CancelSignal, ExperimentTiming, Stopwatch, SweepRunner};
 use std::fmt::Write as _;
@@ -33,32 +28,25 @@ scenario commands (default link: 20 Mbps, 42 ms RTT, 100-MSS buffer):
                 [--steps N]            fluid-model steps (default 2000)
                 [--packet --duration S] packet-level backend instead
                 [--wire-loss R --seed N --stagger-s S --ecn K]
-                [--fast-math]          relaxed fp orderings in the fluid
-                                       hot loop (reassociated sums/FMA)
   axcc score    --protocol P          measure the full empirical 8-tuple
                 [--steps N]
   axcc compare  --challenger P --defender Q   Metric VII head-to-head
                 [--n-challengers K --steps N]
 
-paper artifacts:
-  axcc table1     [--simulate]   Table 1 (protocol characterization)
-  axcc table2                    Table 2 (R-AIMD vs PCC friendliness grid)
-  axcc figure1    [--validate]   Figure 1 (Pareto frontier surface)
-  axcc theorems                  Claim 1 + Theorems 1–5 checks
-  axcc shootout                  §5.2 robustness shootout
-  axcc gauntlet   [--steps N]    adverse-network gauntlet (Metric VI under
-                                 Gilbert–Elliott bursty loss)
-  axcc extensions                §6 extension metrics (smoothness, …)
-  axcc aqm        [--duration S] droptail vs ECN vs RED comparison
-
-sweep engine (parallel + content-addressed cache; see DESIGN.md):
-  axcc sweep    --experiment NAME   one registry experiment through the
-                                    sweep engine (`axcc list` shows names)
-                [--only n1,n2,…]    comma-separated list of experiments
+paper artifacts and extension studies (the experiment registry; every
+report is deterministic, byte-identical for any worker count):
+  axcc sweep    --only n1,n2,…      run the named experiments and print
+                                    their reports (`axcc list` shows names:
+                                    table1, table2, figure1, theorems,
+                                    emulab, shootout, gauntlet, frontier,
+                                    explore, aqm, extensions, churn)
+                [--experiment NAME] the same for one experiment
                 [--cache-stats]     append a result-store report (per-shard
                                     segment sizes, hit/miss/heal counters)
   axcc run-all  [--out-dir D]       the full experiment suite; writes one
                                     report per experiment to D when given
+                                    (`--out-dir results` regenerates the
+                                    committed artifacts)
                 [--only n1,n2,…]    restrict to a subset of experiments
   flags for both:
                 [--jobs N]     worker threads (0 = all cores; default 1)
@@ -76,14 +64,9 @@ evaluation service (newline-delimited JSON over TCP; see DESIGN.md §5):
                 [--cache-dir D]     persist the result cache
                 [--debug-ops]       enable the test-only fault ops
                                     Ctrl-C drains gracefully
-  axcc bench-serve [--addr H:P | --spawn]  closed-loop bench client
-                [--levels 1,4,16 --requests N --steps N]
-                [--workers N]       worker pool for --spawn
-                [--out FILE]        write the JSON report (BENCH_service.json)
 
 misc:
   axcc characterize [--steps N]  empirical 8-tuples for the whole lineup
-  axcc frontier     [--steps N]  empirical Pareto-frontier search
   axcc network  --protocol P --hops K  parking-lot topology run
   axcc feasible --fast A --eff B --friendly F [--robust R --conv C --loss L]
                                  check a target point against Theorems 1-5
@@ -126,20 +109,10 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "run" => cmd_run(args),
         "score" => cmd_score(args),
         "compare" => cmd_compare(args),
-        "table1" => cmd_table1(args),
-        "table2" => cmd_table2(args),
-        "figure1" => cmd_figure1(args),
-        "theorems" => cmd_theorems(args),
-        "shootout" => cmd_shootout(args),
-        "gauntlet" => cmd_gauntlet(args),
-        "extensions" => cmd_extensions(args),
-        "aqm" => cmd_aqm(args),
         "sweep" => cmd_sweep(args),
         "run-all" => cmd_run_all(args),
         "serve" => cmd_serve(args),
-        "bench-serve" => cmd_bench_serve(args),
         "characterize" => cmd_characterize(args),
-        "frontier" => cmd_frontier(args),
         "network" => cmd_network(args),
         "feasible" => cmd_feasible(args),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
@@ -234,7 +207,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         .map(|v| v.parse::<usize>())
         .transpose()
         .map_err(|_| CliError::Usage("--ecn takes a marking threshold in packets".into()))?;
-    let fast_math = args.get_bool("fast-math");
     let csv_path = args.get("csv").map(str::to_string);
     let json = args.get_bool("json");
     args.finish()?;
@@ -249,11 +221,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     );
 
     let trace = if packet {
-        if fast_math {
-            return Err(CliError::Usage(
-                "--fast-math applies to the fluid backend only (drop --packet)".into(),
-            ));
-        }
         let mut sc = PacketScenario::new(link).duration_secs(duration).seed(seed);
         if wire > 0.0 {
             sc = sc.wire_loss(wire);
@@ -287,9 +254,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             ));
         }
         let mut sc = Scenario::new(link).steps(steps).seed(seed);
-        if fast_math {
-            sc = sc.math(MathMode::Fast);
-        }
         if wire > 0.0 {
             sc = sc.wire_loss(LossModel::Bernoulli { rate: wire });
         }
@@ -300,11 +264,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                     .start_at((i as f64 * stagger / link.min_rtt()) as u64),
             );
         }
-        let _ = writeln!(
-            out,
-            "backend: fluid model, {steps} RTT steps{}",
-            if fast_math { " (fast math)" } else { "" }
-        );
+        let _ = writeln!(out, "backend: fluid model, {steps} RTT steps");
         sc.try_run().map_err(|e| CliError::Usage(e.to_string()))?
     };
 
@@ -415,14 +375,6 @@ const CHARACTERIZE_LINEUP: [&str; 10] = [
     "highspeed",
 ];
 
-fn cmd_aqm(args: &Args) -> Result<String, CliError> {
-    use axcc_analysis::experiments::aqm;
-    let duration = args.get_f64("duration", 30.0)?;
-    let n = args.get_usize("senders", 2)?;
-    args.finish()?;
-    Ok(aqm::run_aqm_comparison(n, duration).render())
-}
-
 fn cmd_characterize(args: &Args) -> Result<String, CliError> {
     let link = link_from(args)?;
     let steps = steps_from(args, 2500)?;
@@ -455,19 +407,6 @@ fn cmd_characterize(args: &Args) -> Result<String, CliError> {
     );
     if json {
         let _ = writeln!(out, "\n{}", serde_json::Value::from(rows));
-    }
-    Ok(out)
-}
-
-fn cmd_frontier(args: &Args) -> Result<String, CliError> {
-    let link = link_from(args)?;
-    let steps = steps_from(args, 2500)?;
-    let json = args.get_bool("json");
-    args.finish()?;
-    let f = frontier::search_frontier(link, steps);
-    let mut out = f.render();
-    if json {
-        let _ = writeln!(out, "\n{}", json_or_err(serde_json::to_string(&f))?);
     }
     Ok(out)
 }
@@ -573,84 +512,6 @@ fn cmd_feasible(args: &Args) -> Result<String, CliError> {
         }
         Ok(out)
     }
-}
-
-fn cmd_table1(args: &Args) -> Result<String, CliError> {
-    let simulate = args.get_bool("simulate");
-    let link = link_from(args)?;
-    let steps = steps_from(args, 2000)?;
-    args.finish()?;
-    let t = if simulate {
-        table1::empirical_table1(link, 2, steps)
-    } else {
-        table1::theoretical_table1(link.capacity(), link.buffer, 2)
-    };
-    Ok(t.render())
-}
-
-fn cmd_table2(args: &Args) -> Result<String, CliError> {
-    let steps = steps_from(args, 2000)?;
-    args.finish()?;
-    let t = table2::build_table2_fluid(steps);
-    Ok(format!(
-        "{}\naverage improvement: {}\n",
-        t.render(),
-        fmt_ratio(t.average_improvement())
-    ))
-}
-
-fn cmd_figure1(args: &Args) -> Result<String, CliError> {
-    let validate = args.get_bool("validate");
-    let link = link_from(args)?;
-    let steps = steps_from(args, 2000)?;
-    args.finish()?;
-    let fig = if validate {
-        figure1::validated_surface(
-            &figure1::DEFAULT_ALPHAS,
-            &figure1::DEFAULT_BETAS,
-            link,
-            steps,
-        )
-    } else {
-        figure1::frontier_surface(&figure1::DEFAULT_ALPHAS, &figure1::DEFAULT_BETAS)
-    };
-    Ok(fig.render())
-}
-
-fn cmd_theorems(args: &Args) -> Result<String, CliError> {
-    let steps = steps_from(args, 2500)?;
-    args.finish()?;
-    let checks = theorems::check_all(steps);
-    let out = theorems::render_checks(&checks);
-    if checks.iter().all(|c| c.passed) {
-        Ok(out)
-    } else {
-        Err(CliError::Failed(out))
-    }
-}
-
-fn cmd_shootout(args: &Args) -> Result<String, CliError> {
-    let steps = steps_from(args, 2000)?;
-    args.finish()?;
-    Ok(shootout::run_shootout(steps).render())
-}
-
-fn cmd_gauntlet(args: &Args) -> Result<String, CliError> {
-    let steps = steps_from(args, 2500)?;
-    let json = args.get_bool("json");
-    args.finish()?;
-    let rep = gauntlet::run_gauntlet(steps);
-    let mut out = rep.render();
-    if json {
-        let _ = writeln!(out, "\n{}", json_or_err(serde_json::to_string(&rep))?);
-    }
-    Ok(out)
-}
-
-fn cmd_extensions(args: &Args) -> Result<String, CliError> {
-    let steps = steps_from(args, 2000)?;
-    args.finish()?;
-    Ok(extensions::run_extension_report(steps).render())
 }
 
 /// Build a [`SweepRunner`] from the shared sweep flags (`--jobs`,
@@ -871,8 +732,8 @@ fn cmd_run_all(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// Parse the daemon flags shared by `serve` and `bench-serve --spawn`.
-fn serve_config_from(args: &Args, default_workers: usize) -> Result<ServeConfig, CliError> {
+/// Parse the daemon flags of `serve`.
+fn serve_config_from(args: &Args) -> Result<ServeConfig, CliError> {
     let defaults = ServeConfig::default();
     let queue = args.get_usize("queue", defaults.queue_capacity)?;
     let max_conns = args.get_usize("max-conns", defaults.max_connections)?;
@@ -885,7 +746,7 @@ fn serve_config_from(args: &Args, default_workers: usize) -> Result<ServeConfig,
     }
     Ok(ServeConfig {
         addr: args.get_or("addr", &defaults.addr).to_string(),
-        workers: args.get_usize("workers", default_workers)?,
+        workers: args.get_usize("workers", defaults.workers)?,
         queue_capacity: queue,
         max_connections: max_conns,
         default_deadline_ms: deadline_ms,
@@ -896,7 +757,7 @@ fn serve_config_from(args: &Args, default_workers: usize) -> Result<ServeConfig,
 }
 
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    let config = serve_config_from(args, ServeConfig::default().workers)?;
+    let config = serve_config_from(args)?;
     args.finish()?;
     sigmon::install();
     let handle = axcc_serve::start(config)
@@ -909,59 +770,4 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     );
     let report = run_until(handle, &sigmon::interrupted);
     Ok(format!("{}\n", report.render()))
-}
-
-fn cmd_bench_serve(args: &Args) -> Result<String, CliError> {
-    let spawn = args.get_bool("spawn");
-    let addr = args.get("addr").map(str::to_string);
-    if spawn && addr.is_some() {
-        return Err(CliError::Usage(
-            "--spawn and --addr are mutually exclusive (spawn picks an ephemeral port)".into(),
-        ));
-    }
-    let mut cfg = BenchConfig::default();
-    if let Some(a) = addr {
-        cfg.addr = a;
-    }
-    let levels = args.get_list("levels");
-    if !levels.is_empty() {
-        cfg.levels = levels
-            .iter()
-            .map(|l| {
-                l.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    CliError::Usage(format!("--levels entry {l:?} must be a positive integer"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    cfg.requests_per_client = args.get_usize("requests", cfg.requests_per_client)?;
-    cfg.steps = steps_from(args, cfg.steps)?;
-    cfg.deadline_ms = args.get_usize("bench-deadline-ms", cfg.deadline_ms as usize)? as u64;
-    let out_path = args.get("out").map(str::to_string);
-    let json = args.get_bool("json");
-    // Spawn-mode daemon flags (a live daemon via --addr ignores them).
-    let serve_cfg = serve_config_from(args, 4)?;
-    args.finish()?;
-
-    let (report, served): (BenchReport, Option<ServeReport>) = if spawn {
-        let (b, s) = run_bench_spawned(&cfg, serve_cfg).map_err(CliError::Failed)?;
-        (b, Some(s))
-    } else {
-        (run_bench(&cfg).map_err(CliError::Failed)?, None)
-    };
-
-    let mut out = report.render();
-    if let Some(s) = served {
-        let _ = writeln!(out, "\nspawned daemon: {}", s.render());
-    }
-    let doc = report.to_value().render_pretty();
-    if let Some(path) = out_path {
-        std::fs::write(&path, format!("{doc}\n"))
-            .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "\nJSON report written to {path}");
-    }
-    if json {
-        let _ = writeln!(out, "\n{doc}");
-    }
-    Ok(out)
 }

@@ -7,18 +7,17 @@
 //!                [--steps 2000 | --packet --duration 30] [--wire-loss 0.01]
 //! axcc score     --protocol pcc [link flags] [--steps 3000]
 //! axcc compare   --challenger pcc --defender reno [link flags]
-//! axcc table1    [--simulate]          # Table 1
-//! axcc table2                          # Table 2 (fluid backend, quick)
-//! axcc figure1   [--validate]          # Figure 1
-//! axcc theorems                        # Claim 1 + Theorems 1–5 checks
-//! axcc shootout                        # §5.2 robustness shootout
-//! axcc gauntlet                        # Metric VI under bursty loss
-//! axcc extensions                      # §6 extension metrics
-//! axcc sweep     --experiment NAME [--jobs N --smoke --no-cache]
+//! axcc sweep     --only n1,n2,… [--jobs N --smoke --no-cache]
 //! axcc run-all   [--jobs N --smoke --out-dir results/]
-//! axcc list                            # protocol registry
+//! axcc serve     [--addr H:P --workers N]
+//! axcc list                            # protocol + experiment registries
 //! axcc help
 //! ```
+//!
+//! Every paper artifact (Table 1, Table 2, Figure 1, the theorem checks,
+//! the §5.1 validation grid, §5.2's shootout) and every extension study is
+//! an entry in the experiment registry, run by name through `sweep` or
+//! all together through `run-all`.
 //!
 //! Every command is a pure function from arguments to an output string
 //! (plus an exit code), which is what makes the CLI testable end-to-end
@@ -63,7 +62,7 @@ mod tests {
         let (code, out) = cli("help");
         assert_eq!(code, 0);
         assert!(out.contains("axcc run"));
-        assert!(out.contains("axcc table2"));
+        assert!(out.contains("axcc sweep"));
     }
 
     #[test]
@@ -153,20 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn table1_theory() {
-        let (code, out) = cli("table1");
-        assert_eq!(code, 0);
-        assert!(out.contains("Worst-case"), "{out}");
-    }
-
-    #[test]
-    fn figure1_theory() {
-        let (code, out) = cli("figure1");
-        assert_eq!(code, 0);
-        assert!(out.contains("dominated surface points: 0"), "{out}");
-    }
-
-    #[test]
     fn characterize_scores_full_lineup() {
         let (code, out) = cli("characterize --steps 500");
         assert_eq!(code, 0, "{out}");
@@ -206,13 +191,6 @@ mod tests {
         // The domain edges are accepted.
         let (code, out) = cli("feasible --fast 0 --eff 1 --conv 0 --friendly 0 --loss 0");
         assert_eq!(code, 0, "{out}");
-    }
-
-    #[test]
-    fn frontier_runs_quickly() {
-        let (code, out) = cli("frontier --steps 400");
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("frontier (all eight metrics)"), "{out}");
     }
 
     #[test]
@@ -288,46 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_spawn_smoke() {
-        // Tiny closed-loop bench against an in-process daemon: exercises
-        // start → warmup → measured levels → graceful drain end to end.
-        let path = std::env::temp_dir().join("axcc_cli_test_bench_service.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let (code, out) = cli(&format!(
-            "bench-serve --spawn --levels 1,2 --requests 3 --steps 120 --out {path_str}"
-        ));
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("p95"), "{out}");
-        assert!(out.contains("spawned daemon:"), "{out}");
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let levels = doc.get("levels").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(levels.len(), 2);
-        for level in levels {
-            assert!(
-                level
-                    .get("throughput_rps")
-                    .and_then(|v| v.as_f64())
-                    .unwrap()
-                    > 0.0
-            );
-            assert_eq!(level.get("errors").and_then(|v| v.as_f64()), Some(0.0));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_serve_rejects_spawn_with_addr() {
-        let (code, out) = cli("bench-serve --spawn --addr 127.0.0.1:1");
-        assert_eq!(code, 2);
-        assert!(out.contains("mutually exclusive"), "{out}");
-    }
-
-    #[test]
     fn help_covers_the_service_commands() {
         let (_, out) = cli("help");
         assert!(out.contains("axcc serve"), "{out}");
-        assert!(out.contains("bench-serve"), "{out}");
     }
 
     #[test]

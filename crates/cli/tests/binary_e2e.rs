@@ -61,25 +61,29 @@ fn json_output_is_machine_readable() {
 }
 
 #[test]
-fn theorems_gate_exits_zero_when_all_pass() {
-    let (code, stdout, _) = axcc(&["theorems", "--steps", "1500"]);
+fn theorems_experiment_exits_zero_when_all_pass() {
+    let (code, stdout, _) = axcc(&["sweep", "--only", "theorems", "--smoke", "--no-cache"]);
     assert_eq!(code, 0, "{stdout}");
     assert_eq!(stdout.matches("[PASS]").count(), 6, "{stdout}");
     assert_eq!(stdout.matches("[FAIL]").count(), 0, "{stdout}");
 }
 
 #[test]
-fn gauntlet_shows_robust_aimd_degrading_slower_than_reno() {
-    let (code, stdout, _) = axcc(&["gauntlet", "--json"]);
+fn gauntlet_experiment_shows_robust_aimd_degrading_slower_than_reno() {
+    let (code, stdout, _) = axcc(&["sweep", "--only", "gauntlet", "--smoke", "--no-cache"]);
     assert_eq!(code, 0, "{stdout}");
     assert!(
         stdout.contains("R-AIMD degrades strictly slower than AIMD(1,0.5): true"),
         "{stdout}"
     );
-    let start = stdout.find('{').expect("json object in output");
-    let v: serde_json::Value =
-        serde_json::from_str(stdout[start..].lines().next().unwrap()).expect("valid json");
-    assert!(v["rows"].as_array().is_some_and(|r| !r.is_empty()));
+}
+
+#[test]
+fn table1_and_figure1_experiments_print_their_headlines() {
+    let (code, stdout, _) = axcc(&["sweep", "--only", "table1,figure1", "--smoke", "--no-cache"]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("Worst-case"), "{stdout}");
+    assert!(stdout.contains("dominated surface points: 0"), "{stdout}");
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! Every bound here is exercised twice in this repository: by unit tests
 //! against the closed forms (this module) and by the experiment harness in
 //! `axcc-analysis`, which simulates protocols and verifies their *measured*
-//! scores respect the bounds (`check-theorems` binary; property tests).
+//! scores respect the bounds (the registry's `theorems` experiment;
+//! property tests).
 
 /// **Claim 1.** *"Any loss-based protocol that is 0-loss is not
 /// α-fast-utilizing for any α > 0."*

@@ -13,7 +13,7 @@
 //!   agree to the bit.
 
 use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
-use crate::scenario::{FeedbackMode, MathMode, Scenario};
+use crate::scenario::{FeedbackMode, Scenario};
 use axcc_core::axioms::streaming::{
     MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
@@ -253,26 +253,6 @@ fn with_workspace<R>(f: impl FnOnce(&mut EngineWorkspace) -> R) -> R {
     })
 }
 
-/// Four-accumulator chunked sum — the [`MathMode::Fast`] total-window
-/// reduction. Splitting the fold across four independent accumulators
-/// breaks the strict left-to-right association of `iter().sum()` (same
-/// math, different rounding), which is exactly the reordering `Fast`
-/// licenses; the payoff is an instruction-parallel, vectorizable
-/// reduction.
-fn chunked_sum(xs: &[f64]) -> f64 {
-    let chunks = xs.chunks_exact(4);
-    let tail = chunks.remainder();
-    let mut acc = [0.0f64; 4];
-    for c in chunks {
-        acc[0] += c[0];
-        acc[1] += c[1];
-        acc[2] += c[2];
-        acc[3] += c[3];
-    }
-    let rest: f64 = tail.iter().sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
-}
-
 /// Run a scenario to completion, feeding every step to `sink`, or return
 /// a typed error for an invalid configuration or a numerically divergent
 /// run (the sink then holds a partial prefix and must be discarded).
@@ -321,9 +301,9 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///   rows are staged into a [`StepBlock`] delivered to the sink in
 ///   batches ([`StepSink::on_steps`]).
 ///
-/// Every f64 reduction keeps the scalar engine's exact evaluation order
-/// under [`MathMode::Exact`]; [`MathMode::Fast`] substitutes the chunked
-/// total and a `mul_add` goodput.
+/// Every f64 reduction keeps the scalar engine's exact evaluation order:
+/// the total window is a strict left-to-right `iter().sum()` and goodput
+/// is `w * (1 - l) / rtt`.
 pub fn try_run_scenario_with_workspace<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
@@ -339,7 +319,6 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         seed,
         bandwidth_changes,
         feedback,
-        math,
     } = scenario;
 
     let n = senders.len();
@@ -462,9 +441,8 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             // Single-lane fast path: the robustness-sweep shape (one
             // sender, staged every step). Statement-for-statement the
             // general body below with the lane sweeps collapsed to index
-            // 0; `0.0 + w` is exactly the one-lane fold of both
-            // `iter().sum()` and `chunked_sum`, so totals are
-            // bit-identical in either math mode.
+            // 0; `0.0 + w` is exactly the one-lane fold of `iter().sum()`,
+            // so totals are bit-identical.
             for t in span_start..span_end {
                 let w0 = windows[0];
                 let total = 0.0 + w0;
@@ -487,10 +465,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
                 };
                 losses[0] = loss;
                 min_rtts[0] = min_rtts[0].min(rtt);
-                let goodput = match math {
-                    MathMode::Exact => w0 * (1.0 - loss) / rtt,
-                    MathMode::Fast => w0.mul_add(-loss, w0) / rtt,
-                };
+                let goodput = w0 * (1.0 - loss) / rtt;
                 goodputs[0] = goodput;
                 block.stage_shared(total, rtt, congestion_loss);
                 block.stage_sender(0, w0, loss, goodput);
@@ -530,10 +505,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             // deliberately NOT used: f64 addition is non-associative, so
             // incremental updates would drift from the recorded column
             // and break the streaming path's bit-identity contract.)
-            let total = match math {
-                MathMode::Exact => windows.iter().sum(),
-                MathMode::Fast => chunked_sum(windows),
-            };
+            let total: f64 = windows.iter().sum();
             let rtt = active_link.rtt(total);
             let congestion_loss = active_link.loss_rate(total);
 
@@ -565,33 +537,15 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
                 for m in min_rtts.iter_mut() {
                     *m = m.min(rtt);
                 }
-                match math {
-                    MathMode::Exact => {
-                        for i in 0..n {
-                            goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                        }
-                    }
-                    MathMode::Fast => {
-                        for i in 0..n {
-                            goodputs[i] = windows[i].mul_add(-losses[i], windows[i]) / rtt;
-                        }
-                    }
+                for i in 0..n {
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
                 }
             } else {
                 for &i in active.iter() {
                     min_rtts[i] = min_rtts[i].min(rtt);
                 }
-                match math {
-                    MathMode::Exact => {
-                        for &i in active.iter() {
-                            goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                        }
-                    }
-                    MathMode::Fast => {
-                        for &i in active.iter() {
-                            goodputs[i] = windows[i].mul_add(-losses[i], windows[i]) / rtt;
-                        }
-                    }
+                for &i in active.iter() {
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
                 }
             }
 
@@ -815,8 +769,7 @@ mod tests {
     /// A verbatim copy of the pre-SoA scalar engine: per-step admission,
     /// departure and bandwidth scans, array-of-records emission, one
     /// `on_step` per step. This is the bit-identity reference the lane
-    /// engine is pinned against ([`MathMode::Exact`] only — the reference
-    /// predates `Fast`).
+    /// engine is pinned against.
     fn run_reference<S: StepSink>(scenario: Scenario, sink: &mut S) -> Result<(), ScenarioError> {
         scenario.validate()?;
         let Scenario {
@@ -828,7 +781,6 @@ mod tests {
             seed,
             bandwidth_changes,
             feedback,
-            math: _,
         } = scenario;
 
         let mut active_link = link;
@@ -1766,28 +1718,6 @@ mod tests {
                 .unwrap();
             assert_eq!(with_shared.into_trace(), with_fresh.into_trace());
         }
-    }
-
-    #[test]
-    fn fast_math_stays_close_to_exact() {
-        // Fast mode licenses reassociation, not different math: scores
-        // track the exact path to ~1e-9 relative on a well-conditioned
-        // run (bit-identity is deliberately NOT asserted).
-        let build = |mode| {
-            Scenario::new(link())
-                .homogeneous(&Aimd::reno(), 5, 1.0)
-                .math(mode)
-                .steps(2000)
-        };
-        let exact = build(MathMode::Exact).try_run().unwrap();
-        let fast = build(MathMode::Fast).try_run().unwrap();
-        assert_eq!(exact.len(), fast.len());
-        for (a, b) in exact.total_window.iter().zip(&fast.total_window) {
-            assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        let ea = score(&exact).measured_efficiency();
-        let eb = score(&fast).measured_efficiency();
-        assert!((ea - eb).abs() < 1e-6, "{ea} vs {eb}");
     }
 
     mod equivalence {

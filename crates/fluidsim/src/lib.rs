@@ -73,7 +73,7 @@ pub use engine::{
 };
 pub use loss::{LossModel, LossProcess};
 pub use network::{FlowConfig, NetScenario, NetTrace, Topology};
-pub use scenario::{FeedbackMode, MathMode, Scenario, SenderConfig};
+pub use scenario::{FeedbackMode, Scenario, SenderConfig};
 
 pub use axcc_core::axioms::streaming::{
     MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,

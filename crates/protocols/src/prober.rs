@@ -9,7 +9,7 @@
 //! [`CautiousProber`] is exactly that protocol: additive increase by `a`
 //! until the first loss, then **freeze** at a backed-off window forever.
 //! It demonstrates why Claim 1 is not vacuous — 0-loss and high efficiency
-//! are simultaneously achievable — and the `check-theorems` experiment
+//! are simultaneously achievable — and the registry's `theorems` experiment
 //! verifies that it indeed scores 0 on fast-utilization while being 0-loss.
 
 use axcc_core::{Observation, Protocol};

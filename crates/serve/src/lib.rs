@@ -1,5 +1,5 @@
 //! axcc-serve: a fault-tolerant evaluation daemon for the axiomatic
-//! congestion-control testbed, plus its closed-loop bench client.
+//! congestion-control testbed.
 //!
 //! The daemon (`axcc serve`) listens on a TCP socket for
 //! newline-delimited JSON requests — an inline scenario spec (`eval`) or
@@ -22,9 +22,8 @@
 //!   finish, new work is refused with `shutting-down`, and the cache is
 //!   write-through so nothing needs flushing.
 //!
-//! [`bench`] holds the closed-loop client behind `axcc bench-serve`,
-//! which sweeps concurrency levels and reports throughput and latency
-//! percentiles (the committed `BENCH_service.json` artifact).
+//! Its throughput and latency are measured by `perfbench`'s serve-mixed
+//! workload (see `perfbench/README.md`).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -32,13 +31,11 @@
     allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
 )]
 
-pub mod bench;
 pub mod protocol;
 pub mod server;
 
 mod queue;
 mod worker;
 
-pub use bench::{BenchConfig, BenchReport, LevelReport};
 pub use protocol::{parse_response, ErrorKind, ParsedResponse};
 pub use server::{start, ServeConfig, ServeReport, ServerHandle};

@@ -333,7 +333,7 @@ pub struct ParsedResponse {
     pub outcome: Result<Value, (ErrorKind, String)>,
 }
 
-/// Parse a response line (the bench client and tests use this).
+/// Parse a response line (the benchmark's client and tests use this).
 pub fn parse_response(line: &str) -> Result<ParsedResponse, String> {
     let v = serde_json::from_str(line.trim()).map_err(|e| format!("invalid response JSON: {e}"))?;
     let id = v.get("id").cloned().unwrap_or(Value::Null);

@@ -50,6 +50,11 @@ const TICK: Duration = Duration::from_millis(25);
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
 /// How often the timekeeper scans deadlines.
 const DEADLINE_SCAN: Duration = Duration::from_millis(10);
+/// Longest request line a connection buffers. A longer line is answered
+/// with a typed `bad-request` and skipped up to its newline, so a client
+/// that never sends one cannot grow the reader's buffer without bound.
+/// The largest legitimate request (an `eval` spec) is a few hundred bytes.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -440,7 +445,11 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     };
     let mut read_half = stream;
+    // Bytes of the unfinished request line (never more than
+    // `MAX_LINE_BYTES` plus one read).
     let mut buf: Vec<u8> = Vec::new();
+    // Set after an over-long line was refused: drop input up to its newline.
+    let mut skipping = false;
     let mut chunk = [0u8; 4096];
     let idle_limit = Duration::from_millis(shared.config.idle_timeout_ms.max(1));
     let mut last_activity = Instant::now();
@@ -458,15 +467,35 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(0) => return, // client hung up
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let text = String::from_utf8_lossy(&line);
+                // Earlier bytes were already scanned: only the new ones
+                // can hold a newline.
+                let mut scan_from = buf.len() - n;
+                let mut line_start = 0;
+                while let Some(off) = buf[scan_from..].iter().position(|&b| b == b'\n') {
+                    let end = scan_from + off;
+                    let line = &buf[line_start..end];
+                    line_start = end + 1;
+                    scan_from = line_start;
+                    if skipping {
+                        skipping = false;
+                        continue;
+                    }
+                    let text = String::from_utf8_lossy(line);
                     let text = text.trim();
                     if text.is_empty() {
                         continue;
                     }
                     last_activity = Instant::now();
                     handle_line(text, &write_half, shared);
+                }
+                buf.drain(..line_start);
+                if !skipping && buf.len() > MAX_LINE_BYTES {
+                    last_activity = Instant::now();
+                    refuse_long_line(&write_half, shared);
+                    skipping = true;
+                }
+                if skipping {
+                    buf.clear();
                 }
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
@@ -475,6 +504,18 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(_) => return,
         }
     }
+}
+
+/// Answer a request line longer than [`MAX_LINE_BYTES`] without reading
+/// the rest of it.
+fn refuse_long_line(out: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>) {
+    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.counters.bump_error(ErrorKind::BadRequest);
+    Responder::new(out.clone()).send_once(&err_line(
+        &Value::Null,
+        ErrorKind::BadRequest,
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes; skipped to its newline"),
+    ));
 }
 
 fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>) {

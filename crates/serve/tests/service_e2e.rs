@@ -109,6 +109,36 @@ fn malformed_requests_get_bad_request_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn an_overlong_request_line_is_refused_and_the_connection_keeps_serving() {
+    let server = debug_server(|_| {});
+    let mut client = Client::connect(&server);
+
+    // 2 MiB with no newline: the daemon answers as soon as the line
+    // passes its cap instead of buffering until a newline arrives.
+    client.writer.write_all(&vec![b'x'; 2 << 20]).expect("send");
+    let r = client.recv();
+    assert!(r.id.is_null());
+    let (kind, msg) = expect_err(&r);
+    assert_eq!(kind, ErrorKind::BadRequest);
+    assert!(msg.contains("exceeds"), "{msg}");
+
+    // The rest of that line is skipped; the next request is served.
+    client
+        .writer
+        .write_all(b"tail of the long line\n")
+        .expect("send");
+    let r = client.roundtrip(r#"{"id": 1, "op": "ping"}"#);
+    assert_eq!(r.id.as_u64(), Some(1));
+    assert_eq!(
+        r.outcome.unwrap().get("pong").and_then(Value::as_bool),
+        Some(true)
+    );
+
+    let report = shutdown_and_join(server);
+    assert_eq!(report.bad_requests, 1, "{report:?}");
+}
+
+#[test]
 fn a_panicking_job_is_contained_and_the_daemon_survives() {
     let server = debug_server(|_| {});
     let mut client = Client::connect(&server);

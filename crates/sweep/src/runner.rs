@@ -256,8 +256,8 @@ impl SweepRunner {
     ///
     /// * the configured count is clamped to the host's available
     ///   parallelism — oversubscribing a smaller host buys nothing but
-    ///   scheduling overhead (the pre-clamp BENCH_sweep.json measured
-    ///   0.95x total "speedup" at 4 workers on a 1-core container);
+    ///   scheduling overhead (before the clamp, 4 workers measured a
+    ///   0.95x total "speedup" on a 1-core container);
     /// * batches too small to amortize thread spawn + claim traffic run
     ///   inline on the calling thread (0.93–0.96x for table1/table2-sized
     ///   batches before this fallback).

@@ -21,8 +21,8 @@
 //!    (`fetch_add`) must not also take a `.lock(` or push through a
 //!    `.send(` per iteration. That round-trip is exactly what chunked
 //!    dispatch removed (results flush once per chunk via a helper);
-//!    reintroducing it is a measured ~15× per-job overhead regression
-//!    (see BENCH_sweep.json's dispatch columns).
+//!    reintroducing it was measured as a ~15× per-job overhead regression
+//!    (perfbench's `dispatch.ns_per_job` tracks that cost).
 //!
 //! The analysis is name-based: a lock's identity is the field or
 //! binding it is called on (`pending`, `state`, `mem`, `out`), guards

@@ -12,8 +12,6 @@
 //!   through a seeded RNG — `thread_rng`/`from_entropy` there would make
 //!   every churn experiment unreproducible, so the determinism family is
 //!   load-bearing and never waived for it.
-//! * **Generators** (`bench` bins): every rule too — artifact generators
-//!   propagate errors with `?` rather than panicking mid-artifact.
 //! * **Sweep engine** (`crates/sweep`): every rule, but the
 //!   thread-spawning determinism patterns are waived — its worker pool
 //!   reassembles results in submission order, so scheduling can never
@@ -27,7 +25,7 @@
 //!   single files, not crates).
 //! * **Tooling** (`xtask` itself): determinism and hygiene; the tool
 //!   reports through `Result` but is not part of the simulation TCB.
-//! * **Test code** (`tests/`, `benches/`, `#[cfg(test)]`): exempt —
+//! * **Test code** (`tests/`, `#[cfg(test)]`): exempt —
 //!   tests may unwrap, compare exact floats, and use ad-hoc literals.
 
 use crate::rules::{HygieneKind, RuleSet};
@@ -45,7 +43,7 @@ pub struct FilePolicy {
 }
 
 /// Classify a workspace-relative, `/`-separated path. `None` means the
-/// file is out of scope (vendored code, test suites, benches, fixtures).
+/// file is out of scope (vendored code, test suites, fixtures).
 pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
     if !rel_path.ends_with(".rs") {
         return None;
@@ -54,7 +52,6 @@ pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
         || rel_path.starts_with("target/")
         || rel_path.starts_with("tests/")
         || rel_path.contains("/tests/")
-        || rel_path.contains("/benches/")
         || rel_path.contains("/fixtures/")
     {
         return None;
@@ -412,7 +409,6 @@ mod tests {
     fn out_of_scope_paths_are_skipped() {
         assert!(policy_for("vendor/rand/src/lib.rs").is_none());
         assert!(policy_for("crates/fluidsim/tests/engine_properties.rs").is_none());
-        assert!(policy_for("crates/bench/benches/table1.rs").is_none());
         assert!(policy_for("tests/determinism.rs").is_none());
         assert!(policy_for("crates/xtask/tests/fixtures/bad/crates/core/src/x.rs").is_none());
         assert!(policy_for("README.md").is_none());

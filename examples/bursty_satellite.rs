@@ -9,7 +9,7 @@
 //! same number of drops sprinkled uniformly. What bursts do punish is the
 //! *depth* of each back-off across consecutive bad feedback epochs —
 //! Reno's ×0.5 versus Robust-AIMD's ×0.8 — which is exactly the axis the
-//! `axcc gauntlet` sweep scores in the fluid model.
+//! `axcc sweep --only gauntlet` experiment scores in the fluid model.
 //!
 //! ```sh
 //! cargo run --release --example bursty_satellite
@@ -97,8 +97,8 @@ fn main() {
     println!(
         "\ngoodput in MSS/s (tail mean). At equal mean rate, correlated drops cost a\n\
          loss-based sender fewer back-offs than uniform drops — but each burst's\n\
-         back-off is deeper the more feedback epochs it spans. Run `axcc gauntlet`\n\
-         for the fluid-model sweep that scores exactly that axis (burst length at\n\
-         fixed burst frequency) across the whole lineup."
+         back-off is deeper the more feedback epochs it spans. Run\n\
+         `axcc sweep --only gauntlet` for the fluid-model sweep that scores exactly\n\
+         that axis (burst length at fixed burst frequency) across the whole lineup."
     );
 }

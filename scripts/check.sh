@@ -23,6 +23,11 @@ cargo test --workspace -q
 echo "==> gauntlet full-grid oracle (release)"
 cargo test --release -q -p axcc-analysis gauntlet_full_grid -- --ignored
 
+# 0.90 tolerance: on a single-core host both sides run the same serial
+# path, so anything below is dispatch-layer regression, not scheduling.
+echo "==> parallel speedup gate (gauntlet at smoke budget, 4 workers vs 1, release)"
+cargo test --release -q -p axcc-analysis --test parallel_speedup -- --ignored
+
 # The vendored crates are excluded from the workspace, so their own unit
 # tests run separately; their build output stays under target/vendor.
 echo "==> vendored crates' unit tests (rand, rand_chacha, serde_json)"
@@ -48,17 +53,12 @@ echo "==> axcc sweep --only explore --smoke (parameter-space exploration through
 cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 --chunk-size 8 \
   --cache-dir target/sweep-cache-ci --cache-stats > /dev/null
 
-echo "==> bench-sweep --check (snapshot was measured at this engine revision)"
-cargo run -q --release -p axcc-bench --bin bench-sweep -- --check BENCH_sweep.json
-
-echo "==> bench-sweep smoke gate (parallel vs serial at 4 workers on the gauntlet tier)"
-# 0.90 tolerance: on a single-core host both sides run the same serial
-# path, so anything below is dispatch-layer regression, not scheduling.
-cargo run -q --release -p axcc-bench --bin bench-sweep -- --jobs 4 --only gauntlet \
-  --reps 15 --min-speedup 0.90 --out target/BENCH_sweep_smoke.json > /dev/null
-
-echo "==> bench-serve --spawn (service smoke: daemon up, bench, drain)"
-cargo run -q -p axcc-cli -- bench-serve --spawn --levels 1,2 --requests 3 \
-  --steps 120 --out target/BENCH_service_smoke.json > /dev/null
+echo "==> results/ regenerates byte for byte (registry at paper budget + the two examples, release)"
+rm -rf target/results-check
+cargo run -q --release -p axcc-cli -- run-all --jobs 0 --no-cache \
+  --out-dir target/results-check > /dev/null
+cargo run -q --release --example ablations > target/results-check/ablations.txt
+cargo run -q --release --example table2_packet -- --paced > target/results-check/table2_paced.txt
+diff -r results target/results-check
 
 echo "All checks passed."

@@ -48,11 +48,12 @@
 //! * [`serve`] — the fault-tolerant evaluation daemon (`axcc serve`):
 //!   newline-delimited JSON over TCP with a typed error taxonomy,
 //!   per-job panic isolation, deadlines, bounded-queue overload
-//!   shedding, and graceful drain — plus its closed-loop bench client
-//!   (`axcc bench-serve`).
+//!   shedding, and graceful drain.
 //!
-//! Runnable walkthroughs live in `examples/`; the paper's tables and
-//! figures regenerate via the `axcc-bench` binaries (see README).
+//! Runnable walkthroughs live in `examples/`. The paper's tables and
+//! figures are entries of the experiment registry
+//! ([`analysis::experiments::registry`]) and regenerate with
+//! `axcc run-all --out-dir results` (see README).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

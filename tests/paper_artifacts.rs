@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's headline results, end-to-end
 //! (protocols → simulators → estimators → experiment builders), at reduced
 //! budgets so the suite stays fast. The full-budget regenerations are the
-//! `axcc-bench` binaries.
+//! experiment registry's reports (`axcc run-all --out-dir results`).
 
 #![allow(clippy::float_cmp)] // exact comparisons are deliberate in tests
 use axiomatic_cc::analysis::estimators::{
@@ -15,6 +15,7 @@ use axiomatic_cc::core::theory::ProtocolSpec;
 use axiomatic_cc::core::units::Bandwidth;
 use axiomatic_cc::core::LinkParams;
 use axiomatic_cc::protocols::{Aimd, Pcc, RobustAimd};
+use axiomatic_cc::sweep::SweepRunner;
 
 /// Table 1, worst-case column, exactly as printed in the paper (up to the
 /// documented MIMD loss-cell convention normalization).
@@ -101,7 +102,7 @@ fn figure1_surface_is_clean_frontier() {
 /// Section 4's results hold end-to-end at test budget.
 #[test]
 fn all_theorem_checks_pass() {
-    for check in theorems::check_all(2000) {
+    for check in theorems::check_all_with(&SweepRunner::serial(), 2000) {
         assert!(check.passed, "{}: {}", check.name, check.detail);
     }
 }
