@@ -49,13 +49,13 @@
 //! flow's goodput share relative to the mean short flow — how badly the
 //! protocol's dynamics punish multi-bottleneck paths.
 
-use crate::estimators::{largest_passing, stream_options_for, TAIL_FRACTION};
+use crate::estimators::{largest_passing, stream_options_for};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol};
 use axcc_fluidsim::{
-    run_scenario_streaming, LossModel, MetricSet, Scenario, SenderConfig, StreamOptions,
+    run_scenario_streaming, LossModel, MetricSet, Scenario, SenderConfig, StreamOptions, Topology,
 };
 use axcc_protocols::presets;
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
@@ -323,25 +323,19 @@ impl SweepJob for SideEffectJob {
 }
 
 /// Long-flow goodput share on the parking lot: long / mean(short). The
-/// network engine records traces; the job fingerprint carries no
-/// evaluation tag.
+/// run streams through the fairness fold's tail-mean goodputs; the job
+/// fingerprint carries no evaluation tag.
 fn parking_lot_ratio(proto: &dyn Protocol, steps: usize) -> f64 {
-    use axcc_fluidsim::{FlowConfig, NetScenario, Topology};
-    let hop = congested_link();
-    let mut sc = NetScenario::new(Topology::parking_lot(PARKING_HOPS, hop))
+    let mut sc = Scenario::on(Topology::parking_lot(PARKING_HOPS, congested_link()))
         .steps(steps)
-        .flow(FlowConfig::new(
-            proto.clone_box(),
-            (0..PARKING_HOPS).collect(),
-        ));
+        .sender(SenderConfig::new(proto.clone_box()).path((0..PARKING_HOPS).collect()));
     for l in 0..PARKING_HOPS {
-        sc = sc.flow(FlowConfig::new(proto.clone_box(), vec![l]));
+        sc = sc.sender(SenderConfig::new(proto.clone_box()).path(vec![l]));
     }
-    let net = sc.run();
-    let tail = net.tail_start(TAIL_FRACTION);
-    let long = net.flow_goodput(0, tail);
+    let acc = run_scenario_streaming(sc, &stream_options_for(MetricSet::FAIRNESS));
+    let long = acc.tail_mean_goodput(0);
     let short: f64 = (1..=PARKING_HOPS)
-        .map(|f| net.flow_goodput(f, tail))
+        .map(|f| acc.tail_mean_goodput(f))
         .sum::<f64>()
         / PARKING_HOPS as f64;
     if short > 0.0 {

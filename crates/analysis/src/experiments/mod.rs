@@ -99,7 +99,7 @@ pub struct ExperimentOutcome {
 /// One runnable experiment in the registry.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// Stable CLI name (`axcc sweep --experiment <name>`).
+    /// Stable CLI name (`axcc sweep --only <name>`).
     pub name: &'static str,
     /// Which paper artifact the experiment reproduces.
     pub artifact: &'static str,

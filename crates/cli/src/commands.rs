@@ -40,7 +40,6 @@ report is deterministic, byte-identical for any worker count):
                                     table1, table2, figure1, theorems,
                                     emulab, shootout, gauntlet, frontier,
                                     explore, aqm, extensions, churn)
-                [--experiment NAME] the same for one experiment
                 [--cache-stats]     append a result-store report (per-shard
                                     segment sizes, hit/miss/heal counters)
   axcc run-all  [--out-dir D]       the full experiment suite; writes one
@@ -175,7 +174,7 @@ fn cmd_list(args: &Args) -> Result<String, CliError> {
     out.push_str(
         "\n  parameterized families:\n    aimd(a,b)  mimd(a,b)  bin(a,b,k,l)  cubic(c,b)  r-aimd(a,b,eps)  vegas(alpha,beta)\n",
     );
-    out.push_str("\nexperiment registry (axcc sweep --experiment NAME | --only n1,n2,…):\n\n");
+    out.push_str("\nexperiment registry (axcc sweep --only n1,n2,…):\n\n");
     let mut t = TextTable::new(["name", "family", "paper/smoke budget"]);
     for e in registry() {
         t.row(vec![
@@ -412,7 +411,7 @@ fn cmd_characterize(args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_network(args: &Args) -> Result<String, CliError> {
-    use axcc_fluidsim::{FlowConfig, NetScenario, Topology};
+    use axcc_fluidsim::{Scenario, SenderConfig, Topology};
     let name = args.get_or("protocol", "reno").to_string();
     let hops = args.get_usize("hops", 3)?;
     if hops == 0 {
@@ -422,23 +421,27 @@ fn cmd_network(args: &Args) -> Result<String, CliError> {
     let link = link_from(args)?;
     args.finish()?;
     let proto = resolve_protocol(&name)?;
-    let mut sc = NetScenario::new(Topology::parking_lot(hops, link)).steps(steps);
-    sc = sc.flow(FlowConfig::new(proto.clone_box(), (0..hops).collect()));
-    for l in 0..hops {
-        sc = sc.flow(FlowConfig::new(proto.clone_box(), vec![l]));
+    // Flow 0 crosses every hop; flow 1 + l is hop l's short flow.
+    let topology = Topology::parking_lot(hops, link);
+    let paths: Vec<Vec<usize>> = std::iter::once((0..hops).collect())
+        .chain((0..hops).map(|l| vec![l]))
+        .collect();
+    let mut sc = Scenario::on(topology.clone()).steps(steps);
+    for path in &paths {
+        sc = sc.sender(SenderConfig::new(proto.clone_box()).path(path.clone()));
     }
-    let net = sc.run();
-    let tail = net.tail_start(0.5);
+    let trace = sc.try_run().map_err(|e| CliError::Usage(e.to_string()))?;
+    let tail = trace.tail_start(0.5);
     let mut out = format!(
         "parking lot: {hops} hops of C = {:.1} MSS; 1 long {} flow + {hops} short flows\n\n",
         link.capacity(),
         proto.name()
     );
-    let long = net.flow_goodput(0, tail);
+    let long = trace.senders[0].mean_goodput_from(tail);
     let _ = writeln!(out, "long flow goodput:  {long:.1} MSS/s");
     let mut shorts = 0.0;
     for f in 1..=hops {
-        let g = net.flow_goodput(f, tail);
+        let g = trace.senders[f].mean_goodput_from(tail);
         shorts += g;
         let _ = writeln!(out, "short flow (hop {}): {g:.1} MSS/s", f - 1);
     }
@@ -447,14 +450,22 @@ fn cmd_network(args: &Args) -> Result<String, CliError> {
         "long/short ratio:   {:.2}",
         long / (shorts / hops as f64)
     );
-    for l in 0..hops {
+    for (l, load) in topology.link_loads(&paths, &trace).iter().enumerate() {
         let _ = writeln!(
             out,
             "hop {l} utilization:   {:.2}",
-            net.link_utilization(l, tail)
+            tail_utilization(&load[tail..], link.capacity())
         );
     }
     Ok(out)
+}
+
+/// Mean utilization `X_l / C_l` over a link's tail load column.
+fn tail_utilization(tail: &[f64], capacity: f64) -> f64 {
+    if tail.is_empty() {
+        return 0.0;
+    }
+    tail.iter().sum::<f64>() / (tail.len() as f64 * capacity)
 }
 
 fn cmd_feasible(args: &Args) -> Result<String, CliError> {
@@ -601,15 +612,10 @@ fn budget_from(args: &Args) -> RunBudget {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, CliError> {
-    // Accept both spellings: `--experiment NAME` (one experiment) and
-    // `--only n1,n2,…` (a comma-separated list, as in `run-all`).
-    let mut names: Vec<String> = args.get_list("only");
-    if let Some(name) = args.get("experiment") {
-        names.insert(0, name.to_string());
-    }
+    let names: Vec<String> = args.get_list("only");
     if names.is_empty() {
         return Err(CliError::Usage(
-            "sweep needs --experiment NAME or --only n1,n2,… (see `axcc list`)".into(),
+            "sweep needs --only n1,n2,… (see `axcc list`)".into(),
         ));
     }
     let runner = runner_from(args)?;

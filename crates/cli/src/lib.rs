@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn sweep_runs_one_experiment() {
-        let (code, out) = cli("sweep --experiment theorems --smoke --jobs 2 --no-cache");
+        let (code, out) = cli("sweep --only theorems --smoke --jobs 2 --no-cache");
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("Claim 1"), "{out}");
         assert!(out.contains("jobs over 2 workers"), "{out}");
@@ -225,15 +225,15 @@ mod tests {
     fn sweep_requires_a_known_experiment() {
         let (code, out) = cli("sweep");
         assert_eq!(code, 2);
-        assert!(out.contains("--experiment"), "{out}");
-        let (code, out) = cli("sweep --experiment nope");
+        assert!(out.contains("--only"), "{out}");
+        let (code, out) = cli("sweep --only nope");
         assert_eq!(code, 2);
         assert!(out.contains("known: table1"), "{out}");
     }
 
     #[test]
     fn sweep_rejects_no_cache_with_cache_dir() {
-        let (code, out) = cli("sweep --experiment theorems --no-cache --cache-dir /tmp/x");
+        let (code, out) = cli("sweep --only theorems --no-cache --cache-dir /tmp/x");
         assert_eq!(code, 2);
         assert!(out.contains("mutually exclusive"), "{out}");
     }

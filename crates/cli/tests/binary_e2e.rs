@@ -137,7 +137,7 @@ fn sweep_honours_chunk_size_and_reports_cache_stats() {
     let cache_dir = dir.to_str().expect("utf-8 temp path");
     let base = [
         "sweep",
-        "--experiment",
+        "--only",
         "theorems",
         "--smoke",
         "--cache-stats",
@@ -188,7 +188,7 @@ fn sweep_honours_chunk_size_and_reports_cache_stats() {
 fn no_cache_sweep_reports_disabled_store() {
     let (code, stdout, _) = axcc(&[
         "sweep",
-        "--experiment",
+        "--only",
         "theorems",
         "--smoke",
         "--no-cache",

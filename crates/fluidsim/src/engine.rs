@@ -11,14 +11,21 @@
 //!   materializing a trajectory. A recorded trace is scored by replaying
 //!   it through the same fold ([`MetricAccumulator::replay`]), so the two
 //!   agree to the bit.
+//!
+//! The same loop runs every topology. A one-link scenario takes the
+//! paper's arithmetic: the step RTT is `link.rtt(X)` and every sender
+//! shares it. A multi-link scenario sums per-link loads over the senders'
+//! paths, then gives each sender its own RTT (path base RTT plus the sum
+//! of queueing delays) and congestion loss (`1 − Π(1 − L_l)`).
 
 use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
-use crate::scenario::{FeedbackMode, Scenario};
+use crate::scenario::{FeedbackMode, Scenario, SenderConfig};
 use axcc_core::axioms::streaming::{
     MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
 use axcc_core::protocol::clamp_window;
-use axcc_core::{LaneObs, RunTrace, ScenarioError, SenderTrace};
+use axcc_core::{LaneObs, Observation, RunTrace, ScenarioError, SenderTrace};
+use axcc_topo::Topology;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -29,8 +36,9 @@ use std::cell::RefCell;
 /// values a recorded trace appends to that sender's columns (idle
 /// senders appear with zero window and goodput so consumers see a
 /// rectangular run). `total`, `rtt` and `loss` are the shared link-state
-/// columns. The slice is a buffer reused across steps — sinks must copy
-/// what they keep.
+/// columns (on a multi-link topology: the total window of all senders,
+/// and the RTT and loss of the trace's floor link). The slice is a
+/// buffer reused across steps — sinks must copy what they keep.
 pub trait StepSink {
     /// Consume step `t`.
     fn on_step(&mut self, t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]);
@@ -78,18 +86,23 @@ impl TraceSink {
     /// A sink sized for `scenario`, capturing the metadata (link, seed,
     /// protocol names) the finished trace records.
     pub fn for_scenario(scenario: &Scenario) -> Self {
+        let own_rtts = scenario.is_multi_link();
         TraceSink {
-            link: scenario.link,
+            link: scenario.trace_link(),
             seed: scenario.seed,
             senders: scenario
                 .senders
                 .iter()
                 .map(|s| {
-                    SenderTrace::with_capacity(
+                    let mut tr = SenderTrace::with_capacity(
                         s.protocol.name(),
                         s.protocol.loss_based(),
                         scenario.steps,
-                    )
+                    );
+                    if own_rtts {
+                        tr.own_rtt_mut().reserve(scenario.steps);
+                    }
+                    tr
                 })
                 .collect(),
             total_col: Vec::with_capacity(scenario.steps),
@@ -98,9 +111,10 @@ impl TraceSink {
         }
     }
 
-    /// The finished trace. Per-sender RTT columns stay `None`: in the
-    /// synchronized fluid model every sender's RTT equals the shared link
-    /// column, which [`RunTrace::sender_rtt`] resolves on read.
+    /// The finished trace. On one link, per-sender RTT columns stay
+    /// `None`: every sender's RTT equals the shared link column, which
+    /// [`RunTrace::sender_rtt`] resolves on read. On a multi-link
+    /// topology every sender records its own path RTT column.
     pub fn into_trace(self) -> RunTrace {
         RunTrace {
             link: self.link,
@@ -122,6 +136,9 @@ impl StepSink for TraceSink {
             s.window.push(r.window);
             s.loss.push(r.loss);
             s.goodput.push(r.goodput);
+            if let Some(own) = &mut s.rtt {
+                own.push(r.rtt);
+            }
         }
     }
 
@@ -135,6 +152,9 @@ impl StepSink for TraceSink {
             s.window.extend_from_slice(block.windows(i));
             s.loss.extend_from_slice(block.sender_losses(i));
             s.goodput.extend_from_slice(block.goodputs(i));
+            if let Some(own) = &mut s.rtt {
+                own.extend_from_slice(block.sender_rtts(i));
+            }
         }
     }
 }
@@ -186,6 +206,43 @@ fn reset_lane(v: &mut Vec<f64>, n: usize, x: f64) {
     v.resize(n, x);
 }
 
+/// Per-link lanes and per-sender path spans of a multi-link run.
+#[derive(Debug, Default)]
+struct LinkLanes {
+    /// Per-link load `X_l`: the windows of the senders crossing `l`.
+    loads: Vec<f64>,
+    /// Per-link droptail loss `L_l(X_l)`.
+    losses: Vec<f64>,
+    /// Per-link queueing delay `rtt_l(X_l) − 2Θ_l`.
+    qdelays: Vec<f64>,
+    /// Every sender's path, concatenated in sender order.
+    path_links: Vec<usize>,
+    /// Sender `i`'s path is `path_links[spans[i].0..spans[i].1]`.
+    spans: Vec<(usize, usize)>,
+    /// Per-sender base RTT: the path's summed `2Θ` floors.
+    base_rtts: Vec<f64>,
+}
+
+impl LinkLanes {
+    /// Size the link lanes for `topology` and lay out every sender's path.
+    fn prepare(&mut self, topology: &Topology, senders: &[SenderConfig]) {
+        let nl = topology.num_links();
+        reset_lane(&mut self.loads, nl, 0.0);
+        reset_lane(&mut self.losses, nl, 0.0);
+        reset_lane(&mut self.qdelays, nl, 0.0);
+        self.path_links.clear();
+        self.spans.clear();
+        self.base_rtts.clear();
+        for cfg in senders {
+            let start = self.path_links.len();
+            self.path_links.extend_from_slice(&cfg.path);
+            self.spans.push((start, self.path_links.len()));
+            // Constant across the run, so summed once, in path order.
+            self.base_rtts.push(topology.path_min_rtt(&cfg.path));
+        }
+    }
+}
+
 /// The engine's per-run arena: every buffer a simulation needs, owned in
 /// one reusable bundle so back-to-back runs (sweep workers, the serve
 /// daemon) stop paying per-run allocation. [`EngineWorkspace::new`] is
@@ -206,6 +263,8 @@ pub struct EngineWorkspace {
     /// Wire-loss sampler; its Gilbert–Elliott chain flags are reused
     /// across runs like the lanes.
     wire_loss: LossProcess,
+    /// Link lanes and path spans, prepared only for multi-link runs.
+    links: LinkLanes,
 }
 
 impl EngineWorkspace {
@@ -303,15 +362,21 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///
 /// Every f64 reduction keeps the scalar engine's exact evaluation order:
 /// the total window is a strict left-to-right `iter().sum()` and goodput
-/// is `w * (1 - l) / rtt`.
+/// is `w * (1 - l) / rtt`. A multi-link topology keeps the push-based
+/// network reference's order instead: per-link loads summed in sender
+/// order, a sender's RTT as its base RTT plus the sum of its links'
+/// queueing delays, and its congestion loss as `1 − Π(1 − L_l)` clamped
+/// below 1.
 pub fn try_run_scenario_with_workspace<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
     ws: &mut EngineWorkspace,
 ) -> Result<(), ScenarioError> {
     scenario.validate()?;
+    let multi_link = scenario.is_multi_link();
+    let floor = scenario.topology.floor_link();
     let Scenario {
-        link,
+        topology,
         mut senders,
         steps,
         max_window,
@@ -320,6 +385,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         bandwidth_changes,
         feedback,
     } = scenario;
+    let link = *topology.link(0);
 
     let n = senders.len();
     let horizon = steps as u64;
@@ -335,13 +401,25 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         _ => None,
     };
 
+    // Without wire loss or sampled feedback a multi-link sender's loss is
+    // its path's congestion loss as is, not passed through `compose_loss`.
+    let path_loss_only = matches!(
+        (loss_model, feedback),
+        (LossModel::None, FeedbackMode::Synchronized)
+    );
+
     ws.prepare(n, loss_model);
+    if multi_link {
+        ws.links.prepare(&topology, &senders);
+        ws.block.track_sender_rtts();
+    }
     let EngineWorkspace {
         lanes,
         active,
         boundaries,
         block,
         wire_loss,
+        links,
     } = ws;
     let SenderLanes {
         windows,
@@ -426,6 +504,92 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             }
         }
         let dense = active.len() == n;
+
+        if multi_link {
+            let LinkLanes {
+                loads,
+                losses: link_losses,
+                qdelays,
+                path_links,
+                spans,
+                base_rtts,
+            } = &mut *links;
+            for t in span_start..span_end {
+                // (2) per-link state: each active sender's window added to
+                // every link on its path, senders in order (idle senders
+                // hold 0.0 and would add nothing).
+                loads.fill(0.0);
+                for &i in active.iter() {
+                    let (a, b) = spans[i];
+                    for &l in &path_links[a..b] {
+                        loads[l] += windows[i];
+                    }
+                }
+                for (l, hop) in topology.links().iter().enumerate() {
+                    link_losses[l] = hop.loss_rate(loads[l]);
+                    qdelays[l] = hop.rtt(loads[l]) - hop.min_rtt();
+                }
+                let total: f64 = windows.iter().sum();
+                let floor_link = topology.link(floor);
+                block.stage_shared(total, floor_link.rtt(loads[floor]), link_losses[floor]);
+
+                // (3) per-sender path RTT (recorded for idle senders too),
+                // composed loss, goodput and protocol update.
+                for i in 0..n {
+                    let path = &path_links[spans[i].0..spans[i].1];
+                    let rtt: f64 = base_rtts[i] + path.iter().map(|&l| qdelays[l]).sum::<f64>();
+                    block.stage_sender_rtt(i, rtt);
+                    if !started[i] || stopped[i] {
+                        continue;
+                    }
+                    // Two near-1 link losses can round the product's
+                    // complement to exactly 1.0; clamp as `compose_loss`.
+                    let congestion_loss = (1.0
+                        - path.iter().map(|&l| 1.0 - link_losses[l]).product::<f64>())
+                    .min(1.0 - f64::EPSILON);
+                    let w = windows[i];
+                    let loss = if path_loss_only {
+                        congestion_loss
+                    } else {
+                        let wire = wire_loss.sample(&mut rng, i, w);
+                        let observed = match feedback {
+                            FeedbackMode::Synchronized => congestion_loss,
+                            FeedbackMode::PerPacket => {
+                                sample_loss_fraction(&mut rng, w, congestion_loss)
+                            }
+                        };
+                        compose_loss(observed, wire)
+                    };
+                    min_rtts[i] = min_rtts[i].min(rtt);
+                    block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
+                    let requested = senders[i].protocol.next_window(&Observation {
+                        tick: t,
+                        window: w,
+                        loss_rate: loss,
+                        rtt,
+                        min_rtt: min_rtts[i],
+                    });
+                    if !requested.is_finite() {
+                        return Err(ScenarioError::NumericalDivergence {
+                            step: t,
+                            sender: i,
+                            context: "requested window",
+                            value: requested,
+                        });
+                    }
+                    windows[i] = clamp_window(requested, max_window);
+                }
+
+                if block.advance() {
+                    sink.on_steps(block);
+                    block.begin(t as usize + 1);
+                    if !static_dense {
+                        block.zero_senders();
+                    }
+                }
+            }
+            continue;
+        }
 
         // Below link capacity the step RTT sits on its `2Θ` floor and the
         // congestion-loss branch is dead, so when even the largest
@@ -653,7 +817,7 @@ impl Default for StreamOptions {
 /// count and per-sender `loss_based` flags a recorded trace would carry.
 pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> MetricAccumulator {
     MetricAccumulator::new(&MetricConfig {
-        link: scenario.link,
+        link: scenario.trace_link(),
         steps: scenario.steps,
         loss_based: scenario
             .senders
@@ -753,7 +917,7 @@ mod tests {
     use super::*;
     use crate::loss::LossModel;
     use crate::scenario::SenderConfig;
-    use axcc_core::{LinkParams, Observation};
+    use axcc_core::LinkParams;
     use axcc_protocols::{Aimd, Mimd, RobustAimd, Vegas};
 
     /// C = 100 MSS, τ = 20 MSS.
@@ -773,7 +937,7 @@ mod tests {
     fn run_reference<S: StepSink>(scenario: Scenario, sink: &mut S) -> Result<(), ScenarioError> {
         scenario.validate()?;
         let Scenario {
-            link,
+            topology,
             mut senders,
             steps,
             max_window,
@@ -782,6 +946,7 @@ mod tests {
             bandwidth_changes,
             feedback,
         } = scenario;
+        let link = *topology.link(0);
 
         let mut active_link = link;
         let mut pending_changes = bandwidth_changes.into_iter().peekable();
@@ -886,12 +1051,147 @@ mod tests {
         Ok(())
     }
 
-    /// Run `build()` through both engines and require bit-identical
-    /// traces (or identical typed errors).
+    /// The multi-hop oracle: the push-based network loop multi-link runs
+    /// used before they joined the SoA engine, kept as written (per-step
+    /// allocations, base RTTs re-summed every step, every sender visited
+    /// every step), plus the divergence guard, the clamp of the composed
+    /// path loss below 1 and the wire-loss/feedback composition of the
+    /// one-link engine.
+    fn run_network_reference<S: StepSink>(
+        scenario: Scenario,
+        sink: &mut S,
+    ) -> Result<(), ScenarioError> {
+        scenario.validate()?;
+        let floor = scenario.topology.floor_link();
+        let Scenario {
+            topology,
+            mut senders,
+            steps,
+            max_window,
+            loss_model,
+            seed,
+            feedback,
+            ..
+        } = scenario;
+
+        let n = senders.len();
+        let nl = topology.num_links();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut wire_loss = LossProcess::new(loss_model, n);
+        let mut windows: Vec<f64> = vec![0.0; n];
+        let mut min_rtts = vec![f64::INFINITY; n];
+        let mut records: Vec<StepRecord> = Vec::with_capacity(n);
+
+        for t in 0..steps as u64 {
+            for (f, cfg) in senders.iter().enumerate() {
+                if t == cfg.start_tick {
+                    windows[f] = clamp_window(cfg.initial_window, max_window);
+                }
+                if cfg.stop_tick == Some(t) {
+                    windows[f] = 0.0;
+                }
+            }
+
+            let mut loads = vec![0.0; nl];
+            for (f, cfg) in senders.iter().enumerate() {
+                for &l in cfg.path.iter() {
+                    loads[l] += windows[f];
+                }
+            }
+            let losses: Vec<f64> = (0..nl)
+                .map(|l| topology.link(l).loss_rate(loads[l]))
+                .collect();
+            let qdelays: Vec<f64> = (0..nl)
+                .map(|l| {
+                    let link = topology.link(l);
+                    link.rtt(loads[l]) - link.min_rtt()
+                })
+                .collect();
+            let total: f64 = windows.iter().sum();
+
+            records.clear();
+            for (f, cfg) in senders.iter_mut().enumerate() {
+                let base_rtt: f64 = cfg.path.iter().map(|&l| topology.link(l).min_rtt()).sum();
+                let rtt: f64 = base_rtt + cfg.path.iter().map(|&l| qdelays[l]).sum::<f64>();
+
+                let active = t >= cfg.start_tick && cfg.stop_tick.is_none_or(|s| t < s);
+                if !active {
+                    records.push(StepRecord {
+                        window: 0.0,
+                        loss: 0.0,
+                        rtt,
+                        goodput: 0.0,
+                    });
+                    continue;
+                }
+
+                let congestion = (1.0 - cfg.path.iter().map(|&l| 1.0 - losses[l]).product::<f64>())
+                    .min(1.0 - f64::EPSILON);
+                let loss = match (loss_model, feedback) {
+                    (LossModel::None, FeedbackMode::Synchronized) => congestion,
+                    _ => {
+                        let wire = wire_loss.sample(&mut rng, f, windows[f]);
+                        let observed = match feedback {
+                            FeedbackMode::Synchronized => congestion,
+                            FeedbackMode::PerPacket => {
+                                sample_loss_fraction(&mut rng, windows[f], congestion)
+                            }
+                        };
+                        compose_loss(observed, wire)
+                    }
+                };
+                min_rtts[f] = min_rtts[f].min(rtt);
+
+                let w = windows[f];
+                records.push(StepRecord {
+                    window: w,
+                    loss,
+                    rtt,
+                    goodput: w * (1.0 - loss) / rtt,
+                });
+
+                let obs = Observation {
+                    tick: t,
+                    window: w,
+                    loss_rate: loss,
+                    rtt,
+                    min_rtt: min_rtts[f],
+                };
+                let requested = cfg.protocol.next_window(&obs);
+                if !requested.is_finite() {
+                    return Err(ScenarioError::NumericalDivergence {
+                        step: t,
+                        sender: f,
+                        context: "requested window",
+                        value: requested,
+                    });
+                }
+                windows[f] = clamp_window(requested, max_window);
+            }
+
+            let floor_link = topology.link(floor);
+            sink.on_step(
+                t,
+                total,
+                floor_link.rtt(loads[floor]),
+                losses[floor],
+                &records,
+            );
+        }
+        Ok(())
+    }
+
+    /// Run `build()` through the engine and its reference (the scalar
+    /// loop on one link, the network loop on several) and require
+    /// bit-identical traces (or identical typed errors).
     fn assert_engines_match(build: impl Fn() -> Scenario) {
         let sc = build();
         let mut reference = TraceSink::for_scenario(&sc);
-        let ra = run_reference(sc, &mut reference);
+        let ra = if sc.is_multi_link() {
+            run_network_reference(sc, &mut reference)
+        } else {
+            run_reference(sc, &mut reference)
+        };
         let sc = build();
         let mut lanes = TraceSink::for_scenario(&sc);
         let rb = try_run_scenario_with(sc, &mut lanes);
@@ -1497,6 +1797,75 @@ mod tests {
     }
 
     #[test]
+    fn streaming_matches_trace_on_a_parking_lot_with_churn() {
+        // Multi-link runs stage per-sender RTT columns; the fold must see
+        // the same ones the trace records.
+        assert_streaming_matches(
+            || {
+                Scenario::on(Topology::parking_lot(2, link()))
+                    .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0, 1]))
+                    .sender(
+                        SenderConfig::new(Box::new(Vegas::classic()))
+                            .initial_window(4.0)
+                            .path(vec![1]),
+                    )
+                    .steps(600)
+                    .churn_on(
+                        &axcc_topo::ChurnPlan::poisson(0.01, 120.0).seed(2),
+                        &Aimd::reno(),
+                        vec![0],
+                    )
+                    .unwrap()
+            },
+            StreamOptions::default(),
+        );
+    }
+
+    #[test]
+    fn multi_link_traces_record_per_sender_rtts() {
+        let trace = Scenario::on(Topology::parking_lot(2, link()))
+            .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0, 1]))
+            .sender(
+                SenderConfig::new(Box::new(Aimd::reno()))
+                    .path(vec![1])
+                    .start_at(20),
+            )
+            .steps(50)
+            .run();
+        trace.validate(axcc_core::protocol::MAX_WINDOW).unwrap();
+        for (i, s) in trace.senders.iter().enumerate() {
+            assert_eq!(s.rtt.as_ref().map(Vec::len), Some(50), "sender {i}");
+        }
+        // The idle sender's path RTT is recorded before it starts.
+        assert_eq!(trace.sender_rtt(1)[0], link().min_rtt());
+        assert_eq!(trace.sender_rtt(0)[0], 2.0 * link().min_rtt());
+    }
+
+    #[test]
+    fn multi_link_divergence_is_a_typed_error() {
+        let err = Scenario::on(Topology::parking_lot(2, link()))
+            .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0]))
+            .sender(
+                SenderConfig::new(Box::new(DivergeAfter {
+                    remaining: 7,
+                    emit: f64::INFINITY,
+                }))
+                .path(vec![0, 1]),
+            )
+            .steps(50)
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::NumericalDivergence {
+                step: 7,
+                sender: 1,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn churn_accumulator_streams_bit_identically_to_the_trace() {
         use axcc_core::axioms::churn::{ChurnAccumulator, ChurnConfig};
         let plan = axcc_topo::ChurnPlan::poisson(0.015, 150.0).seed(6);
@@ -1704,6 +2073,12 @@ mod tests {
                     .unwrap()
             }),
             Box::new(|| {
+                Scenario::on(Topology::parking_lot(3, link()))
+                    .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0, 1, 2]))
+                    .sender(SenderConfig::new(Box::new(Vegas::classic())).path(vec![1]))
+                    .steps(300)
+            }),
+            Box::new(|| {
                 Scenario::new(link())
                     .homogeneous(&Aimd::reno(), 3, 1.0)
                     .steps(400)
@@ -1734,21 +2109,29 @@ mod tests {
             seed: u64,
             per_packet: bool,
             shape: u8,
+            hops: usize,
+            uneven: bool,
         }
 
         fn arb_params() -> impl Strategy<Value = Params> {
             (
-                1usize..5,
-                40usize..220,
-                0u8..4,
-                0.5f64..60.0,
-                0u8..4,
-                any::<u64>(),
-                any::<bool>(),
-                0u8..4,
+                (
+                    1usize..5,
+                    40usize..220,
+                    0u8..4,
+                    0.5f64..60.0,
+                    0u8..4,
+                    any::<u64>(),
+                    any::<bool>(),
+                    0u8..4,
+                ),
+                (prop_oneof![Just(1usize), 2usize..5], any::<bool>()),
             )
                 .prop_map(
-                    |(n, steps, proto, initial, loss_sel, seed, per_packet, shape)| Params {
+                    |(
+                        (n, steps, proto, initial, loss_sel, seed, per_packet, shape),
+                        (hops, uneven),
+                    )| Params {
                         n,
                         steps,
                         proto,
@@ -1757,8 +2140,29 @@ mod tests {
                         seed,
                         per_packet,
                         shape,
+                        hops,
+                        uneven,
                     },
                 )
+        }
+
+        /// One link, or a `hops`-hop parking lot (with per-hop bandwidth,
+        /// delay and buffer when `uneven`).
+        fn topology(p: &Params) -> Topology {
+            if p.hops == 1 {
+                Topology::single(link())
+            } else if p.uneven {
+                Topology::new(
+                    (0..p.hops)
+                        .map(|h| {
+                            let k = h as f64;
+                            LinkParams::new(1000.0 + 400.0 * k, 0.05 / (1.0 + k), 20.0 - 5.0 * k)
+                        })
+                        .collect(),
+                )
+            } else {
+                Topology::parking_lot(p.hops, link())
+            }
         }
 
         fn build(p: &Params) -> Scenario {
@@ -1769,10 +2173,19 @@ mod tests {
                 _ => Box::new(RobustAimd::table2()),
             };
             let steps = p.steps as u64;
-            let mut sc = Scenario::new(link()).seed(p.seed).steps(p.steps);
+            let long: Vec<usize> = (0..p.hops).collect();
+            let mut sc = Scenario::on(topology(p)).seed(p.seed).steps(p.steps);
             for k in 0..p.n {
-                let mut cfg =
-                    SenderConfig::new(proto.clone_box()).initial_window(p.initial + 3.0 * k as f64);
+                // Sender 0 crosses every hop; the rest one hop each,
+                // round-robin over the links.
+                let path = if k == 0 {
+                    long.clone()
+                } else {
+                    vec![k % p.hops]
+                };
+                let mut cfg = SenderConfig::new(proto.clone_box())
+                    .initial_window(p.initial + 3.0 * k as f64)
+                    .path(path);
                 // Shape 1: every other sender churns in and out mid-run.
                 if p.shape == 1 && k % 2 == 1 {
                     cfg = cfg
@@ -1791,17 +2204,19 @@ mod tests {
                 sc = sc.feedback(FeedbackMode::PerPacket);
             }
             match p.shape {
-                2 => {
+                // Bandwidth schedules exist on one link only.
+                2 if p.hops == 1 => {
                     sc = sc
                         .bandwidth_change(steps / 3, 500.0)
                         .bandwidth_change(2 * steps / 3, 1500.0)
                 }
                 3 => {
                     sc = sc
-                        .churn(
+                        .churn_on(
                             &axcc_topo::ChurnPlan::poisson(0.02, p.steps as f64 / 4.0)
                                 .seed(p.seed ^ 1),
                             &Aimd::reno(),
+                            long,
                         )
                         .unwrap()
                 }
@@ -1811,12 +2226,12 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+            #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The SoA lane engine is bit-identical to the scalar
-            /// reference over random scenarios: protocols × loss models ×
-            /// feedback modes × staggered/churned populations × bandwidth
-            /// schedules.
+            /// The SoA lane engine is bit-identical to its reference over
+            /// random scenarios: one link or a random parking lot ×
+            /// protocols × loss models × feedback modes ×
+            /// staggered/churned populations × bandwidth schedules.
             #[test]
             fn lane_engine_matches_scalar_reference(p in arb_params()) {
                 assert_engines_match(|| build(&p));

@@ -29,10 +29,19 @@
 //!   the underlying [`StepSink`] visitor for custom consumers;
 //! * **flow churn** — sender populations can grow and shrink mid-run:
 //!   every sender has an optional stop step, and [`Scenario::churn`] /
-//!   [`NetScenario::churn`] expand a deterministic seeded
+//!   [`Scenario::churn_on`] expand a deterministic seeded
 //!   [`ChurnPlan`](axcc_topo::ChurnPlan) (Poisson arrivals, exponential
 //!   lifetimes, optional on/off phases) into a concrete staggered sender
-//!   population shared bit-for-bit with the packet-level engine.
+//!   population shared bit-for-bit with the packet-level engine;
+//! * **multi-link topologies** — the §6 extension *"generalizing our
+//!   model to capture network-wide protocol interaction"*:
+//!   [`Scenario::on`] runs a [`Topology`] (e.g. the parking lot), each
+//!   sender crossing the links of its [`SenderConfig::path`]. A link's
+//!   load is the windows of the senders crossing it; a sender's RTT is
+//!   its path's base RTT plus every crossed link's queueing delay, and
+//!   its loss `1 − Π(1 − L_l)` over the path. Multi-link traces record
+//!   per-sender RTT columns, and [`Topology::link_loads`] derives the
+//!   per-link loads from the recorded windows.
 //!
 //! ```
 //! use axcc_core::LinkParams;
@@ -61,7 +70,6 @@
 
 mod engine;
 pub mod loss;
-pub mod network;
 mod scenario;
 pub mod stats;
 
@@ -72,11 +80,10 @@ pub use engine::{
     EngineWorkspace, StepSink, StreamOptions, TraceSink,
 };
 pub use loss::{LossModel, LossProcess};
-pub use network::{FlowConfig, NetScenario, NetTrace, Topology};
 pub use scenario::{FeedbackMode, Scenario, SenderConfig};
 
 pub use axcc_core::axioms::streaming::{
     MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
 pub use axcc_core::{LinkParams, RunTrace, ScenarioError, SenderTrace};
-pub use axcc_topo::{ChurnPlan, FlowInterval, OnOffPhases};
+pub use axcc_topo::{ChurnPlan, FlowInterval, OnOffPhases, Topology};

@@ -1,29 +1,43 @@
-//! Scenario description: link, senders, run length, loss injection.
+//! Scenario description: topology, senders, run length, loss injection.
 
 use crate::loss::LossModel;
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol, RunTrace, ScenarioError};
+use axcc_topo::Topology;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One sender in a scenario: a protocol, an initial window, a start step
-/// (for late-joiner dynamics), and an optional stop step (for departures
-/// in churned populations).
+/// (for late-joiner dynamics), an optional stop step (for departures in
+/// churned populations), and the path of links it crosses.
 pub struct SenderConfig {
     pub(crate) protocol: Box<dyn Protocol>,
     pub(crate) initial_window: f64,
     pub(crate) start_tick: u64,
     pub(crate) stop_tick: Option<u64>,
+    pub(crate) path: Cow<'static, [usize]>,
 }
 
 impl SenderConfig {
-    /// A sender running `protocol`, starting at step 0 with a 1-MSS window.
+    /// A sender running `protocol` over link 0, starting at step 0 with a
+    /// 1-MSS window.
     pub fn new(protocol: Box<dyn Protocol>) -> Self {
         SenderConfig {
             protocol,
             initial_window: 1.0,
             start_tick: 0,
             stop_tick: None,
+            path: Cow::Borrowed(&[0]),
         }
+    }
+
+    /// Route the sender over `links` (indices into the scenario's
+    /// [`Topology`], in crossing order). The default is `[0]`, the one
+    /// link of [`Scenario::new`]. Must be non-empty, in range, and cross
+    /// each link at most once; checked by [`Scenario::validate`].
+    pub fn path(mut self, links: Vec<usize>) -> Self {
+        self.path = Cow::Owned(links);
+        self
     }
 
     /// Set the initial congestion window `x_i^(0)` (MSS). Must be finite
@@ -73,10 +87,14 @@ pub enum FeedbackMode {
 /// [`run`](Scenario::run) (panics on invalid configuration) or
 /// [`try_run`](Scenario::try_run) (returns [`ScenarioError`]).
 ///
+/// A scenario runs on a [`Topology`]: [`Scenario::new`] is the paper's
+/// single bottleneck, [`Scenario::on`] any list of links, with each
+/// sender crossing the links of its [`SenderConfig::path`].
+///
 /// Setters are non-panicking: all validation is centralized in
 /// [`validate`](Scenario::validate), which both run paths call first.
 pub struct Scenario {
-    pub(crate) link: LinkParams,
+    pub(crate) topology: Topology,
     pub(crate) senders: Vec<SenderConfig>,
     pub(crate) steps: usize,
     pub(crate) max_window: f64,
@@ -92,8 +110,18 @@ impl Scenario {
     /// A scenario on the given link with no senders yet, 1000 steps, no
     /// wire loss, seed 0, and the model's default `M`.
     pub fn new(link: LinkParams) -> Self {
+        Scenario::on(Topology::single(link))
+    }
+
+    /// A scenario on `topology`, otherwise as [`Scenario::new`] (which is
+    /// `Scenario::on(Topology::single(link))`). Senders cross the links
+    /// of their [`path`](SenderConfig::path); on more than one link a
+    /// sender's RTT is its path's summed base RTT plus the links'
+    /// queueing delays, and its congestion loss `1 − Π(1 − L_l)` over
+    /// the path.
+    pub fn on(topology: Topology) -> Self {
         Scenario {
-            link,
+            topology,
             senders: Vec::new(),
             steps: 1000,
             max_window: MAX_WINDOW,
@@ -153,7 +181,8 @@ impl Scenario {
     /// Schedule a bandwidth change: from step `at_step` onwards the link
     /// serves `new_bandwidth` MSS/s (propagation delay and buffer are
     /// unchanged, so the capacity `C = B·2Θ` moves with it). Must stay
-    /// positive; checked by [`validate`](Scenario::validate).
+    /// positive, and the topology must be a single link; both checked by
+    /// [`validate`](Scenario::validate).
     ///
     /// This extends the paper's static model towards its "more realistic
     /// network model" future-work direction, and powers the
@@ -171,7 +200,7 @@ impl Scenario {
     /// the nominal rate. A fault-layer convenience over
     /// [`bandwidth_change`](Scenario::bandwidth_change).
     pub fn outage(self, from_step: u64, to_step: u64) -> Self {
-        let nominal = self.link.bandwidth;
+        let nominal = self.topology.link(0).bandwidth;
         self.bandwidth_change(from_step, nominal * 1e-6)
             .bandwidth_change(to_step, nominal)
     }
@@ -189,19 +218,42 @@ impl Scenario {
     /// entering with a 1-MSS window at its arrival step and departing at
     /// its stop step. Plan parameter errors surface immediately.
     pub fn churn(
+        self,
+        plan: &axcc_topo::ChurnPlan,
+        prototype: &dyn Protocol,
+    ) -> Result<Self, ScenarioError> {
+        self.churn_on(plan, prototype, vec![0])
+    }
+
+    /// [`churn`](Scenario::churn) with every arrival routed over `path`.
+    pub fn churn_on(
         mut self,
         plan: &axcc_topo::ChurnPlan,
         prototype: &dyn Protocol,
+        path: Vec<usize>,
     ) -> Result<Self, ScenarioError> {
         for iv in plan.try_expand(self.steps as u64)? {
             self.senders.push(
                 SenderConfig::new(prototype.clone_box())
                     .initial_window(1.0)
                     .start_at(iv.start)
-                    .stop_at(iv.stop),
+                    .stop_at(iv.stop)
+                    .path(path.clone()),
             );
         }
         Ok(self)
+    }
+
+    /// The link a trace of this scenario records
+    /// ([`RunTrace::link`]): the single link, or on a multi-link topology
+    /// the one with the smallest RTT floor ([`Topology::floor_link`]).
+    pub(crate) fn trace_link(&self) -> LinkParams {
+        *self.topology.link(self.topology.floor_link())
+    }
+
+    /// Whether the topology has more than one link.
+    pub(crate) fn is_multi_link(&self) -> bool {
+        self.topology.num_links() > 1
     }
 
     /// Check the full configuration. Both [`run`](Scenario::run) and
@@ -225,6 +277,7 @@ impl Scenario {
                 constraint: "positive and finite",
             });
         }
+        self.topology.validate()?;
         self.loss_model
             .validate()
             .map_err(ScenarioError::InvalidLossModel)?;
@@ -247,6 +300,21 @@ impl Scenario {
                     });
                 }
             }
+            if let Err(e) = self.topology.validate_path(&cfg.path) {
+                return Err(match e {
+                    ScenarioError::InvalidParameter {
+                        field,
+                        value,
+                        constraint,
+                    } => ScenarioError::InvalidSender {
+                        index: i,
+                        field,
+                        value,
+                        constraint,
+                    },
+                    other => other,
+                });
+            }
         }
         for &(_, bw) in &self.bandwidth_changes {
             if !(bw > 0.0 && bw.is_finite()) {
@@ -256,6 +324,13 @@ impl Scenario {
                     constraint: "positive and finite (bandwidth must stay positive)",
                 });
             }
+        }
+        if self.is_multi_link() && !self.bandwidth_changes.is_empty() {
+            // Which link would change is undefined; no caller needs it.
+            return Err(ScenarioError::ConflictingOptions {
+                first: "bandwidth_change",
+                second: "multi-link topology",
+            });
         }
         Ok(())
     }
@@ -391,6 +466,52 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn bad_paths_are_typed_sender_errors() {
+        for (path, value) in [(vec![], 0.0), (vec![2], 2.0), (vec![0, 1, 0], 0.0)] {
+            let err = Scenario::on(Topology::parking_lot(2, link()))
+                .homogeneous(&Aimd::reno(), 1, 1.0)
+                .sender(SenderConfig::new(Box::new(Aimd::reno())).path(path.clone()))
+                .try_run()
+                .unwrap_err();
+            match err {
+                ScenarioError::InvalidSender {
+                    index: 1,
+                    field: "path",
+                    value: v,
+                    ..
+                } => assert_eq!(v, value, "{path:?}"),
+                other => panic!("{path:?}: expected a path error, got {other:?}"),
+            }
+        }
+        // On the one-link topology of `Scenario::new`, link 1 is out of
+        // range too.
+        let err = Scenario::new(link())
+            .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![1]))
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidSender { field: "path", .. }
+        ));
+    }
+
+    #[test]
+    fn bandwidth_changes_are_refused_on_multi_link_topologies() {
+        let err = Scenario::on(Topology::parking_lot(2, link()))
+            .homogeneous(&Aimd::reno(), 1, 1.0)
+            .outage(10, 20)
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::ConflictingOptions {
+                first: "bandwidth_change",
+                second: "multi-link topology",
+            }
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The link graph: a list of links plus per-flow paths (link-index sets).
 
-use axcc_core::{Fingerprint, Fingerprinter, LinkParams, ScenarioError};
+use axcc_core::{Fingerprint, Fingerprinter, LinkParams, RunTrace, ScenarioError};
 
 /// A network of links. Flows reference links by index (their *path*); a
 /// single-link topology reduces exactly to the paper's model.
@@ -54,8 +54,44 @@ impl Topology {
         &self.links[l]
     }
 
-    /// Check that a flow path is non-empty and references only links this
-    /// topology has.
+    /// Check every link's parameters: `LinkParams::new` asserts them, but
+    /// the fields are public. Bandwidth and propagation delay must be
+    /// positive and finite, the buffer finite and non-negative, and the
+    /// timeout RTT `Δ` finite and at least the `2Θ` floor.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        for link in &self.links {
+            for (field, value) in [
+                ("link.bandwidth", link.bandwidth),
+                ("link.prop_delay", link.prop_delay),
+            ] {
+                if !(value > 0.0 && value.is_finite()) {
+                    return Err(ScenarioError::InvalidParameter {
+                        field,
+                        value,
+                        constraint: "positive and finite",
+                    });
+                }
+            }
+            if !(link.buffer >= 0.0 && link.buffer.is_finite()) {
+                return Err(ScenarioError::InvalidParameter {
+                    field: "link.buffer",
+                    value: link.buffer,
+                    constraint: "finite and >= 0",
+                });
+            }
+            if !(link.timeout_delta >= link.min_rtt() && link.timeout_delta.is_finite()) {
+                return Err(ScenarioError::InvalidParameter {
+                    field: "link.timeout_delta",
+                    value: link.timeout_delta,
+                    constraint: "finite and at least the 2Θ floor",
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Check that a flow path is non-empty, references only links this
+    /// topology has, and crosses each of them at most once.
     pub fn validate_path(&self, path: &[usize]) -> Result<(), ScenarioError> {
         if path.is_empty() {
             return Err(ScenarioError::InvalidParameter {
@@ -64,7 +100,7 @@ impl Topology {
                 constraint: "at least one link",
             });
         }
-        for &l in path {
+        for (k, &l) in path.iter().enumerate() {
             if l >= self.links.len() {
                 return Err(ScenarioError::InvalidParameter {
                     field: "path",
@@ -72,8 +108,49 @@ impl Topology {
                     constraint: "an index into the topology's link list",
                 });
             }
+            if path[..k].contains(&l) {
+                return Err(ScenarioError::InvalidParameter {
+                    field: "path",
+                    value: l as f64,
+                    constraint: "each link at most once",
+                });
+            }
         }
         Ok(())
+    }
+
+    /// Index of the link with the smallest RTT floor `2Θ` (the first one
+    /// on ties). Every path's RTT is at least this floor, which makes it
+    /// the link a multi-link run's trace records.
+    pub fn floor_link(&self) -> usize {
+        let mut best = 0;
+        for (l, link) in self.links.iter().enumerate() {
+            if link.min_rtt() < self.links[best].min_rtt() {
+                best = l;
+            }
+        }
+        best
+    }
+
+    /// Per-link load columns `X_l^(t) = Σ_{f ∋ l} x_f^(t)` of a run on
+    /// this topology, derived from its recorded windows. `paths[f]` is
+    /// sender `f`'s path. Windows are added in sender order, the same
+    /// addition sequence the fluid engine uses, so the columns are
+    /// bit-identical to the loads it computed; a link's loss column is
+    /// then `link(l).loss_rate(load)`. Out-of-range links are skipped —
+    /// validate paths first.
+    pub fn link_loads(&self, paths: &[Vec<usize>], trace: &RunTrace) -> Vec<Vec<f64>> {
+        let mut loads = vec![vec![0.0; trace.len()]; self.links.len()];
+        for (path, sender) in paths.iter().zip(&trace.senders) {
+            for &l in path {
+                if let Some(load) = loads.get_mut(l) {
+                    for (x, &w) in load.iter_mut().zip(&sender.window) {
+                        *x += w;
+                    }
+                }
+            }
+        }
+        loads
     }
 
     /// A path's base (zero-queue) RTT: the sum of the per-link propagation
@@ -119,8 +196,34 @@ mod tests {
     fn path_validation() {
         let t = Topology::parking_lot(2, hop());
         assert_eq!(t.validate_path(&[0, 1]), Ok(()));
+        assert_eq!(t.validate_path(&[1, 0]), Ok(()));
         assert!(t.validate_path(&[]).is_err());
         assert!(t.validate_path(&[2]).is_err());
+        assert!(t.validate_path(&[0, 1, 0]).is_err());
+    }
+
+    #[test]
+    fn hand_built_links_are_validated() {
+        assert_eq!(Topology::parking_lot(2, hop()).validate(), Ok(()));
+        let bad = |f: fn(&mut LinkParams)| {
+            let mut link = hop();
+            f(&mut link);
+            match Topology::new(vec![hop(), link]).validate() {
+                Err(ScenarioError::InvalidParameter { field, .. }) => field,
+                other => panic!("expected a link error, got {other:?}"),
+            }
+        };
+        assert_eq!(bad(|l| l.bandwidth = f64::NAN), "link.bandwidth");
+        assert_eq!(bad(|l| l.prop_delay = -0.05), "link.prop_delay");
+        assert_eq!(bad(|l| l.buffer = f64::INFINITY), "link.buffer");
+        assert_eq!(bad(|l| l.timeout_delta = 0.01), "link.timeout_delta");
+    }
+
+    #[test]
+    fn floor_link_has_the_smallest_rtt_floor() {
+        assert_eq!(Topology::parking_lot(3, hop()).floor_link(), 0);
+        let t = Topology::new(vec![hop(), LinkParams::new(1000.0, 0.02, 20.0), hop()]);
+        assert_eq!(t.floor_link(), 1);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! cargo run --release --example parking_lot
 //! ```
 
-use axiomatic_cc::core::{LinkParams, Protocol};
-use axiomatic_cc::fluidsim::{FlowConfig, NetScenario, Topology};
+use axiomatic_cc::core::{LinkParams, Protocol, ScenarioError};
+use axiomatic_cc::fluidsim::{Scenario, SenderConfig, Topology};
 use axiomatic_cc::protocols::{Aimd, Vegas};
 
-fn main() {
+fn main() -> Result<(), ScenarioError> {
     let hop = LinkParams::reference(); // C = 100 MSS per hop
     let hops = 3;
     println!(
@@ -29,32 +29,36 @@ fn main() {
         ("Vegas", Box::new(Vegas::classic())),
     ];
 
+    // Flow 0: the long flow over every hop; flow 1 + l: hop l's short flow.
+    let topology = Topology::parking_lot(hops, hop);
+    let paths: Vec<Vec<usize>> = std::iter::once((0..hops).collect())
+        .chain((0..hops).map(|l| vec![l]))
+        .collect();
+
     for (label, proto) in protos {
-        let mut sc = NetScenario::new(Topology::parking_lot(hops, hop)).steps(4000);
-        // Flow 0: the long flow over every hop.
-        sc = sc.flow(FlowConfig::new(proto.clone_box(), (0..hops).collect()));
-        // One short flow per hop.
-        for l in 0..hops {
-            sc = sc.flow(FlowConfig::new(proto.clone_box(), vec![l]));
+        let mut sc = Scenario::on(topology.clone()).steps(4000);
+        for path in &paths {
+            sc = sc.sender(SenderConfig::new(proto.clone_box()).path(path.clone()));
         }
-        let net = sc.run();
-        let tail = net.tail_start(0.5);
+        let trace = sc.try_run()?;
+        let tail = trace.tail_start(0.5);
 
         println!("— {label} —");
-        let long = net.flow_goodput(0, tail);
+        let long = trace.senders[0].mean_goodput_from(tail);
         println!("  long flow ({} hops): {:>7.1} MSS/s", hops, long);
         let mut shorts = Vec::new();
         for f in 1..=hops {
-            let g = net.flow_goodput(f, tail);
+            let g = trace.senders[f].mean_goodput_from(tail);
             shorts.push(g);
             println!("  short flow on hop {}: {:>6.1} MSS/s", f - 1, g);
         }
         let mean_short = shorts.iter().sum::<f64>() / shorts.len() as f64;
         println!("  long/short ratio: {:.2}", long / mean_short);
-        for l in 0..hops {
+        for (l, load) in topology.link_loads(&paths, &trace).iter().enumerate() {
+            let tail_load = &load[tail..];
             println!(
                 "  hop {l} utilization: {:.2}",
-                net.link_utilization(l, tail)
+                tail_load.iter().sum::<f64>() / (tail_load.len() as f64 * hop.capacity())
             );
         }
         println!();
@@ -65,4 +69,5 @@ fn main() {
          additive increase keeps probing). Vegas allocates by backlog, not loss,\n\
          and treats the long flow more gently while keeping every queue short."
     );
+    Ok(())
 }

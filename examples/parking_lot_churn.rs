@@ -17,7 +17,7 @@
 
 use axiomatic_cc::core::axioms::churn::SettleAcc;
 use axiomatic_cc::core::{LinkParams, Protocol, ScenarioError};
-use axiomatic_cc::fluidsim::{ChurnPlan, FlowConfig, NetScenario, Topology};
+use axiomatic_cc::fluidsim::{ChurnPlan, Scenario, SenderConfig, Topology};
 use axiomatic_cc::protocols::{Aimd, Vegas};
 
 fn main() -> Result<(), ScenarioError> {
@@ -52,35 +52,46 @@ fn main() -> Result<(), ScenarioError> {
         ("Vegas", Box::new(Vegas::classic())),
     ];
 
+    // Flow 0: the resident long flow over every hop; then resident short
+    // flows on every hop but the first; then the storm's visitors, who
+    // share the long path.
+    let topology = Topology::parking_lot(hops, hop);
+    let paths: Vec<Vec<usize>> = std::iter::once(long_path.clone())
+        .chain((1..hops).map(|l| vec![l]))
+        .chain(std::iter::repeat_n(long_path.clone(), arrivals.len()))
+        .collect();
+
     for (label, proto) in protos {
-        let mut sc = NetScenario::new(Topology::parking_lot(hops, hop)).steps(steps);
-        // Flow 0: the resident long flow over every hop.
-        sc = sc.flow(FlowConfig::new(proto.clone_box(), long_path.clone()));
-        // Resident short flows on every hop but the first.
-        for l in 1..hops {
-            sc = sc.flow(FlowConfig::new(proto.clone_box(), vec![l]));
+        let mut sc = Scenario::on(topology.clone()).steps(steps);
+        for path in &paths[..hops] {
+            sc = sc.sender(SenderConfig::new(proto.clone_box()).path(path.clone()));
         }
-        // The storm: churned visitors share the long path.
-        let net = sc.churn(&plan, proto.as_ref(), long_path.clone())?.run();
-        let tail = net.tail_start(0.5);
+        let trace = sc
+            .churn_on(&plan, proto.as_ref(), long_path.clone())?
+            .try_run()?;
+        let tail = trace.tail_start(0.5);
+        let loads = topology.link_loads(&paths, &trace);
 
         println!("— {label} —");
         let mut settle = SettleAcc::new(arrivals.clone(), settle_threshold);
-        settle.push_block(&net.link_load[0]);
+        settle.push_block(&loads[0]);
         let settle = settle.measured();
         println!(
             "  convergence after arrival: {settle:.0} steps to re-reach \
              {settle_threshold:.0} MSS on hop 0"
         );
-        let long = net.flow_goodput(0, tail);
-        let mean_short =
-            (1..hops).map(|f| net.flow_goodput(f, tail)).sum::<f64>() / (hops - 1) as f64;
+        let long = trace.senders[0].mean_goodput_from(tail);
+        let mean_short = (1..hops)
+            .map(|f| trace.senders[f].mean_goodput_from(tail))
+            .sum::<f64>()
+            / (hops - 1) as f64;
         println!("  resident long flow:  {long:>7.1} MSS/s");
         println!("  resident short mean: {mean_short:>7.1} MSS/s");
-        for l in 0..hops {
+        for (l, load) in loads.iter().enumerate() {
+            let tail_load = &load[tail..];
             println!(
                 "  hop {l} utilization: {:.2}",
-                net.link_utilization(l, tail)
+                tail_load.iter().sum::<f64>() / (tail_load.len() as f64 * hop.capacity())
             );
         }
         println!();

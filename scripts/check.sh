@@ -53,12 +53,14 @@ echo "==> axcc sweep --only explore --smoke (parameter-space exploration through
 cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 --chunk-size 8 \
   --cache-dir target/sweep-cache-ci --cache-stats > /dev/null
 
-echo "==> results/ regenerates byte for byte (registry at paper budget + the two examples, release)"
+echo "==> results/ regenerates byte for byte (registry at paper budget + the four examples, release)"
 rm -rf target/results-check
 cargo run -q --release -p axcc-cli -- run-all --jobs 0 --no-cache \
   --out-dir target/results-check > /dev/null
 cargo run -q --release --example ablations > target/results-check/ablations.txt
 cargo run -q --release --example table2_packet -- --paced > target/results-check/table2_paced.txt
+cargo run -q --release --example parking_lot > target/results-check/parking_lot.txt
+cargo run -q --release --example parking_lot_churn > target/results-check/parking_lot_churn.txt
 diff -r results target/results-check
 
 echo "All checks passed."
