@@ -17,8 +17,8 @@
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol, RunTrace};
 use axcc_fluidsim::{
-    metric_accumulator_for, replay_trace, run_scenario_streaming, run_scenario_streaming_into,
-    LossModel, MetricAccumulator, MetricSet, Scenario, SenderConfig, StreamOptions,
+    metric_accumulator_for, run_scenario_streaming, run_scenario_streaming_into, LossModel,
+    MetricAccumulator, MetricConfig, MetricSet, Scenario, SenderConfig, StreamOptions,
 };
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use serde::{Deserialize, Serialize};
@@ -58,7 +58,16 @@ pub fn stream_options_for(metrics: MetricSet) -> StreamOptions {
 /// columns replay through the same fold a streaming run drives, keeping
 /// the `metrics` families.
 pub fn replay(trace: &RunTrace, metrics: MetricSet) -> MetricAccumulator {
-    replay_trace(trace, &stream_options_for(metrics))
+    MetricAccumulator::replay(
+        trace,
+        &MetricConfig {
+            tail_fraction: TAIL_FRACTION,
+            min_horizon: FAST_UTIL_HORIZON,
+            escape_beta: ROBUSTNESS_ESCAPE_BETA,
+            metrics,
+            ..MetricConfig::for_trace(trace)
+        },
+    )
 }
 
 /// Configuration of a homogeneous ("all senders employ P") sweep.

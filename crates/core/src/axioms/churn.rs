@@ -16,14 +16,14 @@
 //!   utilization over the steps where at least one sender is active
 //!   (Metric I without charging idle spans to the protocol).
 //!
-//! Each form is a single-pass fold, like the static metrics in
-//! [`streaming`](crate::axioms::streaming), and [`ChurnAccumulator`]
-//! combines all three. Batched (`push_steps`) and per-step (`push_step`)
-//! ingest perform the same additions in the same order, so they agree to
-//! the bit; the tests here assert that and pin each form to hand-computed
-//! values.
+//! Each form is a single-pass fold over [`StepBlock`]s, like the static
+//! metrics in [`streaming`](crate::axioms::streaming), and
+//! [`ChurnAccumulator`] combines all three. The tests here pin each form
+//! to hand-computed values, with arrivals and segment boundaries landing
+//! both mid-block and on a block edge, and check that block capacities 1,
+//! 7 and 128 give the same bits.
 
-use crate::axioms::streaming::{StepBlock, StepRecord};
+use crate::axioms::streaming::StepBlock;
 
 /// Segment boundaries for a `steps`-long run: the churn-event steps
 /// clipped to the run, plus the run's own endpoints, sorted and deduped.
@@ -98,23 +98,17 @@ impl SettleAcc {
         }
     }
 
-    /// Consume one step's total window.
-    pub fn push(&mut self, total: f64) {
-        if total >= self.threshold {
-            while self.next < self.arrivals.len() && self.arrivals[self.next] <= self.t as u64 {
-                self.sum += (self.t as u64 - self.arrivals[self.next]) as f64;
-                self.next += 1;
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to per-step
-    /// pushes. The arrival cursor is inherently sequential state, so the
-    /// rows replay in order; batching only amortizes the call overhead.
+    /// Consume a batch of total windows. The arrival cursor is inherently
+    /// sequential state, so the rows are scanned in step order.
     pub fn push_block(&mut self, totals: &[f64]) {
         for &total in totals {
-            self.push(total);
+            if total >= self.threshold {
+                while self.next < self.arrivals.len() && self.arrivals[self.next] <= self.t as u64 {
+                    self.sum += (self.t as u64 - self.arrivals[self.next]) as f64;
+                    self.next += 1;
+                }
+            }
+            self.t += 1;
         }
     }
 
@@ -179,20 +173,10 @@ impl CoexistenceFairnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        self.close_segments_before(self.t);
-        for (i, r) in records.iter().enumerate() {
-            self.sums[i] += r.goodput;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps from a [`StepBlock`] — bit-identical to
-    /// per-step pushes. Segment closing depends on the running step
-    /// index, so rows replay row-major; the per-sender sums still read
-    /// from the block's contiguous goodput columns.
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a batch of steps from a [`StepBlock`]. Segment closing
+    /// depends on the running step index, so rows are visited row-major;
+    /// the per-sender sums read from the block's goodput columns.
+    pub fn push_block(&mut self, block: &StepBlock) {
         debug_assert_eq!(block.num_senders(), self.sums.len());
         for k in 0..block.len() {
             self.close_segments_before(self.t);
@@ -252,21 +236,16 @@ impl ChurnUtilAcc {
         }
     }
 
-    /// Consume one step's total window.
-    pub fn push(&mut self, total: f64) {
-        let t = self.t as u64;
-        if self.activity.iter().any(|&(s, e)| s <= t && t < e) {
-            self.sum += (total / self.capacity).min(1.0);
-            self.n += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to per-step
-    /// pushes (the activity-interval test replays per row).
+    /// Consume a batch of total windows in step order (the
+    /// activity-interval test runs per row).
     pub fn push_block(&mut self, totals: &[f64]) {
         for &total in totals {
-            self.push(total);
+            let t = self.t as u64;
+            if self.activity.iter().any(|&(s, e)| s <= t && t < e) {
+                self.sum += (total / self.capacity).min(1.0);
+                self.n += 1;
+            }
+            self.t += 1;
         }
     }
 
@@ -289,8 +268,8 @@ impl ChurnUtilAcc {
 }
 
 /// The combined churn-aware single-pass evaluator: one instance per run,
-/// consuming the shared total window and per-sender records, exposing all
-/// three churn scores.
+/// consuming blocks of the shared total window and per-sender goodput
+/// columns, exposing all three churn scores.
 #[derive(Debug, Clone)]
 pub struct ChurnAccumulator {
     n: usize,
@@ -310,23 +289,12 @@ impl ChurnAccumulator {
         }
     }
 
-    /// Consume one step: the shared total window plus one record per
-    /// sender in sender order.
-    pub fn push_step(&mut self, total: f64, records: &[StepRecord]) {
-        debug_assert_eq!(records.len(), self.n);
-        self.settle.push(total);
-        self.fairness.push_step(records);
-        self.util.push(total);
-    }
-
-    /// Consume a whole block of steps — bit-identical to feeding the same
-    /// rows through [`ChurnAccumulator::push_step`] one at a time. The
-    /// sub-accumulators are independent, so each consumes the whole block
-    /// in step order.
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a whole block of steps. The sub-accumulators are
+    /// independent, so each consumes the whole block in step order.
+    pub fn push_block(&mut self, block: &StepBlock) {
         debug_assert_eq!(block.num_senders(), self.n);
         self.settle.push_block(block.totals());
-        self.fairness.push_steps(block);
+        self.fairness.push_block(block);
         self.util.push_block(block.totals());
     }
 
@@ -363,30 +331,20 @@ impl ChurnAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axioms::streaming::stage_blocks;
     use crate::axioms::testutil::{small_link, trace_from_windows};
     use crate::trace::RunTrace;
 
-    fn records_at(trace: &RunTrace, t: usize) -> Vec<StepRecord> {
-        trace
-            .senders
-            .iter()
-            .enumerate()
-            .map(|(i, s)| StepRecord {
-                window: s.window[t],
-                loss: s.loss[t],
-                rtt: trace.sender_rtt(i)[t],
-                goodput: s.goodput[t],
-            })
-            .collect()
+    /// Feed the trace through `StepBlock`s of capacity `cap`.
+    fn accumulate_blocks(trace: &RunTrace, cfg: &ChurnConfig, cap: usize) -> ChurnAccumulator {
+        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
+        stage_blocks(trace, cap, |block| acc.push_block(block));
+        acc
     }
 
-    /// Feed a trace into a [`ChurnAccumulator`] row by row.
+    /// Feed the trace through default-capacity blocks, as the engine does.
     fn accumulate(trace: &RunTrace, cfg: &ChurnConfig) -> ChurnAccumulator {
-        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
-        for t in 0..trace.len() {
-            acc.push_step(trace.total_window[t], &records_at(trace, t));
-        }
-        acc
+        accumulate_blocks(trace, cfg, StepBlock::DEFAULT_CAPACITY)
     }
 
     /// A churned two-sender shape: sender 1 active only in [20, 60).
@@ -405,27 +363,6 @@ mod tests {
             activity: vec![(0, 100), (20, 60)],
         };
         (trace, cfg)
-    }
-
-    /// Replay the same trace through `StepBlock`s of capacity `cap` via
-    /// the batched `push_steps` ingest.
-    fn accumulate_blocks(trace: &RunTrace, cfg: &ChurnConfig, cap: usize) -> ChurnAccumulator {
-        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
-        let mut block = StepBlock::new(trace.num_senders(), cap);
-        for t in 0..trace.len() {
-            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
-            for (i, s) in trace.senders.iter().enumerate() {
-                block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
-            }
-            if block.advance() {
-                acc.push_steps(&block);
-                block.begin(t + 1);
-            }
-        }
-        if !block.is_empty() {
-            acc.push_steps(&block);
-        }
-        acc
     }
 
     fn assert_same_scores(a: &ChurnAccumulator, b: &ChurnAccumulator, what: &str) {
@@ -447,15 +384,54 @@ mod tests {
     }
 
     #[test]
-    fn block_ingest_matches_per_step_ingest() {
-        // Odd capacities land churn boundaries mid-block; cap 1
-        // degenerates to the per-step path; an oversized cap exercises
-        // the single partial flush.
+    fn scores_do_not_depend_on_block_splits() {
+        // Capacity 7 lands the churn boundaries (20, 60) mid-block;
+        // capacity 1 puts every step on a block edge.
         let (trace, cfg) = churned_trace();
-        let by_step = accumulate(&trace, &cfg);
-        for cap in [1, 7, 32, 1024] {
-            let by_block = accumulate_blocks(&trace, &cfg, cap);
-            assert_same_scores(&by_block, &by_step, &format!("cap {cap}"));
+        let reference = accumulate(&trace, &cfg);
+        for cap in [1, 7] {
+            let split = accumulate_blocks(&trace, &cfg, cap);
+            assert_same_scores(&split, &reference, &format!("cap {cap}"));
+        }
+    }
+
+    #[test]
+    fn arrival_and_segment_cuts_on_and_off_block_edges() {
+        // Sender 0 holds 30 throughout; sender 1 arrives at `a` with
+        // windows 2, 4, then 10 until it departs at a + 7. The total (32,
+        // 34, 40, …) first reaches the threshold 35 two steps after the
+        // arrival. Every total is below capacity, so every RTT is the
+        // floor and goodput is proportional to window: the one shared
+        // segment [a, a + 7) has volumes in the ratio 210 : 56.
+        // An arrival at 7 lands on a capacity-7 block edge, at 10 mid-block.
+        let jain = 266.0 * 266.0 / (2.0 * (210.0 * 210.0 + 56.0 * 56.0));
+        for a in [7usize, 10] {
+            let steps = a + 14;
+            let w1: Vec<f64> = (0..steps)
+                .map(|t| match t.checked_sub(a) {
+                    Some(0) => 2.0,
+                    Some(1) => 4.0,
+                    Some(k) if k < 7 => 10.0,
+                    _ => 0.0,
+                })
+                .collect();
+            let trace = trace_from_windows(small_link(), &[vec![30.0; steps], w1]);
+            let cfg = ChurnConfig {
+                capacity: small_link().capacity(),
+                steps,
+                settle_threshold: 35.0,
+                arrivals: vec![a as u64],
+                boundaries: vec![a, a + 7],
+                activity: vec![(0, steps as u64), (a as u64, a as u64 + 7)],
+            };
+            let util = (30.0 * steps as f64 + 56.0) / (100.0 * steps as f64);
+            for cap in [1, 7, StepBlock::DEFAULT_CAPACITY] {
+                let acc = accumulate_blocks(&trace, &cfg, cap);
+                let at = format!("arrival {a}, cap {cap}");
+                assert_eq!(acc.mean_settle_after_arrival(), 2.0, "{at}");
+                assert!((acc.coexistence_fairness() - jain).abs() < 1e-12, "{at}");
+                assert!((acc.utilization_under_churn() - util).abs() < 1e-12, "{at}");
+            }
         }
     }
 
@@ -519,13 +495,13 @@ mod tests {
     fn coexistence_fairness_weights_segments() {
         let fairness = |g0: &[f64], g1: &[f64]| {
             let mut acc = CoexistenceFairnessAcc::new(2, &[10], 30);
+            let mut block = StepBlock::new(2, 30);
             for t in 0..30 {
-                let rec = |g: f64| StepRecord {
-                    goodput: g,
-                    ..StepRecord::default()
-                };
-                acc.push_step(&[rec(g0[t]), rec(g1[t])]);
+                block.stage_sender(0, 0.0, 0.0, g0[t]);
+                block.stage_sender(1, 0.0, 0.0, g1[t]);
+                block.advance();
             }
+            acc.push_block(&block);
             acc.measured()
         };
         // Segment 1 (steps 0..10): equal goodput => Jain 1. Segment 2
@@ -564,9 +540,7 @@ mod tests {
         let fresh = accumulate(&trace, &cfg);
         let mut reused = accumulate(&trace, &cfg);
         reused.reset();
-        for t in 0..trace.len() {
-            reused.push_step(trace.total_window[t], &records_at(&trace, t));
-        }
+        stage_blocks(&trace, 16, |block| reused.push_block(block));
         assert_same_scores(&reused, &fresh, "reset");
     }
 
@@ -574,11 +548,11 @@ mod tests {
     fn mid_stream_reads_do_not_disturb_the_final_score() {
         let (trace, cfg) = churned_trace();
         let mut acc = ChurnAccumulator::new(&cfg, trace.num_senders());
-        for t in 0..trace.len() {
-            acc.push_step(trace.total_window[t], &records_at(&trace, t));
+        stage_blocks(&trace, 1, |block| {
+            acc.push_block(block);
             let _ = acc.coexistence_fairness();
             let _ = acc.mean_settle_after_arrival();
-        }
+        });
         assert_same_scores(&acc, &accumulate(&trace, &cfg), "mid-stream reads");
     }
 }

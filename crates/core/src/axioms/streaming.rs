@@ -21,11 +21,12 @@
 //!
 //! Tail boundaries and the robustness quartiles are precomputable because
 //! the run length is known up front ([`MetricConfig::steps`]), mirroring
-//! [`RunTrace::tail_start`]. Batched ingest (`push_steps`) and per-step
-//! ingest (`push_step`) perform the same additions in the same order and
-//! the same `f64::min`/`f64::max` argument order (which decides NaN
-//! propagation), so they are bit-identical; the tests here assert it, and
-//! pin every score to hand-computed values.
+//! [`RunTrace::tail_start`]. Blocks are the only way a step enters a fold:
+//! each fold consumes its columns in step order and hoists every boundary
+//! to a slice cut, so how a run is split into blocks cannot change a bit.
+//! The tests here pin every score to hand-computed values, including
+//! boundaries that land mid-block and on a block edge, and check that
+//! block capacities 1, 7 and 128 give the same bits.
 
 use crate::axioms::{DEFAULT_ESCAPE_BETA, DEFAULT_MIN_HORIZON, DEFAULT_TAIL_FRACTION};
 use crate::link::LinkParams;
@@ -56,11 +57,9 @@ pub struct StepRecord {
 /// accumulator reads (each consumes its column in step order) and what
 /// the trace sink extends from.
 ///
-/// Consuming a block row-by-row in step order is bit-identical to the
-/// per-step path: [`record`](StepBlock::record) reconstructs exactly the
-/// `StepRecord` the engine would have passed to `on_step` (idle senders
-/// hold staged zeros). Every sender's RTT is the shared column, as in the
-/// synchronized fluid model, unless the block tracks per-sender RTTs
+/// Idle senders hold staged zeros. Every sender's RTT is the shared
+/// column, as in the synchronized fluid model, unless the block tracks
+/// per-sender RTTs
 /// ([`track_sender_rtts`](StepBlock::track_sender_rtts)) — what a replayed
 /// packet-level trace needs, where each flow sees its own RTT.
 #[derive(Debug, Clone, Default)]
@@ -248,18 +247,6 @@ impl StepBlock {
             &self.sender_rtts[i * self.cap..i * self.cap + self.len]
         }
     }
-
-    /// The [`StepRecord`] row `k` holds for sender `i` — exactly what the
-    /// per-step path would have passed to `on_step`.
-    pub fn record(&self, i: usize, k: usize) -> StepRecord {
-        let at = i * self.cap + k;
-        StepRecord {
-            window: self.windows[at],
-            loss: self.losses[at],
-            rtt: self.sender_rtts(i)[k],
-            goodput: self.goodputs[at],
-        }
-    }
 }
 
 /// A set of metric families for [`MetricAccumulator`] to maintain —
@@ -410,18 +397,8 @@ impl EfficiencyAcc {
         }
     }
 
-    /// Consume one step's total window `X^(t)`.
-    pub fn push(&mut self, total: f64) {
-        if self.t >= self.tail_start {
-            self.worst_ratio = f64::min(self.worst_ratio, total / self.capacity);
-            self.sum += total;
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to pushing each
-    /// in order (the per-step tail check hoists to one slice boundary).
+    /// Consume a batch of total windows `X^(t)` in step order (the tail
+    /// check hoists to one slice boundary).
     pub fn push_block(&mut self, totals: &[f64]) {
         let from = self.tail_start.saturating_sub(self.t).min(totals.len());
         let mut worst = self.worst_ratio;
@@ -494,18 +471,7 @@ impl LossAvoidanceAcc {
         }
     }
 
-    /// Consume one step's link loss rate `L^(t)`.
-    pub fn push(&mut self, loss: f64) {
-        if self.t >= self.tail_start {
-            self.worst = f64::max(self.worst, loss);
-            self.sum += loss;
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of link loss rates — bit-identical to pushing each
-    /// in order.
+    /// Consume a batch of link loss rates `L^(t)` in step order.
     pub fn push_block(&mut self, losses: &[f64]) {
         let from = self.tail_start.saturating_sub(self.t).min(losses.len());
         let mut worst = self.worst;
@@ -581,20 +547,7 @@ impl LatencyAcc {
         }
     }
 
-    /// Consume one step's link RTT and loss rate.
-    pub fn push(&mut self, rtt: f64, loss: f64) {
-        if self.t >= self.tail_start {
-            if loss > 0.0 {
-                self.saw_tail_loss = true;
-            } else if !self.saw_tail_loss {
-                self.worst = f64::max(self.worst, rtt / self.floor - 1.0);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of link RTT and loss rows — bit-identical to
-    /// pushing each pair in order.
+    /// Consume a batch of link RTT and loss rows in step order.
     pub fn push_block(&mut self, rtts: &[f64], losses: &[f64]) {
         debug_assert_eq!(rtts.len(), losses.len());
         let from = self.tail_start.saturating_sub(self.t).min(rtts.len());
@@ -662,23 +615,9 @@ impl FairnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.tail_start {
-            for (i, r) in records.iter().enumerate() {
-                self.win_sums[i] += r.window;
-                self.goodput_sums[i] += r.goodput;
-            }
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes: each
-    /// per-sender sum folds its own column in step order, so the additions
-    /// into `win_sums[i]` / `goodput_sums[i]` happen in exactly the order
-    /// the row-major path performs them.
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a batch of steps: each per-sender sum folds its own
+    /// window and goodput columns in step order.
+    pub fn push_block(&mut self, block: &StepBlock) {
         let len = block.len();
         let from = self.tail_start.saturating_sub(self.t).min(len);
         if from < len {
@@ -809,21 +748,9 @@ impl ConvergenceAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.tail_start {
-            for (i, r) in records.iter().enumerate() {
-                self.los[i] = f64::min(self.los[i], r.window);
-                self.his[i] = f64::max(self.his[i], r.window);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes (each
-    /// sender's `[lo, hi]` fold consumes its own column in step order
-    /// with the same `f64::min`/`f64::max` argument order).
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a batch of steps: each sender's `[lo, hi]` fold consumes
+    /// its own window column in step order.
+    pub fn push_block(&mut self, block: &StepBlock) {
         let len = block.len();
         let from = self.tail_start.saturating_sub(self.t).min(len);
         if from < len {
@@ -902,29 +829,12 @@ impl RobustnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        let (h, q) = (self.steps / 2, 3 * self.steps / 4);
-        for (i, r) in records.iter().enumerate() {
-            if r.window < self.beta {
-                self.last_dips[i] = Some(self.t);
-            }
-            if self.t >= q {
-                self.q4_sums[i] += r.window;
-            } else if self.t >= h {
-                self.q3_sums[i] += r.window;
-            }
-            self.last_windows[i] = r.window;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes: the
-    /// quartile boundaries hoist to slice boundaries (every row in
+    /// Consume a batch of steps. The quartile boundaries `h = steps/2`
+    /// and `q = 3·steps/4` hoist to slice boundaries (every row in
     /// `[h_from, q_from)` satisfies `h <= t < q`, and rows from `q_from`
     /// satisfy `t >= q`), and each per-sender sum folds its column in
     /// step order.
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    pub fn push_block(&mut self, block: &StepBlock) {
         let len = block.len();
         if len == 0 {
             return;
@@ -1054,11 +964,20 @@ impl FastUtilSender {
         });
     }
 
-    fn push(&mut self, t: usize, from: usize, min_horizon: usize, r: &StepRecord) {
-        let lossy = r.loss > 0.0;
+    /// Advance the segment scan by step `t`'s window, loss and RTT.
+    fn scan(
+        &mut self,
+        t: usize,
+        from: usize,
+        min_horizon: usize,
+        window: f64,
+        loss: f64,
+        rtt: f64,
+    ) {
+        let lossy = loss > 0.0;
         let has_prev = t > from;
-        let backed_off = has_prev && r.window < self.prev_window * 0.99 - 1e-12;
-        let rtt_rose = self.check_rtt && has_prev && r.rtt > self.prev_rtt + 1e-12;
+        let backed_off = has_prev && window < self.prev_window * 0.99 - 1e-12;
+        let rtt_rose = self.check_rtt && has_prev && rtt > self.prev_rtt + 1e-12;
         if lossy || backed_off || rtt_rose {
             if let Some(s) = self.seg_start.take() {
                 self.finalize_segment(s, t, min_horizon);
@@ -1068,18 +987,18 @@ impl FastUtilSender {
             // window predates the reaction.
             if !lossy {
                 self.seg_start = Some(t);
-                self.x1 = r.window;
+                self.x1 = window;
                 self.cum_gain = 0.0;
             }
         } else if self.seg_start.is_none() {
             self.seg_start = Some(t);
-            self.x1 = r.window;
+            self.x1 = window;
             self.cum_gain = 0.0;
         } else {
-            self.cum_gain += r.window - self.x1;
+            self.cum_gain += window - self.x1;
         }
-        self.prev_window = r.window;
-        self.prev_rtt = r.rtt;
+        self.prev_window = window;
+        self.prev_rtt = rtt;
     }
 
     fn measured(&self, end: usize, min_horizon: usize) -> Option<f64> {
@@ -1145,21 +1064,10 @@ impl FastUtilizationAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.from {
-            for (i, r) in records.iter().enumerate() {
-                self.senders[i].push(self.t, self.from, self.min_horizon, r);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes. The
-    /// segment scan is an inherently sequential state machine, so rows
-    /// replay per sender in step order (reading straight from the block's
-    /// columns instead of rebuilding a record slice per step).
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a batch of steps. The segment scan is an inherently
+    /// sequential state machine, so each sender scans its window, loss
+    /// and RTT columns row by row in step order.
+    pub fn push_block(&mut self, block: &StepBlock) {
         let len = block.len();
         let start = self.from.saturating_sub(self.t).min(len);
         let (t0, from, min_horizon) = (self.t, self.from, self.min_horizon);
@@ -1167,15 +1075,8 @@ impl FastUtilizationAcc {
             let rtts = block.sender_rtts(i);
             let windows = block.windows(i);
             let losses = block.sender_losses(i);
-            let goodputs = block.goodputs(i);
             for k in start..len {
-                let r = StepRecord {
-                    window: windows[k],
-                    loss: losses[k],
-                    rtt: rtts[k],
-                    goodput: goodputs[k],
-                };
-                s.push(t0 + k, from, min_horizon, &r);
+                s.scan(t0 + k, from, min_horizon, windows[k], losses[k], rtts[k]);
             }
         }
         self.t += len;
@@ -1197,8 +1098,36 @@ impl FastUtilizationAcc {
     }
 }
 
+/// Stage a finished trace's columns into blocks of up to `cap` steps and
+/// hand each block to `ingest` in step order. Per-sender RTT columns are
+/// staged when the trace records them (packet-level and multi-link runs).
+pub(crate) fn stage_blocks(trace: &RunTrace, cap: usize, mut ingest: impl FnMut(&StepBlock)) {
+    let own_rtts = trace.senders.iter().any(|s| s.rtt.is_some());
+    let mut block = StepBlock::new(trace.num_senders(), cap);
+    if own_rtts {
+        block.track_sender_rtts();
+    }
+    let mut start = 0;
+    while start < trace.len() {
+        let end = (start + block.capacity()).min(trace.len());
+        block.begin(start);
+        for t in start..end {
+            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
+            for (i, s) in trace.senders.iter().enumerate() {
+                block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
+                if own_rtts {
+                    block.stage_sender_rtt(i, trace.sender_rtt(i)[t]);
+                }
+            }
+            block.advance();
+        }
+        ingest(&block);
+        start = end;
+    }
+}
+
 /// The combined single-pass evaluator: one instance per run, consuming
-/// each step's shared link state and per-sender records, exposing every
+/// blocks of shared link-state and per-sender columns, exposing every
 /// axiom score. Engines drive it as they run; a finished trace is scored
 /// by [`replay`](MetricAccumulator::replay).
 #[derive(Debug, Clone)]
@@ -1236,44 +1165,12 @@ impl MetricAccumulator {
         }
     }
 
-    /// Consume one step: the shared total window, link RTT and link loss
-    /// (a trace's `total_window` / `rtt` / `loss` columns), plus one
-    /// record per sender in sender order.
-    pub fn push_step(&mut self, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        debug_assert_eq!(records.len(), self.n);
-        let m = self.metrics;
-        if m.contains(MetricSet::EFFICIENCY) {
-            self.efficiency.push(total);
-        }
-        if m.contains(MetricSet::LOSS_AVOIDANCE) {
-            self.loss.push(loss);
-        }
-        if m.contains(MetricSet::LATENCY) {
-            self.latency.push(rtt, loss);
-        }
-        if m.contains(MetricSet::FAIRNESS) {
-            self.fairness.push_step(records);
-        }
-        if m.contains(MetricSet::CONVERGENCE) {
-            self.convergence.push_step(records);
-        }
-        if m.contains(MetricSet::ROBUSTNESS) {
-            self.robustness.push_step(records);
-        }
-        if m.contains(MetricSet::FAST_UTILIZATION) {
-            self.fast_utilization.push_step(records);
-        }
-        self.t += 1;
-    }
-
-    /// Consume a whole block of steps at once — bit-identical to feeding
-    /// the same rows through [`MetricAccumulator::push_step`] one at a
-    /// time. Each sub-accumulator walks the block's contiguous columns in
-    /// step order, so the f64 accumulation order is exactly the per-step
-    /// order; the win is branch hoisting (tail boundaries and quartile
-    /// cuts computed once per block instead of once per step) and the
-    /// removal of the per-step `StepRecord` slice round-trip.
-    pub fn push_steps(&mut self, block: &StepBlock) {
+    /// Consume a whole block of steps: the shared total window, link RTT
+    /// and link loss columns (a trace's `total_window` / `rtt` / `loss`),
+    /// plus each sender's columns. Each sub-accumulator walks its columns
+    /// in step order, with tail boundaries and quartile cuts computed once
+    /// per block, so the scores do not depend on where blocks are cut.
+    pub fn push_block(&mut self, block: &StepBlock) {
         debug_assert_eq!(block.num_senders(), self.n);
         let m = self.metrics;
         if m.contains(MetricSet::EFFICIENCY) {
@@ -1286,16 +1183,16 @@ impl MetricAccumulator {
             self.latency.push_block(block.rtts(), block.link_losses());
         }
         if m.contains(MetricSet::FAIRNESS) {
-            self.fairness.push_steps(block);
+            self.fairness.push_block(block);
         }
         if m.contains(MetricSet::CONVERGENCE) {
-            self.convergence.push_steps(block);
+            self.convergence.push_block(block);
         }
         if m.contains(MetricSet::ROBUSTNESS) {
-            self.robustness.push_steps(block);
+            self.robustness.push_block(block);
         }
         if m.contains(MetricSet::FAST_UTILIZATION) {
-            self.fast_utilization.push_steps(block);
+            self.fast_utilization.push_block(block);
         }
         self.t += block.len();
     }
@@ -1309,29 +1206,9 @@ impl MetricAccumulator {
         debug_assert_eq!(cfg.steps, trace.len());
         debug_assert_eq!(cfg.loss_based.len(), trace.num_senders());
         let mut acc = MetricAccumulator::new(cfg);
-        let n = trace.num_senders();
-        let own_rtts = trace.senders.iter().any(|s| s.rtt.is_some());
-        let mut block = StepBlock::new(n, StepBlock::DEFAULT_CAPACITY);
-        if own_rtts {
-            block.track_sender_rtts();
-        }
-        let mut start = 0;
-        while start < trace.len() {
-            let end = (start + block.capacity()).min(trace.len());
-            block.begin(start);
-            for t in start..end {
-                block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
-                for (i, s) in trace.senders.iter().enumerate() {
-                    block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
-                    if own_rtts {
-                        block.stage_sender_rtt(i, trace.sender_rtt(i)[t]);
-                    }
-                }
-                block.advance();
-            }
-            acc.push_steps(&block);
-            start = end;
-        }
+        stage_blocks(trace, StepBlock::DEFAULT_CAPACITY, |block| {
+            acc.push_block(block)
+        });
         acc
     }
 
@@ -1485,25 +1362,22 @@ mod tests {
         MetricAccumulator::replay(trace, &config(trace, tail_fraction, 50.0))
     }
 
-    /// Drive an accumulator row by row through `push_step` — the per-step
-    /// ingest the block fold must reproduce bit for bit.
-    fn accumulate(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricAccumulator {
+    /// Feed the trace through `StepBlock`s of capacity `cap`.
+    fn accumulate_blocks(
+        trace: &RunTrace,
+        tail_fraction: f64,
+        beta: f64,
+        cap: usize,
+    ) -> MetricAccumulator {
         let mut acc = MetricAccumulator::new(&config(trace, tail_fraction, beta));
-        let mut records = Vec::with_capacity(trace.num_senders());
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            acc.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &records);
-        }
+        stage_blocks(trace, cap, |block| acc.push_block(block));
         acc
     }
+
+    /// Block capacities every split-sensitive test runs: one step per
+    /// block, an odd capacity that cuts boundaries mid-block, and the
+    /// engine's default.
+    const CAPS: [usize; 3] = [1, 7, StepBlock::DEFAULT_CAPACITY];
 
     /// A one-sender trace with explicit loss and RTT columns (the link
     /// columns mirror the sender's), for the per-sender metrics.
@@ -1969,31 +1843,6 @@ mod tests {
         }
     }
 
-    /// Replay the trace through `StepBlock`s of capacity `cap`.
-    fn accumulate_blocks(
-        trace: &RunTrace,
-        tail_fraction: f64,
-        beta: f64,
-        cap: usize,
-    ) -> MetricAccumulator {
-        let mut acc = MetricAccumulator::new(&config(trace, tail_fraction, beta));
-        let mut block = StepBlock::new(trace.num_senders(), cap);
-        for t in 0..trace.len() {
-            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
-            for (i, s) in trace.senders.iter().enumerate() {
-                block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
-            }
-            if block.advance() {
-                acc.push_steps(&block);
-                block.begin(t + 1);
-            }
-        }
-        if !block.is_empty() {
-            acc.push_steps(&block);
-        }
-        acc
-    }
-
     fn test_traces() -> Vec<RunTrace> {
         let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
         let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
@@ -2015,17 +1864,87 @@ mod tests {
     }
 
     #[test]
-    fn block_ingest_matches_per_step_ingest() {
-        // Odd capacities force tail boundaries and quartile cuts to land
-        // mid-block; cap 1 degenerates to the per-step path; a cap larger
-        // than the run exercises the final partial flush.
+    fn scores_do_not_depend_on_block_splits() {
+        // Capacity 7 lands tail boundaries and quartile cuts mid-block;
+        // capacity 1 puts every step on a block edge; the 300-step trace
+        // spans several default-capacity blocks.
         for trace in &test_traces() {
             for frac in [0.0, 0.25, 0.5, 0.9, 1.0] {
-                let by_step = accumulate(trace, frac, 50.0);
-                for cap in [1, 7, 16, 1024] {
-                    assert_same_scores(&accumulate_blocks(trace, frac, 50.0, cap), &by_step);
+                let reference = score(trace, frac);
+                for cap in CAPS {
+                    assert_same_scores(&accumulate_blocks(trace, frac, 50.0, cap), &reference);
                 }
-                assert_same_scores(&score(trace, frac), &by_step);
+            }
+        }
+    }
+
+    #[test]
+    fn tail_start_on_and_off_block_edges() {
+        // A 200-MSS transient (loss 0.4, unbounded latency), then a first
+        // tail step of 60 and 80s after it; C = 100. A tail of 7 starts on
+        // a capacity-7 block edge, a tail of 10 mid-block. A leaked
+        // transient step or a dropped first tail step changes every score.
+        for tail in [7usize, 10] {
+            let w: Vec<f64> = (0..2 * tail)
+                .map(|t| match t.cmp(&tail) {
+                    std::cmp::Ordering::Less => 200.0,
+                    std::cmp::Ordering::Equal => 60.0,
+                    std::cmp::Ordering::Greater => 80.0,
+                })
+                .collect();
+            let tr = trace_from_windows(small_link(), &[w]);
+            let n = tail as f64;
+            let tail_sum = 60.0 + 80.0 * (n - 1.0);
+            for cap in CAPS {
+                let acc = accumulate_blocks(&tr, 0.5, 50.0, cap);
+                let at = format!("tail {tail}, cap {cap}");
+                assert!(close(acc.measured_efficiency(), 0.6), "{at}");
+                assert!(
+                    close(acc.mean_utilization(), tail_sum / (n * 100.0)),
+                    "{at}"
+                );
+                assert_eq!(acc.measured_loss_bound(), 0.0, "{at}");
+                assert_eq!(acc.measured_latency_inflation(), 0.0, "{at}");
+                assert!(close(acc.tail_mean_window(0), tail_sum / n), "{at}");
+                assert!(close(acc.measured_convergence(), 120.0 / 140.0), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn robustness_quartile_cuts_on_and_off_block_edges() {
+        // Windows 0 before h = steps/2, 10 up to q = 3·steps/4, then 30.
+        // 28 steps put h = 14 and q = 21 on capacity-7 block edges; 26
+        // steps put h = 13 and q = 19 mid-block.
+        for steps in [28usize, 26] {
+            let (h, q) = (steps / 2, 3 * steps / 4);
+            let w: Vec<f64> = (0..steps)
+                .map(|t| {
+                    if t < h {
+                        0.0
+                    } else if t < q {
+                        10.0
+                    } else {
+                        30.0
+                    }
+                })
+                .collect();
+            let tr = lossless_sender(w);
+            // The last dip below β = 5 is step h − 1: the suffix that
+            // escapes is exactly steps − h long.
+            let suffix = (steps - h) as f64;
+            for cap in CAPS {
+                let acc = accumulate_blocks(&tr, 0.5, 5.0, cap);
+                let at = format!("{steps} steps, cap {cap}");
+                // Third- and fourth-quarter means are exactly 10 and 30.
+                assert!(acc.window_diverging(0, 19.5), "{at}");
+                assert!(!acc.window_diverging(0, 20.5), "{at}");
+                assert!(acc.window_escapes(0, (suffix - 0.5) / steps as f64), "{at}");
+                assert!(
+                    !acc.window_escapes(0, (suffix + 0.5) / steps as f64),
+                    "{at}"
+                );
+                assert_eq!(acc.last_window(0), 30.0, "{at}");
             }
         }
     }
@@ -2040,27 +1959,19 @@ mod tests {
         own[15] = 0.2;
         tr.senders[0].rtt = Some(own);
         assert!(close(fast(&tr).unwrap(), 210.0 / 196.0));
-        assert_same_scores(&score(&tr, 0.0), &accumulate(&tr, 0.0, 50.0));
+        for cap in CAPS {
+            assert_same_scores(&accumulate_blocks(&tr, 0.0, 50.0, cap), &score(&tr, 0.0));
+        }
     }
 
     #[test]
     fn reset_reproduces_a_fresh_accumulator() {
         let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
         let trace = trace_from_windows(small_link(), &[w]);
-        let fresh = accumulate(&trace, 0.5, 50.0);
-        let mut reused = accumulate(&trace, 0.5, 50.0);
+        let fresh = score(&trace, 0.5);
+        let mut reused = score(&trace, 0.5);
         reused.reset();
-        let mut block = StepBlock::new(1, 16);
-        for t in 0..trace.len() {
-            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
-            let s = &trace.senders[0];
-            block.stage_sender(0, s.window[t], s.loss[t], s.goodput[t]);
-            if block.advance() {
-                reused.push_steps(&block);
-                block.begin(t + 1);
-            }
-        }
-        reused.push_steps(&block);
+        stage_blocks(&trace, 16, |block| reused.push_block(block));
         assert_same_scores(&reused, &fresh);
     }
 
@@ -2081,11 +1992,9 @@ mod tests {
         assert_eq!(block.windows(0), &[1.0, 2.0, 3.0]);
         assert_eq!(block.windows(1), &[2.0, 3.0, 4.0]);
         assert_eq!(block.sender_rtts(1), block.rtts());
-        let r = block.record(1, 2);
-        assert_eq!(r.window, 4.0);
-        assert_eq!(r.loss, 0.5);
-        assert_eq!(r.rtt, 0.05);
-        assert_eq!(r.goodput, 8.0);
+        assert_eq!(block.sender_losses(1), &[0.5; 3]);
+        assert_eq!(block.goodputs(1), &[8.0; 3]);
+        assert_eq!(block.link_losses(), &[0.0, 0.01, 0.02]);
         // The fourth row fills the block.
         block.stage_shared(103.0, 0.05, 0.0);
         block.stage_sender(0, 4.0, 0.0, 9.0);
@@ -2099,7 +2008,6 @@ mod tests {
         block.stage_sender_rtt(1, 0.07);
         assert!(!block.advance());
         assert_eq!(block.sender_rtts(1), &[0.07]);
-        assert_eq!(block.record(1, 0).rtt, 0.07);
         // Reshape resets, re-zeroes and drops the per-sender RTTs.
         block.reshape(3, 8);
         assert!(block.is_empty());
@@ -2116,18 +2024,12 @@ mod tests {
         // `measured` on the fast-utilization accumulator clones to flush
         // the open segment; reading mid-stream must not corrupt state.
         let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
-        let trace = trace_from_windows(small_link(), std::slice::from_ref(&w));
+        let trace = trace_from_windows(small_link(), &[w]);
         let mut acc = MetricAccumulator::new(&config(&trace, 0.0, 50.0));
-        for (t, &wt) in w.iter().enumerate() {
-            let rec = [StepRecord {
-                window: wt,
-                loss: trace.senders[0].loss[t],
-                rtt: trace.rtt[t],
-                goodput: trace.senders[0].goodput[t],
-            }];
-            acc.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &rec);
+        stage_blocks(&trace, 1, |block| {
+            acc.push_block(block);
             let _ = acc.measured_fast_utilization(0);
-        }
+        });
         assert_eq!(
             acc.measured_fast_utilization(0).map(f64::to_bits),
             score(&trace, 0.0)

@@ -1,13 +1,14 @@
 //! The simulation loop: synchronized discrete-time dynamics (Section 2).
 //!
 //! The loop is written once, as [`try_run_scenario_with`], against a
-//! per-step visitor ([`StepSink`]). Two sinks cover every consumer:
+//! block visitor ([`StepSink`]): steps are staged into [`StepBlock`]s and
+//! each full block is handed to the sink. Two sinks cover every consumer:
 //!
-//! * [`TraceSink`] appends each step to trace columns and yields the full
-//!   [`RunTrace`] — what [`try_run_scenario`] returns and what
+//! * [`TraceSink`] appends each block to trace columns and yields the full
+//!   [`RunTrace`] — what [`Scenario::try_run`] returns and what
 //!   plotting/CSV export needs;
 //! * [`MetricAccumulator`] (via [`try_run_scenario_streaming`]) folds each
-//!   step straight into the axiom scores in O(senders) memory, never
+//!   block straight into the axiom scores in O(senders) memory, never
 //!   materializing a trajectory. A recorded trace is scored by replaying
 //!   it through the same fold ([`MetricAccumulator::replay`]), so the two
 //!   agree to the bit.
@@ -30,42 +31,35 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 
-/// Per-step visitor over the simulation loop.
+/// Block visitor over the simulation loop.
 ///
-/// `records` holds one entry per sender, in sender order, exactly the
-/// values a recorded trace appends to that sender's columns (idle
-/// senders appear with zero window and goodput so consumers see a
-/// rectangular run). `total`, `rtt` and `loss` are the shared link-state
-/// columns (on a multi-link topology: the total window of all senders,
-/// and the RTT and loss of the trace's floor link). The slice is a
-/// buffer reused across steps — sinks must copy what they keep.
+/// A [`StepBlock`] holds consecutive steps column by column: the shared
+/// link-state columns (on a multi-link topology: the total window of all
+/// senders, and the RTT and loss of the trace's floor link) and, per
+/// sender, exactly the values a recorded trace appends to that sender's
+/// columns (idle senders appear with zero window and goodput so consumers
+/// see a rectangular run). The block is a buffer reused across flushes —
+/// sinks must copy what they keep.
 pub trait StepSink {
-    /// Consume step `t`.
-    fn on_step(&mut self, t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]);
+    /// Consume a whole [`StepBlock`] of staged steps, in step order.
+    fn on_steps(&mut self, block: &StepBlock);
 
-    /// Consume a whole [`StepBlock`] of staged steps at once. The engine
-    /// hot path delivers blocks, not single steps; the default replays
-    /// each row through [`on_step`](Self::on_step) so existing sinks keep
-    /// working unchanged, and sinks with a native batch ingest (the trace
-    /// columns, the metric accumulators) override it to consume the
-    /// block's contiguous columns directly. Overrides must be
-    /// bit-identical to the default replay.
-    fn on_steps(&mut self, block: &StepBlock) {
-        let n = block.num_senders();
-        let mut records = Vec::with_capacity(n);
-        for k in 0..block.len() {
-            records.clear();
-            for i in 0..n {
-                records.push(block.record(i, k));
-            }
-            self.on_step(
-                (block.start_step() + k) as u64,
-                block.totals()[k],
-                block.rtts()[k],
-                block.link_losses()[k],
-                &records,
-            );
+    /// Consume step `t` given as one record per sender, in sender order:
+    /// stages the row (each sender's own RTT included) into a one-step
+    /// block and hands it to [`on_steps`](Self::on_steps). The engine
+    /// never calls it; it serves callers that produce one row at a time,
+    /// such as the scalar reference engines the tests compare against.
+    fn on_step(&mut self, t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
+        let mut block = StepBlock::new(records.len(), 1);
+        block.track_sender_rtts();
+        block.begin(t as usize);
+        block.stage_shared(total, rtt, loss);
+        for (i, r) in records.iter().enumerate() {
+            block.stage_sender(i, r.window, r.loss, r.goodput);
+            block.stage_sender_rtt(i, r.rtt);
         }
+        block.advance();
+        self.on_steps(&block);
     }
 }
 
@@ -128,20 +122,6 @@ impl TraceSink {
 }
 
 impl StepSink for TraceSink {
-    fn on_step(&mut self, _t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        self.total_col.push(total);
-        self.rtt_col.push(rtt);
-        self.loss_col.push(loss);
-        for (s, r) in self.senders.iter_mut().zip(records) {
-            s.window.push(r.window);
-            s.loss.push(r.loss);
-            s.goodput.push(r.goodput);
-            if let Some(own) = &mut s.rtt {
-                own.push(r.rtt);
-            }
-        }
-    }
-
     // Column-to-column copies: the block already holds each sender's rows
     // contiguously, so recording a block is six memcpy-shaped extends.
     fn on_steps(&mut self, block: &StepBlock) {
@@ -160,22 +140,14 @@ impl StepSink for TraceSink {
 }
 
 impl StepSink for MetricAccumulator {
-    fn on_step(&mut self, _t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        self.push_step(total, rtt, loss, records);
-    }
-
     fn on_steps(&mut self, block: &StepBlock) {
-        self.push_steps(block);
+        self.push_block(block);
     }
 }
 
 impl StepSink for axcc_core::axioms::churn::ChurnAccumulator {
-    fn on_step(&mut self, _t: u64, total: f64, _rtt: f64, _loss: f64, records: &[StepRecord]) {
-        self.push_step(total, records);
-    }
-
     fn on_steps(&mut self, block: &StepBlock) {
-        self.push_steps(block);
+        self.push_block(block);
     }
 }
 
@@ -250,7 +222,7 @@ impl LinkLanes {
 /// be reused across runs of *different* shapes (each run re-sizes and
 /// re-zeroes what it needs; the bit-identity tests cover reuse).
 #[derive(Debug, Default)]
-pub struct EngineWorkspace {
+struct EngineWorkspace {
     lanes: SenderLanes,
     /// Indices of currently-active senders, ascending — rebuilt at every
     /// activity boundary so the step loop iterates exactly the senders
@@ -269,7 +241,7 @@ pub struct EngineWorkspace {
 
 impl EngineWorkspace {
     /// A fresh, empty workspace (no allocation until first use).
-    pub fn new() -> Self {
+    fn new() -> Self {
         EngineWorkspace::default()
     }
 
@@ -335,8 +307,7 @@ fn with_workspace<R>(f: impl FnOnce(&mut EngineWorkspace) -> R) -> R {
 /// Senders that have not yet entered (or have departed) are reported with
 /// zero window and goodput so every step is rectangular.
 ///
-/// Uses the calling thread's cached [`EngineWorkspace`];
-/// [`try_run_scenario_with_workspace`] takes an explicit one.
+/// Uses the calling thread's cached engine workspace.
 pub fn try_run_scenario_with<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
@@ -367,7 +338,7 @@ pub fn try_run_scenario_with<S: StepSink>(
 /// order, a sender's RTT as its base RTT plus the sum of its links'
 /// queueing delays, and its congestion loss as `1 − Π(1 − L_l)` clamped
 /// below 1.
-pub fn try_run_scenario_with_workspace<S: StepSink>(
+fn try_run_scenario_with_workspace<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
     ws: &mut EngineWorkspace,
@@ -771,19 +742,6 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
     Ok(())
 }
 
-/// Run a scenario to completion, producing the full trace, or a typed
-/// error for an invalid configuration or a numerically divergent run.
-///
-/// Thin wrapper: [`try_run_scenario_with`] driving a [`TraceSink`].
-pub fn try_run_scenario(scenario: Scenario) -> Result<RunTrace, ScenarioError> {
-    let max_window = scenario.max_window;
-    let mut sink = TraceSink::for_scenario(&scenario);
-    try_run_scenario_with(scenario, &mut sink)?;
-    let trace = sink.into_trace();
-    debug_assert_eq!(trace.validate(max_window), Ok(()));
-    Ok(trace)
-}
-
 /// Evaluation parameters for the streaming path: the tail, horizon and
 /// escape threshold of the axiom folds, and the metric families to keep.
 #[derive(Debug, Clone, Copy)]
@@ -831,24 +789,9 @@ pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> M
     })
 }
 
-/// Score a recorded trace with `options`: its columns replay through the
-/// same fold a streaming run drives ([`MetricAccumulator::replay`]).
-pub fn replay_trace(trace: &RunTrace, options: &StreamOptions) -> MetricAccumulator {
-    MetricAccumulator::replay(
-        trace,
-        &MetricConfig {
-            tail_fraction: options.tail_fraction,
-            min_horizon: options.min_horizon,
-            escape_beta: options.escape_beta,
-            metrics: options.metrics,
-            ..MetricConfig::for_trace(trace)
-        },
-    )
-}
-
 /// Run a scenario through the trace-free streaming path, returning the
 /// populated accumulator. Bit-identical to replaying the trace
-/// [`try_run_scenario`] records, without the O(steps × senders) trace
+/// [`Scenario::try_run`] records, without the O(steps × senders) trace
 /// allocation.
 pub fn try_run_scenario_streaming(
     scenario: Scenario,
@@ -876,22 +819,8 @@ pub fn try_run_scenario_streaming_into(
     Ok(())
 }
 
-/// Run a scenario to completion, producing the full trace.
-///
-/// Legacy panicking wrapper over [`try_run_scenario`]: the panic message
-/// is the [`ScenarioError`] display string, preserving the historical
-/// messages ("scenario needs at least one sender", …).
-///
-/// # Panics
-///
-/// Panics on an invalid scenario or a numerically divergent run.
-pub fn run_scenario(scenario: Scenario) -> RunTrace {
-    // tidy-allow: panic-freedom — documented panicking façade over try_run_scenario; fallible callers use the try_ path
-    try_run_scenario(scenario).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Streaming counterpart of [`run_scenario`]: run the scenario and fold it
-/// straight into a fresh [`MetricAccumulator`].
+/// Streaming counterpart of [`Scenario::run`]: run the scenario and fold
+/// it straight into a fresh [`MetricAccumulator`].
 ///
 /// # Panics
 ///
@@ -1700,7 +1629,16 @@ mod tests {
     fn assert_streaming_matches(build: impl Fn() -> Scenario, opts: StreamOptions) {
         let trace = build().try_run().unwrap();
         let acc = try_run_scenario_streaming(build(), &opts).unwrap();
-        let replayed = replay_trace(&trace, &opts);
+        let replayed = MetricAccumulator::replay(
+            &trace,
+            &MetricConfig {
+                tail_fraction: opts.tail_fraction,
+                min_horizon: opts.min_horizon,
+                escape_beta: opts.escape_beta,
+                metrics: opts.metrics,
+                ..MetricConfig::for_trace(&trace)
+            },
+        );
         let pairs = [
             (acc.measured_efficiency(), replayed.measured_efficiency()),
             (acc.mean_utilization(), replayed.mean_utilization()),
@@ -1900,7 +1838,7 @@ mod tests {
         let mut acc = ChurnAccumulator::new(&cfg, base + intervals.len());
         try_run_scenario_with(build(), &mut acc).unwrap();
 
-        // Recorded: the trace's rows, fed step by step.
+        // Recorded: the trace's rows, fed one step at a time.
         let trace = build().try_run().unwrap();
         let mut replayed = ChurnAccumulator::new(&cfg, trace.num_senders());
         for t in 0..trace.len() {
@@ -1914,7 +1852,13 @@ mod tests {
                     goodput: s.goodput[t],
                 })
                 .collect();
-            replayed.push_step(trace.total_window[t], &records);
+            replayed.on_step(
+                t as u64,
+                trace.total_window[t],
+                trace.rtt[t],
+                trace.loss[t],
+                &records,
+            );
         }
         assert!(!arrivals.is_empty());
         assert_eq!(

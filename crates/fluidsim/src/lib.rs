@@ -74,10 +74,9 @@ mod scenario;
 pub mod stats;
 
 pub use engine::{
-    metric_accumulator_for, replay_trace, run_scenario, run_scenario_streaming,
-    run_scenario_streaming_into, try_run_scenario, try_run_scenario_streaming,
-    try_run_scenario_streaming_into, try_run_scenario_with, try_run_scenario_with_workspace,
-    EngineWorkspace, StepSink, StreamOptions, TraceSink,
+    metric_accumulator_for, run_scenario_streaming, run_scenario_streaming_into,
+    try_run_scenario_streaming, try_run_scenario_streaming_into, try_run_scenario_with, StepSink,
+    StreamOptions, TraceSink,
 };
 pub use loss::{LossModel, LossProcess};
 pub use scenario::{FeedbackMode, Scenario, SenderConfig};

@@ -1,5 +1,6 @@
 //! Scenario description: topology, senders, run length, loss injection.
 
+use crate::engine::{try_run_scenario_with, TraceSink};
 use crate::loss::LossModel;
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol, RunTrace, ScenarioError};
@@ -336,9 +337,15 @@ impl Scenario {
     }
 
     /// Execute the scenario and return the trace, or a typed error for an
-    /// invalid configuration or a numerically divergent run.
+    /// invalid configuration or a numerically divergent run: the engine
+    /// loop driving a [`TraceSink`].
     pub fn try_run(self) -> Result<RunTrace, ScenarioError> {
-        crate::engine::try_run_scenario(self)
+        let max_window = self.max_window;
+        let mut sink = TraceSink::for_scenario(&self);
+        try_run_scenario_with(self, &mut sink)?;
+        let trace = sink.into_trace();
+        debug_assert_eq!(trace.validate(max_window), Ok(()));
+        Ok(trace)
     }
 
     /// Execute the scenario and return the trace.

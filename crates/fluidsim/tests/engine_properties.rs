@@ -1,11 +1,60 @@
 //! Property tests for the fluid engine: the dynamics of Section 2 hold for
 //! arbitrary protocol mixes, links, initial configurations and loss seeds.
 
+// Test-only helper fns sit outside #[test], where the workspace's
+// allow-unwrap-in-tests exemption does not reach.
+#![allow(clippy::unwrap_used)]
+
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::LinkParams;
 use axcc_fluidsim::{LossModel, Scenario, SenderConfig};
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
+
+/// Without wire loss the engine is a pure function of the scenario —
+/// seeds are irrelevant; with wire loss, it is a pure function of
+/// (scenario, seed).
+fn check_purity(
+    link: LinkParams,
+    name: &str,
+    init: f64,
+    s1: u64,
+    s2: u64,
+) -> Result<(), TestCaseError> {
+    let run = |seed: u64, loss: Option<f64>| {
+        let mut sc = Scenario::new(link)
+            .sender(SenderConfig::new(resolve(name).unwrap()).initial_window(init))
+            .steps(150)
+            .seed(seed);
+        if let Some(r) = loss {
+            sc = sc.wire_loss(LossModel::Bernoulli { rate: r });
+        }
+        sc.run()
+    };
+    // Same dynamics regardless of seed when there is no randomness
+    // (the trace's recorded `seed` metadata naturally differs).
+    let a = run(s1, None);
+    let b = run(s2, None);
+    prop_assert_eq!(&a.senders, &b.senders);
+    prop_assert_eq!(&a.total_window, &b.total_window);
+    prop_assert_eq!(&a.rtt, &b.rtt);
+    prop_assert_eq!(&a.loss, &b.loss);
+    prop_assert_eq!(run(s1, Some(0.05)), run(s1, Some(0.05)));
+    Ok(())
+}
+
+/// A shrunk failure of [`check_purity`] kept from an earlier proptest
+/// run: a zero-window Reno sender on a bufferless link.
+#[test]
+fn purity_of_an_idle_reno_sender_on_a_bufferless_link() {
+    let link = LinkParams {
+        bandwidth: 200.0,
+        prop_delay: 0.005,
+        buffer: 0.0,
+        timeout_delta: 0.02,
+    };
+    check_purity(link, "reno", 0.0, 0, 1).unwrap();
+}
 
 fn arb_link() -> impl Strategy<Value = LinkParams> {
     (200.0f64..20_000.0, 0.005f64..0.2, 0.0f64..500.0)
@@ -67,9 +116,7 @@ proptest! {
         }
     }
 
-    /// Without wire loss the engine is a pure function of the scenario —
-    /// seeds are irrelevant; with wire loss, it is a pure function of
-    /// (scenario, seed).
+    /// See [`check_purity`].
     #[test]
     fn purity(
         link in arb_link(),
@@ -78,25 +125,7 @@ proptest! {
         s1 in any::<u64>(),
         s2 in any::<u64>(),
     ) {
-        let run = |seed: u64, loss: Option<f64>| {
-            let mut sc = Scenario::new(link)
-                .sender(SenderConfig::new(resolve(name).unwrap()).initial_window(init))
-                .steps(150)
-                .seed(seed);
-            if let Some(r) = loss {
-                sc = sc.wire_loss(LossModel::Bernoulli { rate: r });
-            }
-            sc.run()
-        };
-        // Same dynamics regardless of seed when there is no randomness
-        // (the trace's recorded `seed` metadata naturally differs).
-        let a = run(s1, None);
-        let b = run(s2, None);
-        prop_assert_eq!(&a.senders, &b.senders);
-        prop_assert_eq!(&a.total_window, &b.total_window);
-        prop_assert_eq!(&a.rtt, &b.rtt);
-        prop_assert_eq!(&a.loss, &b.loss);
-        prop_assert_eq!(run(s1, Some(0.05)), run(s1, Some(0.05)));
+        check_purity(link, name, init, s1, s2)?;
     }
 
     /// Sender order doesn't privilege anyone: permuting two identical

@@ -265,6 +265,44 @@ fn multi_hop_loss_stays_below_one() {
     }
 }
 
+/// A one-link topology with an explicit `[0]` path is the
+/// single-bottleneck scenario, bit for bit, delay-based protocols
+/// included.
+fn check_single_link_reduction(
+    link: LinkParams,
+    name: &str,
+    init: f64,
+) -> Result<(), TestCaseError> {
+    let net = Scenario::on(Topology::single(link))
+        .sender(
+            SenderConfig::new(resolve(name).unwrap())
+                .initial_window(init)
+                .path(vec![0]),
+        )
+        .steps(200)
+        .run();
+    let single = Scenario::new(link)
+        .sender(SenderConfig::new(resolve(name).unwrap()).initial_window(init))
+        .steps(200)
+        .run();
+    prop_assert_eq!(net, single);
+    Ok(())
+}
+
+/// A shrunk failure of [`check_single_link_reduction`] kept from an
+/// earlier proptest run: Reno from a 1-MSS window on a shallow-buffered
+/// link.
+#[test]
+fn single_link_reduction_of_reno_on_a_shallow_buffer() {
+    let link = LinkParams {
+        bandwidth: 1693.5083050413946,
+        prop_delay: 0.026777766043161396,
+        buffer: 10.858107109705099,
+        timeout_delta: 0.11993427510982453,
+    };
+    check_single_link_reduction(link, "reno", 1.0).unwrap();
+}
+
 fn arb_link() -> impl Strategy<Value = LinkParams> {
     (300.0f64..5000.0, 0.01f64..0.1, 0.0f64..200.0)
         .prop_map(|(b, th, tau)| LinkParams::new(b, th, tau))
@@ -285,24 +323,14 @@ fn arb_protocol_name() -> impl Strategy<Value = &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A one-link topology with an explicit `[0]` path is the
-    /// single-bottleneck scenario, bit for bit, delay-based protocols
-    /// included.
+    /// See [`check_single_link_reduction`].
     #[test]
     fn single_link_reduction(
         link in arb_link(),
         name in arb_protocol_name(),
         init in 1.0f64..200.0,
     ) {
-        let net = Scenario::on(Topology::single(link))
-            .sender(SenderConfig::new(resolve(name).unwrap()).initial_window(init).path(vec![0]))
-            .steps(200)
-            .run();
-        let single = Scenario::new(link)
-            .sender(SenderConfig::new(resolve(name).unwrap()).initial_window(init))
-            .steps(200)
-            .run();
-        prop_assert_eq!(net, single);
+        check_single_link_reduction(link, name, init)?;
     }
 
     /// Composition laws hold at every step of every flow: loss composes

@@ -14,8 +14,8 @@
 
 use axcc_core::LinkParams;
 use axcc_fluidsim::{
-    replay_trace, try_run_scenario_streaming, FeedbackMode, LossModel, Scenario, SenderConfig,
-    StreamOptions,
+    try_run_scenario_streaming, FeedbackMode, LossModel, MetricAccumulator, MetricConfig, Scenario,
+    SenderConfig, StreamOptions,
 };
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
@@ -143,7 +143,10 @@ proptest! {
         };
         let trace = build(&p).try_run().unwrap();
         let acc = try_run_scenario_streaming(build(&p), &opts).unwrap();
-        let replayed = replay_trace(&trace, &opts);
+        let replayed = MetricAccumulator::replay(&trace, &MetricConfig {
+            tail_fraction: opts.tail_fraction,
+            ..MetricConfig::for_trace(&trace)
+        });
         let tail = trace.tail_start(opts.tail_fraction);
         let n = trace.senders.len();
 

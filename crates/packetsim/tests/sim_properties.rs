@@ -1,12 +1,63 @@
 //! Property tests for the packet-level engine: conservation, buffer
 //! bounds, determinism and timing sanity for arbitrary scenarios.
 
-#![allow(clippy::float_cmp)] // exact comparisons are deliberate in tests
+#![allow(clippy::float_cmp)]
+// exact comparisons are deliberate in tests
+// Test-only helper fns sit outside #[test], where the workspace's
+// allow-unwrap-in-tests exemption does not reach.
+#![allow(clippy::unwrap_used)]
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::LinkParams;
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
+
+/// Conservation, buffer bound, and valid traces for arbitrary mixes,
+/// stagger, wire loss and seeds.
+fn check_conservation_and_bounds(
+    link: LinkParams,
+    names: &[&str],
+    stagger: f64,
+    wire: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut sc = PacketScenario::new(link)
+        .duration_secs(4.0)
+        .wire_loss(wire)
+        .seed(seed);
+    for (i, name) in names.iter().enumerate() {
+        sc = sc.sender(
+            PacketSenderConfig::new(resolve(name).unwrap()).start_at_secs(i as f64 * stagger),
+        );
+    }
+    let out = sc.run();
+    prop_assert!(out.conservation_ok());
+    prop_assert!(out.queue.max_depth as f64 <= link.buffer.round());
+    prop_assert_eq!(out.trace.validate(MAX_WINDOW), Ok(()));
+    // Every flow that started made progress.
+    for f in &out.flows {
+        prop_assert!(f.sent > 0);
+    }
+    // Aggregate sanity: total acked cannot exceed what the link can
+    // carry in the duration (plus one BDP of slack).
+    let acked: u64 = out.flows.iter().map(|f| f.acked).sum();
+    let cap = link.bandwidth * 4.0 + link.capacity() + 1.0;
+    prop_assert!((acked as f64) <= cap, "acked {acked} > capacity {cap}");
+    Ok(())
+}
+
+/// A shrunk failure of [`check_conservation_and_bounds`] kept from an
+/// earlier proptest run: one Reno flow on a bufferless link.
+#[test]
+fn conservation_and_bounds_of_reno_on_a_bufferless_link() {
+    let link = LinkParams {
+        bandwidth: 500.0,
+        prop_delay: 0.057858575526814296,
+        buffer: 0.0,
+        timeout_delta: 0.23143430210725718,
+    };
+    check_conservation_and_bounds(link, &["reno"], 0.0, 0.0, 0).unwrap();
+}
 
 fn arb_protocol_name() -> impl Strategy<Value = &'static str> {
     prop_oneof![
@@ -29,8 +80,7 @@ fn arb_link() -> impl Strategy<Value = LinkParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Conservation, buffer bound, and valid traces for arbitrary mixes,
-    /// stagger, wire loss and seeds.
+    /// See [`check_conservation_and_bounds`].
     #[test]
     fn conservation_and_bounds(
         link in arb_link(),
@@ -39,29 +89,7 @@ proptest! {
         wire in 0.0f64..0.15,
         seed in any::<u64>(),
     ) {
-        let mut sc = PacketScenario::new(link)
-            .duration_secs(4.0)
-            .wire_loss(wire)
-            .seed(seed);
-        for (i, name) in names.iter().enumerate() {
-            sc = sc.sender(
-                PacketSenderConfig::new(resolve(name).unwrap())
-                    .start_at_secs(i as f64 * stagger),
-            );
-        }
-        let out = sc.run();
-        prop_assert!(out.conservation_ok());
-        prop_assert!(out.queue.max_depth as f64 <= link.buffer.round());
-        prop_assert_eq!(out.trace.validate(MAX_WINDOW), Ok(()));
-        // Every flow that started made progress.
-        for f in &out.flows {
-            prop_assert!(f.sent > 0);
-        }
-        // Aggregate sanity: total acked cannot exceed what the link can
-        // carry in the duration (plus one BDP of slack).
-        let acked: u64 = out.flows.iter().map(|f| f.acked).sum();
-        let cap = link.bandwidth * 4.0 + link.capacity() + 1.0;
-        prop_assert!((acked as f64) <= cap, "acked {acked} > capacity {cap}");
+        check_conservation_and_bounds(link, &names, stagger, wire, seed)?;
     }
 
     /// Bit-exact determinism for arbitrary scenarios.

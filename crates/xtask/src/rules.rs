@@ -127,7 +127,7 @@ pub struct RuleSet {
     pub hygiene: bool,
     /// Flag direct `RunTrace` struct construction. Only the engines'
     /// sanctioned trace sinks may build one — everything else must go
-    /// through `try_run_scenario` (or the streaming path), so the two
+    /// through `Scenario::try_run` (or the streaming path), so the two
     /// evaluation paths remain the only producers of trace data.
     pub trace_discipline: bool,
     /// Exempt this file from the thread-spawning determinism patterns.
@@ -414,7 +414,7 @@ pub fn check_lines(
                 lineno,
                 Rule::TraceDiscipline,
                 "direct `RunTrace` construction outside the engine trace sinks; \
-                 run scenarios through try_run_scenario (or the streaming path) so \
+                 run scenarios through Scenario::try_run (or the streaming path) so \
                  the two evaluation paths stay the only producers of trace data"
                     .to_string(),
             ));

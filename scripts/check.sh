@@ -30,10 +30,13 @@ cargo test --release -q -p axcc-analysis --test parallel_speedup -- --ignored
 
 # The vendored crates are excluded from the workspace, so their own unit
 # tests run separately; their build output stays under target/vendor.
-echo "==> vendored crates' unit tests (rand, rand_chacha, serde_json)"
+echo "==> vendored crates' unit tests (rand, rand_chacha, serde_json, proptest, serde, sigmon)"
 cargo test -q --manifest-path vendor/rand/Cargo.toml --target-dir target/vendor
 cargo test -q --manifest-path vendor/rand_chacha/Cargo.toml --target-dir target/vendor
 cargo test -q --manifest-path vendor/serde_json/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/proptest/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/serde/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/sigmon/Cargo.toml --target-dir target/vendor
 
 # perfbench is its own workspace, outside `crates/*`, so the step above
 # neither builds nor tests it; its self-tests also prove it still compiles

@@ -34,6 +34,61 @@ fn arb_protocol() -> impl Strategy<Value = Box<dyn axiomatic_cc::core::Protocol>
     ]
 }
 
+/// The fluid engine upholds every trace invariant for arbitrary
+/// protocols, links, initial windows and loss seeds.
+fn check_fluid_trace_validates(
+    proto: &dyn axiomatic_cc::core::Protocol,
+    link: LinkParams,
+    init: &[f64],
+    loss_rate: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut sc = Scenario::new(link)
+        .steps(300)
+        .wire_loss(LossModel::Bernoulli { rate: loss_rate })
+        .seed(seed);
+    for &w in init {
+        sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
+    }
+    let trace = sc.run();
+    prop_assert_eq!(trace.validate(MAX_WINDOW), Ok(()));
+    prop_assert_eq!(trace.len(), 300);
+    // Link-level RTT equals equation (1) of the paper at every step.
+    for (t, &x) in trace.total_window.iter().enumerate() {
+        prop_assert!((trace.rtt[t] - link.rtt(x)).abs() < 1e-12);
+        prop_assert!((trace.loss[t] - link.loss_rate(x)).abs() < 1e-12);
+    }
+    Ok(())
+}
+
+/// A shrunk failure of [`check_fluid_trace_validates`] kept from an
+/// earlier proptest run: two binomial senders starting a hundredfold
+/// above the capacity of a bufferless 1-MSS link, under random loss.
+#[test]
+fn binomial_pair_on_a_bufferless_link_validates() {
+    let proto = Binomial::new(
+        0.2867697365004449,
+        0.8506359846414044,
+        1.287567459535312,
+        0.10155190047230919,
+    );
+    let link = LinkParams {
+        bandwidth: 100.0,
+        prop_delay: 0.005,
+        buffer: 0.0,
+        timeout_delta: 0.02,
+    };
+    let init = [117.94268360107723, 93.72110955670432];
+    check_fluid_trace_validates(
+        &proto,
+        link,
+        &init,
+        0.08435781215720989,
+        1417282502634714212,
+    )
+    .unwrap();
+}
+
 fn arb_link() -> impl Strategy<Value = LinkParams> {
     (100.0f64..20_000.0, 0.005f64..0.2, 0.0f64..500.0)
         .prop_map(|(b, theta, tau)| LinkParams::new(b, theta, tau))
@@ -42,8 +97,7 @@ fn arb_link() -> impl Strategy<Value = LinkParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fluid engine upholds every trace invariant for arbitrary
-    /// protocols, links, initial windows and loss seeds.
+    /// See [`check_fluid_trace_validates`].
     #[test]
     fn fluid_traces_always_validate(
         proto in arb_protocol(),
@@ -52,21 +106,7 @@ proptest! {
         loss_rate in 0.0f64..0.3,
         seed in any::<u64>(),
     ) {
-        let mut sc = Scenario::new(link)
-            .steps(300)
-            .wire_loss(LossModel::Bernoulli { rate: loss_rate })
-            .seed(seed);
-        for &w in &init {
-            sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
-        }
-        let trace = sc.run();
-        prop_assert_eq!(trace.validate(MAX_WINDOW), Ok(()));
-        prop_assert_eq!(trace.len(), 300);
-        // Link-level RTT equals equation (1) of the paper at every step.
-        for (t, &x) in trace.total_window.iter().enumerate() {
-            prop_assert!((trace.rtt[t] - link.rtt(x)).abs() < 1e-12);
-            prop_assert!((trace.loss[t] - link.loss_rate(x)).abs() < 1e-12);
-        }
+        check_fluid_trace_validates(proto.as_ref(), link, &init, loss_rate, seed)?;
     }
 
     /// The packet engine conserves packets and respects the buffer bound
