@@ -7,7 +7,7 @@
 //! * **latency-avoidance across classes**: the Metric VIII column the
 //!   paper omits (its protocols are all loss-based) becomes meaningful
 //!   once Vegas and BBR join the lineup;
-//! * **TFRC**: the equation-based design point (reference [13]) whose
+//! * **TFRC**: the equation-based design point (reference \[13\]) whose
 //!   whole purpose is the smoothness column.
 
 use crate::estimators::replay;

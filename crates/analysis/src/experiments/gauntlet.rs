@@ -31,13 +31,13 @@
 //! burst frequency collapses with `L` while Robust-AIMD's degrades slowly
 //! — the headline [`GauntletReport::degrades_slower`] predicate.
 //!
-//! **The search.** A column's score is found by
-//! [`largest_passing`](crate::estimators::largest_passing) rather than by
-//! running every cell: frequencies are tried from the highest down and the
-//! first withstood one is the score, and a cell stops running seeds once
-//! its majority verdict is decided. Every run owns its seed and its RNG,
-//! so skipping runs changes no other run, and the score is the one the
-//! exhaustive scan of every (frequency, seed) pair would report.
+//! **The search.** A column's score is found by [`largest_passing`]
+//! rather than by running every cell: frequencies are tried from the
+//! highest down and the first withstood one is the score, and a cell
+//! stops running seeds once its majority verdict is decided. Every run
+//! owns its seed and its RNG, so skipping runs changes no other run, and
+//! the score is the one the exhaustive scan of every (frequency, seed)
+//! pair would report.
 //!
 //! Side-effect columns guard against robustness "won" by pure aggression:
 //! efficiency (Metric I) and TCP-friendliness (Metric VII) are re-measured

@@ -2,7 +2,7 @@
 //!
 //! Section 6 of the paper explicitly invites this: *"What other metrics of
 //! performance, fairness, etc., should be incorporated into our axiomatic
-//! approach (see [12] for a discussion of evaluation metrics)?"* — [12] is
+//! approach (see \[12\] for a discussion of evaluation metrics)?"* — \[12\] is
 //! RFC 5166, *Metrics for the Evaluation of Congestion Control
 //! Mechanisms*, whose list includes **smoothness** (magnitude of rate
 //! oscillations) and **responsiveness** (reaction time to changes in

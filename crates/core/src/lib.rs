@@ -44,7 +44,6 @@
 pub mod axioms;
 pub mod error;
 pub mod fingerprint;
-pub mod history;
 pub mod link;
 pub mod protocol;
 pub mod score;

@@ -79,14 +79,6 @@ impl SenderTrace {
     pub fn mean_goodput_from(&self, from: usize) -> f64 {
         mean(&self.goodput[from.min(self.len())..])
     }
-
-    /// Maximum loss rate over `[from, len)`.
-    pub fn max_loss_from(&self, from: usize) -> f64 {
-        self.loss[from.min(self.len())..]
-            .iter()
-            .copied()
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The full record of one simulated run.

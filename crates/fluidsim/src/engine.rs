@@ -161,8 +161,6 @@ struct SenderLanes {
     windows: Vec<f64>,
     /// Composed per-sender loss for the step in flight.
     losses: Vec<f64>,
-    /// Per-sender goodput for the step in flight.
-    goodputs: Vec<f64>,
     /// Running per-sender min-RTT.
     min_rtts: Vec<f64>,
     /// Requested next windows, staged before the divergence scan.
@@ -250,7 +248,6 @@ impl EngineWorkspace {
     fn prepare(&mut self, n: usize, loss_model: LossModel) {
         reset_lane(&mut self.lanes.windows, n, 0.0);
         reset_lane(&mut self.lanes.losses, n, 0.0);
-        reset_lane(&mut self.lanes.goodputs, n, 0.0);
         reset_lane(&mut self.lanes.min_rtts, n, f64::INFINITY);
         reset_lane(&mut self.lanes.requests, n, 0.0);
         self.lanes.started.clear();
@@ -325,11 +322,18 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///   can only take effect at a precomputed set of boundary steps, so the
 ///   per-step scans are hoisted out of the inner loop entirely and the
 ///   active-sender set is rebuilt once per span;
-/// * **lane passes** — per-sender work runs as tight passes over the
-///   workspace's contiguous lanes (loss fill or sampled loss, min-RTT,
-///   goodput, protocol requests, divergence scan + clamp), and finished
-///   rows are staged into a [`StepBlock`] delivered to the sink in
-///   batches ([`StepSink::on_steps`]).
+/// * **lane passes** — per-sender work runs as passes over the active
+///   senders' contiguous lanes (composed loss, min-RTT and goodput staged
+///   in one pass; then protocol requests; then the divergence scan and
+///   clamp), and finished rows are staged into a [`StepBlock`]
+///   delivered to the sink in batches ([`StepSink::on_steps`]).
+///
+/// One general one-link step body serves every sender count and
+/// activity pattern, with two shortcuts that were measured to pay for
+/// themselves (DESIGN.md §8): the flat-link hoist, which turns the step
+/// RTT and congestion loss into span constants when `n` clamped windows
+/// cannot reach capacity, and a single-lane copy of the body for spans
+/// with one active sender.
 ///
 /// Every f64 reduction keeps the scalar engine's exact evaluation order:
 /// the total window is a strict left-to-right `iter().sum()` and goodput
@@ -362,16 +366,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
     let horizon = steps as u64;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
-    // When no per-sender RNG draw is involved, the composed loss is one
-    // shared value per step and the loss pass is a fill instead of n
-    // samples. (`compose_loss` is still applied — even with wire = 0.0
-    // its clamp must run for bit-identity with the sampled path.)
-    let uniform_wire = match (loss_model, feedback) {
-        (LossModel::None, FeedbackMode::Synchronized) => Some(0.0),
-        (LossModel::Constant { rate }, FeedbackMode::Synchronized) => Some(rate),
-        _ => None,
-    };
-
     // Without wire loss or sampled feedback a multi-link sender's loss is
     // its path's congestion loss as is, not passed through `compose_loss`.
     let path_loss_only = matches!(
@@ -395,7 +389,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
     let SenderLanes {
         windows,
         losses,
-        goodputs,
         min_rtts,
         requests,
         started,
@@ -474,7 +467,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
                 active.push(i);
             }
         }
-        let dense = active.len() == n;
 
         if multi_link {
             let LinkLanes {
@@ -572,38 +564,29 @@ fn try_run_scenario_with_workspace<S: StepSink>(
         let flat_link = (n as f64) * max_window * (1.0 + 1e-9) < active_link.capacity();
         let flat_rtt = active_link.min_rtt();
 
-        if n == 1 && dense {
-            // Single-lane fast path: the robustness-sweep shape (one
-            // sender, staged every step). Statement-for-statement the
-            // general body below with the lane sweeps collapsed to index
-            // 0; `0.0 + w` is exactly the one-lane fold of `iter().sum()`,
-            // so totals are bit-identical.
+        // Single-lane span: with one active sender (every robustness
+        // cell) the passes below collapse to straight-line code on its
+        // lane. Statement for statement the general body, so the bits
+        // are the same; it pays for itself (see DESIGN.md §8).
+        if let [i] = active[..] {
             for t in span_start..span_end {
-                let w0 = windows[0];
-                let total = 0.0 + w0;
+                let total: f64 = windows.iter().sum();
                 let (rtt, congestion_loss) = if flat_link {
                     (flat_rtt, 0.0)
                 } else {
                     (active_link.rtt(total), active_link.loss_rate(total))
                 };
-                let loss = if let Some(wire) = uniform_wire {
-                    compose_loss(congestion_loss, wire)
-                } else {
-                    let wire = wire_loss.sample(&mut rng, 0, w0);
-                    let observed = match feedback {
-                        FeedbackMode::Synchronized => congestion_loss,
-                        FeedbackMode::PerPacket => {
-                            sample_loss_fraction(&mut rng, w0, congestion_loss)
-                        }
-                    };
-                    compose_loss(observed, wire)
+                let w = windows[i];
+                let wire = wire_loss.sample(&mut rng, i, w);
+                let observed = match feedback {
+                    FeedbackMode::Synchronized => congestion_loss,
+                    FeedbackMode::PerPacket => sample_loss_fraction(&mut rng, w, congestion_loss),
                 };
-                losses[0] = loss;
-                min_rtts[0] = min_rtts[0].min(rtt);
-                let goodput = w0 * (1.0 - loss) / rtt;
-                goodputs[0] = goodput;
+                let loss = compose_loss(observed, wire);
+                losses[i] = loss;
+                min_rtts[i] = min_rtts[i].min(rtt);
                 block.stage_shared(total, rtt, congestion_loss);
-                block.stage_sender(0, w0, loss, goodput);
+                block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
                 let lane_obs = LaneObs {
                     tick: t,
                     rtt,
@@ -611,16 +594,16 @@ fn try_run_scenario_with_workspace<S: StepSink>(
                     losses: &losses[..],
                     min_rtts: &min_rtts[..],
                 };
-                let requested = senders[0].protocol.next_window_lane(&lane_obs, 0);
+                let requested = senders[i].protocol.next_window_lane(&lane_obs, i);
                 if !requested.is_finite() {
                     return Err(ScenarioError::NumericalDivergence {
                         step: t,
-                        sender: 0,
+                        sender: i,
                         context: "requested window",
                         value: requested,
                     });
                 }
-                windows[0] = clamp_window(requested, max_window);
+                windows[i] = clamp_window(requested, max_window);
                 if block.advance() {
                     sink.on_steps(block);
                     block.begin(t as usize + 1);
@@ -641,62 +624,29 @@ fn try_run_scenario_with_workspace<S: StepSink>(
             // incremental updates would drift from the recorded column
             // and break the streaming path's bit-identity contract.)
             let total: f64 = windows.iter().sum();
-            let rtt = active_link.rtt(total);
-            let congestion_loss = active_link.loss_rate(total);
-
-            // (3) the loss pass.
-            if let Some(wire) = uniform_wire {
-                let loss = compose_loss(congestion_loss, wire);
-                if dense {
-                    losses.fill(loss);
-                } else {
-                    for &i in active.iter() {
-                        losses[i] = loss;
-                    }
-                }
+            let (rtt, congestion_loss) = if flat_link {
+                (flat_rtt, 0.0)
             } else {
-                for &i in active.iter() {
-                    let wire = wire_loss.sample(&mut rng, i, windows[i]);
-                    let observed = match feedback {
-                        FeedbackMode::Synchronized => congestion_loss,
-                        FeedbackMode::PerPacket => {
-                            sample_loss_fraction(&mut rng, windows[i], congestion_loss)
-                        }
-                    };
-                    losses[i] = compose_loss(observed, wire);
-                }
-            }
+                (active_link.rtt(total), active_link.loss_rate(total))
+            };
 
-            // min-RTT and goodput passes over the lanes.
-            if dense {
-                for m in min_rtts.iter_mut() {
-                    *m = m.min(rtt);
-                }
-                for i in 0..n {
-                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                }
-            } else {
-                for &i in active.iter() {
-                    min_rtts[i] = min_rtts[i].min(rtt);
-                }
-                for &i in active.iter() {
-                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                }
-            }
-
-            // Stage the finished row. Idle senders' columns hold staged
-            // zeros (the block is zeroed between flushes when the
+            // (3) each active sender's composed loss, min-RTT and goodput,
+            // staged as the finished row. Idle senders' columns hold
+            // staged zeros (the block is zeroed between flushes when the
             // population churns), matching the scalar engine's explicit
             // zero records.
             block.stage_shared(total, rtt, congestion_loss);
-            if dense {
-                for i in 0..n {
-                    block.stage_sender(i, windows[i], losses[i], goodputs[i]);
-                }
-            } else {
-                for &i in active.iter() {
-                    block.stage_sender(i, windows[i], losses[i], goodputs[i]);
-                }
+            for &i in active.iter() {
+                let w = windows[i];
+                let wire = wire_loss.sample(&mut rng, i, w);
+                let observed = match feedback {
+                    FeedbackMode::Synchronized => congestion_loss,
+                    FeedbackMode::PerPacket => sample_loss_fraction(&mut rng, w, congestion_loss),
+                };
+                let loss = compose_loss(observed, wire);
+                losses[i] = loss;
+                min_rtts[i] = min_rtts[i].min(rtt);
+                block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
             }
 
             // (4) protocol updates straight off the lanes, then the
@@ -846,8 +796,9 @@ mod tests {
     use super::*;
     use crate::loss::LossModel;
     use crate::scenario::SenderConfig;
+    use axcc_core::protocol::MAX_WINDOW;
     use axcc_core::LinkParams;
-    use axcc_protocols::{Aimd, Mimd, RobustAimd, Vegas};
+    use axcc_protocols::{Aimd, Mimd, Pcc, RobustAimd, Vegas};
 
     /// C = 100 MSS, τ = 20 MSS.
     fn link() -> LinkParams {
@@ -1985,6 +1936,69 @@ mod tests {
                     emit: f64::NAN,
                 })))
                 .steps(100)
+        });
+    }
+
+    /// The gauntlet's infinite-capacity link, `C = 10¹⁰ MSS`: even three
+    /// senders clamped at `M = 10⁹` stay below capacity, so the engine
+    /// runs it with the flat-link hoist.
+    fn flat_link() -> LinkParams {
+        LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW)
+    }
+
+    #[test]
+    fn lane_engine_matches_reference_on_a_flat_link() {
+        assert!(3.0 * MAX_WINDOW * (1.0 + 1e-9) < flat_link().capacity());
+        // PCC climbs to the clamp under sub-cliff loss, so totals reach
+        // n·M; R-AIMD and MIMD keep the other lanes moving.
+        let senders = || -> Vec<Box<dyn axcc_core::Protocol>> {
+            vec![
+                Box::new(Pcc::new()),
+                Box::new(RobustAimd::table2()),
+                Box::new(Mimd::scalable()),
+            ]
+        };
+        for loss in [
+            LossModel::Constant { rate: 0.005 },
+            LossModel::bursty(0.01, 6.0, 0.2),
+        ] {
+            for n in [2, 3] {
+                assert_engines_match(|| {
+                    senders()
+                        .into_iter()
+                        .take(n)
+                        .fold(Scenario::new(flat_link()), |sc, p| {
+                            sc.sender(SenderConfig::new(p).initial_window(1.0e6))
+                        })
+                        .wire_loss(loss)
+                        .seed(5)
+                        .steps(600)
+                });
+            }
+        }
+        // Churn: the active set is sparse for most of the run, and only
+        // sender 1 is active before step 100 (the single-lane span on a
+        // lane other than 0).
+        assert_engines_match(|| {
+            Scenario::new(flat_link())
+                .sender(
+                    SenderConfig::new(Box::new(Pcc::new()))
+                        .initial_window(1.0e6)
+                        .start_at(100),
+                )
+                .sender(
+                    SenderConfig::new(Box::new(RobustAimd::table2()))
+                        .initial_window(10.0)
+                        .stop_at(450),
+                )
+                .sender(
+                    SenderConfig::new(Box::new(Pcc::new()))
+                        .initial_window(1.0e6)
+                        .start_at(300),
+                )
+                .wire_loss(LossModel::bursty(0.01, 6.0, 0.2))
+                .seed(9)
+                .steps(600)
         });
     }
 

@@ -16,9 +16,9 @@
 //!   scenario, plus Gilbert–Elliott bursty loss and link outages for the
 //!   adverse-network gauntlet, all driven by a seeded ChaCha8 RNG so every
 //!   run is reproducible;
-//! * **typed errors** — [`Scenario::try_run`] returns
-//!   [`ScenarioError`](axcc_core::ScenarioError) for invalid
-//!   configurations and numerically divergent runs instead of panicking;
+//! * **typed errors** — [`Scenario::try_run`] returns [`ScenarioError`]
+//!   for invalid configurations and numerically divergent runs instead of
+//!   panicking;
 //! * **streaming evaluation** — the loop drives a [`MetricAccumulator`]
 //!   ([`try_run_scenario_streaming`]), folding each step straight into
 //!   the axiom scores in O(senders) memory;
@@ -29,9 +29,9 @@
 //!   the underlying [`StepSink`] visitor for custom consumers;
 //! * **flow churn** — sender populations can grow and shrink mid-run:
 //!   every sender has an optional stop step, and [`Scenario::churn`] /
-//!   [`Scenario::churn_on`] expand a deterministic seeded
-//!   [`ChurnPlan`](axcc_topo::ChurnPlan) (Poisson arrivals, exponential
-//!   lifetimes, optional on/off phases) into a concrete staggered sender
+//!   [`Scenario::churn_on`] expand a deterministic seeded [`ChurnPlan`]
+//!   (Poisson arrivals, exponential lifetimes, optional on/off phases)
+//!   into a concrete staggered sender
 //!   population shared bit-for-bit with the packet-level engine;
 //! * **multi-link topologies** — the §6 extension *"generalizing our
 //!   model to capture network-wide protocol interaction"*:

@@ -104,11 +104,6 @@ impl Sender {
         }
     }
 
-    /// Protocol display name.
-    pub fn protocol_name(&self) -> String {
-        self.protocol.name()
-    }
-
     /// Whether the driving protocol is loss-based.
     pub fn loss_based(&self) -> bool {
         self.protocol.loss_based()

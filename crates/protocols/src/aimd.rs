@@ -9,7 +9,7 @@
 //! its AIMD incarnation is AIMD(1, 0.875).
 
 use axcc_core::theory::ProtocolSpec;
-use axcc_core::{LaneObs, Observation, Protocol};
+use axcc_core::{Observation, Protocol};
 
 /// The AIMD(a, b) protocol.
 ///
@@ -89,17 +89,6 @@ impl Protocol for Aimd {
         }
     }
 
-    // Bit-identical to `next_window` on the materialized observation —
-    // AIMD reads only the window and loss lanes, so the engine's hot path
-    // skips the `Observation` round-trip entirely.
-    fn next_window_lane(&mut self, lanes: &LaneObs<'_>, i: usize) -> f64 {
-        if lanes.losses[i] > 0.0 {
-            self.b * lanes.windows[i]
-        } else {
-            lanes.windows[i] + self.a
-        }
-    }
-
     fn loss_based(&self) -> bool {
         true
     }
@@ -122,27 +111,6 @@ mod tests {
     fn additive_increase_on_no_loss() {
         let mut p = Aimd::new(2.0, 0.5);
         assert_eq!(p.next_window(&Observation::loss_only(0, 10.0, 0.0)), 12.0);
-    }
-
-    #[test]
-    fn lane_override_matches_scalar_path_bitwise() {
-        let windows = [10.0, 0.3, 1e8, 7.5];
-        let losses = [0.0, 1e-9, 0.5, 0.0];
-        let min_rtts = [0.1; 4];
-        let lanes = LaneObs {
-            tick: 3,
-            rtt: 0.1,
-            windows: &windows,
-            losses: &losses,
-            min_rtts: &min_rtts,
-        };
-        let mut p = Aimd::new(1.0, 0.7);
-        for i in 0..windows.len() {
-            assert_eq!(
-                p.next_window_lane(&lanes, i).to_bits(),
-                p.next_window(&lanes.observation(i)).to_bits()
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   other protocol class Section 6 marks for future work: bandwidth/RTT
 //!   estimation with a probe-gain cycle, not loss-based.
 //! * [`Tfrc`] — an equation-based (TFRC-style) protocol after the paper's
-//!   reference [13]: the PFTK throughput equation driven by a smoothed
+//!   reference \[13\]: the PFTK throughput equation driven by a smoothed
 //!   loss-event rate, built for smoothness at TCP-fair throughput.
 //! * [`HighSpeed`] — HighSpeed TCP (RFC 3649), window-dependent AIMD: a
 //!   protocol whose position in the metric space shifts with link scale

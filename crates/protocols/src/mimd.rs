@@ -11,7 +11,7 @@
 //! their ratio never changes).
 
 use axcc_core::theory::ProtocolSpec;
-use axcc_core::{LaneObs, Observation, Protocol};
+use axcc_core::{Observation, Protocol};
 
 /// The MIMD(a, b) protocol.
 ///
@@ -82,16 +82,6 @@ impl Protocol for Mimd {
         }
     }
 
-    // Bit-identical to `next_window` on the materialized observation —
-    // MIMD reads only the window and loss lanes.
-    fn next_window_lane(&mut self, lanes: &LaneObs<'_>, i: usize) -> f64 {
-        if lanes.losses[i] > 0.0 {
-            self.b * lanes.windows[i]
-        } else {
-            self.a * lanes.windows[i]
-        }
-    }
-
     fn loss_based(&self) -> bool {
         true
     }
@@ -111,27 +101,6 @@ mod tests {
     fn multiplicative_increase() {
         let mut p = Mimd::new(2.0, 0.5);
         assert_eq!(p.next_window(&Observation::loss_only(0, 10.0, 0.0)), 20.0);
-    }
-
-    #[test]
-    fn lane_override_matches_scalar_path_bitwise() {
-        let windows = [10.0, 0.3, 1e8, 7.5];
-        let losses = [0.0, 1e-9, 0.5, 0.0];
-        let min_rtts = [0.1; 4];
-        let lanes = LaneObs {
-            tick: 3,
-            rtt: 0.1,
-            windows: &windows,
-            losses: &losses,
-            min_rtts: &min_rtts,
-        };
-        let mut p = Mimd::new(1.01, 0.875);
-        for i in 0..windows.len() {
-            assert_eq!(
-                p.next_window_lane(&lanes, i).to_bits(),
-                p.next_window(&lanes.observation(i)).to_bits()
-            );
-        }
     }
 
     #[test]

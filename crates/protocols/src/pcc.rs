@@ -55,13 +55,6 @@ pub struct Pcc {
     direction: f64,
     step: f64,
     prev_utility: Option<f64>,
-    // One-entry memo for σ(L): the exponential is the controller's only
-    // expensive operation and L is piecewise-constant in practice (zero
-    // between loss events, a fixed rate inside them), so the common step
-    // reuses the previous σ. Keyed on the exact bit pattern of L: a hit
-    // returns the identical bits the recomputation would.
-    memo_loss_bits: u64,
-    memo_sigmoid: f64,
 }
 
 impl Pcc {
@@ -97,8 +90,6 @@ impl Pcc {
             direction: 1.0,
             step: base_step,
             prev_utility: None,
-            memo_loss_bits: f64::NAN.to_bits(),
-            memo_sigmoid: 0.0,
         }
     }
 
@@ -121,19 +112,7 @@ impl Protocol for Pcc {
     }
 
     fn next_window(&mut self, obs: &Observation) -> f64 {
-        // [`Pcc::utility`] with the σ(L) memo applied (see the memo
-        // fields): identical arithmetic, the exponential skipped when L
-        // repeats its previous bit pattern.
-        let l = obs.loss_rate;
-        let sigmoid = if l.to_bits() == self.memo_loss_bits {
-            self.memo_sigmoid
-        } else {
-            let s = 1.0 / (1.0 + (self.steepness * (l - LOSS_CLIFF)).exp());
-            self.memo_loss_bits = l.to_bits();
-            self.memo_sigmoid = s;
-            s
-        };
-        let u = obs.window * (1.0 - l) * sigmoid - obs.window * l;
+        let u = self.utility(obs.window, obs.loss_rate);
         match self.prev_utility {
             None => {
                 // First MI: probe upward.
@@ -165,8 +144,6 @@ impl Protocol for Pcc {
         self.direction = 1.0;
         self.step = self.base_step;
         self.prev_utility = None;
-        self.memo_loss_bits = f64::NAN.to_bits();
-        self.memo_sigmoid = 0.0;
     }
 
     fn clone_box(&self) -> Box<dyn Protocol> {

@@ -11,7 +11,7 @@
 //!   parse, validate, answer control ops inline, and push work onto the
 //!   bounded queue — shedding `overloaded` / `shutting-down` at admission.
 //! * **workers** (fixed pool): pop jobs, run them under the panic
-//!   boundary ([`crate::worker`]), send the response.
+//!   boundary (the `worker` module), send the response.
 //! * **timekeeper**: scans in-flight deadlines; a request whose deadline
 //!   passes gets a typed `timeout` response *at the deadline* and its
 //!   cancellation flag raised so a multi-job experiment stops claiming
@@ -19,7 +19,7 @@
 //!   client still hears `timeout` on time; the worker's eventual result
 //!   is suppressed by the per-request send-once latch.
 //!
-//! Every response path goes through a [`Responder`] whose atomic latch
+//! Every response path goes through a `Responder` whose atomic latch
 //! guarantees exactly one response per request no matter how worker and
 //! timekeeper race.
 //!

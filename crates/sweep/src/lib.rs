@@ -13,9 +13,8 @@
 //! The moving parts:
 //!
 //! * [`SweepJob`] — one unit of work: scenario + protocol + metric budget
-//!   in, a [`Cacheable`](record::Cacheable) scored result out. Jobs
-//!   fingerprint themselves ([`axcc_core::fingerprint`]) so equal inputs
-//!   share a cache address.
+//!   in, a [`Cacheable`] scored result out. Jobs fingerprint themselves
+//!   ([`axcc_core::fingerprint`]) so equal inputs share a cache address.
 //! * [`pool`] — a fixed-size `std::thread` worker pool. Workers claim
 //!   contiguous *chunks* of jobs off one atomic cursor (no per-job locks
 //!   or channel round-trips) and flush each chunk into a preallocated
@@ -59,7 +58,7 @@ pub mod runner;
 pub use cache::{CacheStats, ResultCache, ShardStats, SHARD_COUNT};
 pub use cancel::{interrupted_payload, CancelSignal, Interrupted};
 pub use pool::default_chunk_size;
-pub use progress::{ExperimentTiming, Stopwatch, SweepProgress};
+pub use progress::{ExperimentTiming, Stopwatch};
 pub use record::{Cacheable, Record, RecordReader};
 pub use runner::{
     host_parallelism, EvalMode, InterruptHook, SweepJob, SweepRunner, SweepStats, ENGINE_REVISION,

@@ -15,14 +15,13 @@
 //! atomic operations and `n / chunk` slot-vector lock acquisitions, not
 //! `n` of each. Per-job locks or channel round-trips in these dispatch
 //! loops are a flagged regression (`axcc-tidy`'s lock-discipline family);
-//! results are flushed once per chunk via [`store_chunk`].
+//! results are flushed once per chunk via `store_chunk`.
 //!
-//! Cancellation follows the same discipline: a raised
-//! [`CancelSignal`](crate::cancel::CancelSignal) stops workers from
-//! *claiming* further chunks (and the chunk processor from starting
-//! further jobs within a claimed chunk), but started jobs always run to
-//! completion, so an interrupted pool reports "n of m completed" rather
-//! than tearing down mid-result.
+//! Cancellation follows the same discipline: a raised [`CancelSignal`]
+//! stops workers from *claiming* further chunks (and the chunk processor
+//! from starting further jobs within a claimed chunk), but started jobs
+//! always run to completion, so an interrupted pool reports "n of m
+//! completed" rather than tearing down mid-result.
 
 use crate::cancel::CancelSignal;
 use std::ops::Range;
@@ -45,58 +44,6 @@ pub fn default_chunk_size(jobs: usize, workers: usize) -> usize {
     (jobs / (CHUNKS_PER_WORKER * workers.max(1))).clamp(1, MAX_AUTO_CHUNK)
 }
 
-/// Run `f` over every input and return the outputs in input order.
-///
-/// With `workers <= 1` (or fewer than two inputs) no thread is spawned
-/// and the jobs run inline on the caller's thread — the serial reference
-/// path that the parallel path must reproduce bit-for-bit.
-///
-/// If a job panics, the panic is re-raised on the caller's thread after
-/// the remaining workers drain.
-pub fn run_ordered<I, T, F>(workers: usize, inputs: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    // The Err arm is unreachable without a signal; satisfy the type
-    // without panicking.
-    run_ordered_cancellable(workers, inputs, f, None).unwrap_or_default()
-}
-
-/// [`run_ordered`] with an optional cancellation signal.
-///
-/// The signal is polled before every claim. When it is raised, workers
-/// finish the jobs they already claimed, stop claiming, and the call
-/// returns `Err(completed_count)` — never a partial `Vec`.
-///
-/// This is the per-job (chunk size 1) entry point, for callers whose
-/// closure wants the input reference handed to it; sweeps with their own
-/// chunk processing go through [`run_chunked_cancellable`] directly.
-pub fn run_ordered_cancellable<I, T, F>(
-    workers: usize,
-    inputs: &[I],
-    f: F,
-    cancel: Option<&CancelSignal>,
-) -> Result<Vec<T>, usize>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    run_chunked_cancellable(
-        workers,
-        inputs.len(),
-        1,
-        |range, out| {
-            for idx in range {
-                out.push(f(idx, &inputs[idx]));
-            }
-        },
-        cancel,
-    )
-}
-
 /// Run `process` over the job index space `0..jobs` in contiguous chunks
 /// of `chunk_size`, returning all results in submission order.
 ///
@@ -107,6 +54,11 @@ where
 /// of the range. Results land in a preallocated slot vector, flushed
 /// once per chunk, so the parallel output is bit-identical to the serial
 /// one for any worker count and any chunk size.
+///
+/// With `workers <= 1` (or at most one job) no thread is spawned and the
+/// chunks run inline on the caller's thread — the serial reference path.
+/// If a job panics, the panic is re-raised on the caller's thread after
+/// the remaining workers drain.
 ///
 /// Returns `Err(completed_count)` if the signal stopped the sweep short.
 pub fn run_chunked_cancellable<T, F>(
@@ -221,53 +173,67 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
+    /// A chunk processor that runs `f` on each job index of the range.
+    fn each<T>(f: impl Fn(usize) -> T + Sync) -> impl Fn(Range<usize>, &mut Vec<T>) + Sync {
+        move |range, out| out.extend(range.map(&f))
+    }
+
     #[test]
     fn parallel_matches_serial_order() {
-        let inputs: Vec<usize> = (0..97).collect();
-        let serial = run_ordered(1, &inputs, |i, &x| (i, x * x));
-        let parallel = run_ordered(8, &inputs, |i, &x| (i, x * x));
+        let serial = run_chunked_cancellable(1, 97, 1, each(|i| (i, i * i)), None);
+        let parallel = run_chunked_cancellable(8, 97, 1, each(|i| (i, i * i)), None);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(run_ordered::<u32, u32, _>(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(run_ordered(4, &[7u32], |_, &x| x + 1), vec![8]);
+        assert_eq!(
+            run_chunked_cancellable(4, 0, 1, each(|i| i), None),
+            Ok(vec![])
+        );
+        assert_eq!(
+            run_chunked_cancellable(4, 1, 1, each(|i| i + 7), None),
+            Ok(vec![7])
+        );
     }
 
     #[test]
     fn more_workers_than_jobs() {
-        let out = run_ordered(16, &[1u32, 2, 3], |_, &x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
+        let out = run_chunked_cancellable(16, 3, 1, each(|i| (i + 1) * 10), None);
+        assert_eq!(out, Ok(vec![10, 20, 30]));
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let inputs: Vec<usize> = (0..8).collect();
         let result = std::panic::catch_unwind(|| {
-            run_ordered(4, &inputs, |_, &x| {
-                assert!(x != 5, "boom");
-                x
-            })
+            run_chunked_cancellable(
+                4,
+                8,
+                1,
+                each(|x| {
+                    assert!(x != 5, "boom");
+                    x
+                }),
+                None,
+            )
         });
         assert!(result.is_err());
     }
 
     #[test]
     fn raised_signal_stops_serial_claims() {
-        let inputs: Vec<usize> = (0..10).collect();
         let flag = Arc::new(AtomicBool::new(false));
         let sig = CancelSignal::from_flag(flag.clone());
-        let completed = run_ordered_cancellable(
+        let completed = run_chunked_cancellable(
             1,
-            &inputs,
-            |_, &x| {
+            10,
+            1,
+            each(|x| {
                 if x == 2 {
                     flag.store(true, Ordering::SeqCst);
                 }
                 x
-            },
+            }),
             Some(&sig),
         )
         .unwrap_err();
@@ -277,40 +243,38 @@ mod tests {
 
     #[test]
     fn raised_signal_stops_parallel_claims_without_partial_output() {
-        let inputs: Vec<usize> = (0..64).collect();
         let flag = Arc::new(AtomicBool::new(false));
         let sig = CancelSignal::from_flag(flag.clone());
-        let result = run_ordered_cancellable(
+        let result = run_chunked_cancellable(
             4,
-            &inputs,
-            |_, &x| {
+            64,
+            1,
+            each(|x| {
                 if x == 8 {
                     flag.store(true, Ordering::SeqCst);
                 }
                 x
-            },
+            }),
             Some(&sig),
         );
         let completed = result.unwrap_err();
-        assert!(completed < inputs.len());
+        assert!(completed < 64);
         // In-flight jobs finished: the job that raised the flag completed.
         assert!(completed >= 1);
     }
 
     #[test]
     fn unraised_signal_changes_nothing() {
-        let inputs: Vec<usize> = (0..20).collect();
         let sig = CancelSignal::from_fn(|| false);
-        let out = run_ordered_cancellable(4, &inputs, |_, &x| x * 2, Some(&sig)).unwrap();
+        let out = run_chunked_cancellable(4, 20, 1, each(|x| x * 2), Some(&sig)).unwrap();
         assert_eq!(out, (0..20).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn signal_raised_before_start_completes_zero() {
-        let inputs: Vec<usize> = (0..5).collect();
         let sig = CancelSignal::from_fn(|| true);
         assert_eq!(
-            run_ordered_cancellable(1, &inputs, |_, &x| x, Some(&sig)).unwrap_err(),
+            run_chunked_cancellable(1, 5, 1, each(|x| x), Some(&sig)).unwrap_err(),
             0
         );
     }

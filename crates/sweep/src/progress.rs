@@ -7,41 +7,7 @@
 //! justified — the workspace determinism rules otherwise ban wall-clock
 //! reads outright.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Monotone completed-job counter for a live sweep, updated **once per
-/// chunk** (not per job) with a relaxed atomic add — progress reporting
-/// stays off the dispatch hot path. Readers (a status thread, a test)
-/// observe a count that lags at most one in-flight chunk per worker and
-/// lands exactly on the completed-job total when the sweep finishes or
-/// is cancelled.
-#[derive(Debug, Default)]
-pub struct SweepProgress {
-    done: AtomicU64,
-}
-
-impl SweepProgress {
-    /// Fresh counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `jobs` more completed jobs (one call per flushed chunk).
-    pub fn add(&self, jobs: u64) {
-        self.done.fetch_add(jobs, Ordering::Relaxed);
-    }
-
-    /// Jobs completed so far.
-    pub fn done(&self) -> u64 {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (between sweeps sharing one counter).
-    pub fn reset(&self) {
-        self.done.store(0, Ordering::Relaxed);
-    }
-}
 
 /// A started wall-clock timer.
 #[derive(Debug, Clone, Copy)]

@@ -10,7 +10,6 @@
 use crate::cache::ResultCache;
 use crate::cancel::{interrupt_unwind, CancelSignal, Interrupted};
 use crate::pool::{default_chunk_size, run_chunked_cancellable};
-use crate::progress::SweepProgress;
 use crate::record::{Cacheable, Record};
 use axcc_core::fingerprint::{Digest, Fingerprint, Fingerprinter};
 use std::path::PathBuf;
@@ -100,7 +99,6 @@ pub struct SweepRunner {
     cancel: Option<CancelSignal>,
     interrupt_hook: Option<InterruptHook>,
     chunk_size: Option<usize>,
-    progress: Option<Arc<SweepProgress>>,
     hits: AtomicU64,
     executed: AtomicU64,
 }
@@ -125,7 +123,6 @@ impl SweepRunner {
             cancel: None,
             interrupt_hook: None,
             chunk_size: None,
-            progress: None,
             hits: AtomicU64::new(0),
             executed: AtomicU64::new(0),
         }
@@ -137,14 +134,14 @@ impl SweepRunner {
         Self::with_cache_opt(workers, Some(Arc::new(ResultCache::in_memory())))
     }
 
-    /// The serial reference runner: one worker, in-memory cache. This is
-    /// what the experiments' plain entry points use, so existing callers
-    /// see unchanged behaviour.
+    /// The serial reference runner: one worker, in-memory cache. Parallel
+    /// runners must reproduce its results bit for bit.
     pub fn serial() -> Self {
         SweepRunner::new(1)
     }
 
-    /// Runner whose cache persists under `dir` (one file per digest).
+    /// Runner whose cache persists under `dir`, in the sharded segment
+    /// store of [`ResultCache::with_disk`].
     pub fn with_disk_cache(workers: usize, dir: PathBuf) -> Self {
         Self::with_cache_opt(workers, Some(Arc::new(ResultCache::with_disk(dir))))
     }
@@ -195,14 +192,6 @@ impl SweepRunner {
     /// traffic amortizes.
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
         self.chunk_size = if chunk == 0 { None } else { Some(chunk) };
-        self
-    }
-
-    /// Attach a completed-jobs counter that sweeps update once per
-    /// flushed chunk (relaxed atomic adds — off the dispatch hot path).
-    /// The caller keeps a clone of the `Arc` to read it.
-    pub fn with_progress(mut self, progress: Arc<SweepProgress>) -> Self {
-        self.progress = Some(progress);
         self
     }
 
@@ -295,7 +284,7 @@ impl SweepRunner {
         // Everything per-job lives inside the chunk processor, on the
         // worker: digests are fingerprinted off the submission thread,
         // cache writes and hit/executed counters batch up per chunk and
-        // flush once, and the progress counter advances once per chunk.
+        // flush once.
         let outcome = run_chunked_cancellable(
             workers,
             inputs.len(),
@@ -329,9 +318,6 @@ impl SweepRunner {
                 }
                 self.hits.fetch_add(hits, Ordering::Relaxed);
                 self.executed.fetch_add(executed, Ordering::Relaxed);
-                if let Some(progress) = &self.progress {
-                    progress.add(hits + executed);
-                }
             },
             self.cancel.as_ref(),
         );
@@ -514,50 +500,6 @@ mod tests {
         // `0` restores the automatic choice.
         let auto = SweepRunner::new(4).with_chunk_size(3).with_chunk_size(0);
         assert_eq!(auto.run_jobs("square", &jobs), reference);
-    }
-
-    #[test]
-    fn progress_counts_every_job_once() {
-        let progress = Arc::new(SweepProgress::new());
-        let runner = SweepRunner::new(4)
-            .with_chunk_size(3)
-            .with_progress(progress.clone());
-        let jobs: Vec<Square> = (0..25).map(|i| Square(i as f64)).collect();
-        runner.run_jobs("square", &jobs);
-        assert_eq!(progress.done(), 25);
-        // Cache hits count as completed jobs too.
-        progress.reset();
-        runner.run_jobs("square", &jobs);
-        assert_eq!(progress.done(), 25);
-        assert_eq!(runner.stats().cache_hits, 25);
-    }
-
-    #[test]
-    fn progress_total_matches_completed_under_cancellation() {
-        use crate::cancel::interrupted_payload;
-        use std::sync::atomic::AtomicBool;
-
-        let flag = Arc::new(AtomicBool::new(false));
-        let progress = Arc::new(SweepProgress::new());
-        let runner = SweepRunner::serial()
-            .with_chunk_size(4)
-            .with_cancel(CancelSignal::from_flag(flag.clone()))
-            .with_progress(progress.clone());
-        let inputs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            runner.sweep("cancelprog", &inputs, |&x| {
-                if x == 5.0 {
-                    flag.store(true, Ordering::SeqCst);
-                }
-                x
-            })
-        }))
-        .unwrap_err();
-        let info = interrupted_payload(payload.as_ref()).expect("typed Interrupted payload");
-        // The partial chunk was flushed: the counter agrees exactly with
-        // the completed count the unwind reported.
-        assert_eq!(progress.done(), info.completed as u64);
-        assert!(info.completed < inputs.len());
     }
 
     #[test]

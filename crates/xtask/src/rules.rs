@@ -1,6 +1,6 @@
 //! The `axcc-tidy` rule families, diagnostics, and inline suppressions.
 //!
-//! Rules operate on [`lexer::SourceFile`]s — comments and literals are
+//! Rules operate on [`SourceFile`]s — comments and literals are
 //! already blanked, and test lines are marked — so each rule is a small,
 //! line-local pattern check. Which rules run on which file is decided by
 //! [`crate::policy`].

@@ -13,6 +13,10 @@ cargo run -q -p xtask -- tidy --baseline tidy.baseline
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken intra-doc links and links to private items fail the build.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Byte identity of every report, job digest and serve response line is
 # pinned by tests/golden_reports.rs, part of this step.
 echo "==> cargo test --workspace -q"
