@@ -227,6 +227,26 @@ impl Figure1 {
 mod tests {
     use super::*;
 
+    /// The validation record's encoded bytes, pinned (see
+    /// `experiments::tests::cached_record_bytes_are_pinned`).
+    #[test]
+    fn measured_point_record_bytes_are_pinned() {
+        for (fast_utilization, want) in [
+            (None, "3\n3ff8000000000000\n3feeb851eb851eb8\n-\n"),
+            (
+                Some(0.25),
+                "3\n3ff8000000000000\n3feeb851eb851eb8\n3fd0000000000000\n",
+            ),
+        ] {
+            let m = MeasuredPoint {
+                friendliness: 1.5,
+                efficiency: 0.96,
+                fast_utilization,
+            };
+            assert_eq!(m.to_record().encode(), want);
+        }
+    }
+
     #[test]
     fn surface_is_a_clean_frontier() {
         let fig = frontier_surface(&DEFAULT_ALPHAS, &DEFAULT_BETAS);

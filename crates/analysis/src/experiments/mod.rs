@@ -326,6 +326,70 @@ pub fn find_experiment(name: &str) -> Option<Experiment> {
 mod tests {
     use super::*;
 
+    /// The encoded bytes of every record shape this crate's experiments
+    /// store, pinned: a warm store written by an earlier build must keep
+    /// answering, byte for byte.
+    #[test]
+    fn cached_record_bytes_are_pinned() {
+        use crate::estimators::SoloMetrics;
+        use axcc_sweep::Cacheable;
+        let theorem = theorems::TheoremCheck {
+            name: "Theorem 2".into(),
+            passed: true,
+            detail: "gap 0.5\nwithin \\ bound".into(),
+        };
+        assert_eq!(
+            theorem.to_record().encode(),
+            "3\nTheorem 2\n1\ngap 0.5\\nwithin \\\\ bound\n"
+        );
+        let row = shootout::ShootoutRow {
+            protocol: "AIMD(1,0.5)".into(),
+            robustness: 0.25,
+            goodput_retention: [1.0, 0.5, f64::NAN],
+            efficiency: 0.75,
+        };
+        assert_eq!(row.to_record().encode(), "6\nAIMD(1,0.5)\n3fd0000000000000\n3ff0000000000000\n3fe0000000000000\n7ff8000000000000\n3fe8000000000000\n");
+        let cell = aqm::AqmCell {
+            protocol: "reno".into(),
+            discipline: "RED (mark)".into(),
+            drops: 17,
+            marks: 0,
+            loss_bound: 0.125,
+            latency_inflation: f64::INFINITY,
+            mean_rtt: 0.0625,
+            utilization: 0.9,
+            jain: 1.0,
+        };
+        assert_eq!(cell.to_record().encode(), "9\nreno\nRED (mark)\n17\n0\n3fc0000000000000\n7ff0000000000000\n3fb0000000000000\n3feccccccccccccd\n3ff0000000000000\n");
+        for (reclaim_steps, want) in [
+            (None, "4\ncubic\n3fe6666666666666\n-\n3ff8000000000000\n"),
+            (
+                Some(120),
+                "4\ncubic\n3fe6666666666666\n120\n3ff8000000000000\n",
+            ),
+        ] {
+            let ext = extensions::ExtensionRow {
+                protocol: "cubic".into(),
+                smoothness: 0.7,
+                reclaim_steps,
+                latency_inflation: 1.5,
+            };
+            assert_eq!(ext.to_record().encode(), want);
+        }
+        for (fast_utilization, want) in [(None, "7\n3fefae147ae147ae\n3f847ae147ae147b\n3ff0000000000000\n7ff0000000000000\n-\n8000000000000000\n3fec000000000000\n"), (Some(0.5), "7\n3fefae147ae147ae\n3f847ae147ae147b\n3ff0000000000000\n7ff0000000000000\n3fe0000000000000\n8000000000000000\n3fec000000000000\n")] {
+            let solo = SoloMetrics {
+                efficiency: 0.99,
+                loss_bound: 0.01,
+                fairness: 1.0,
+                convergence: f64::INFINITY,
+                fast_utilization,
+                latency_inflation: -0.0,
+                mean_utilization: 0.875,
+            };
+            assert_eq!(solo.to_record().encode(), want);
+        }
+    }
+
     #[test]
     fn registry_names_are_unique_and_stable() {
         let names: Vec<&str> = registry().iter().map(|e| e.name).collect();

@@ -41,7 +41,8 @@ report is deterministic, byte-identical for any worker count):
                                     emulab, shootout, gauntlet, frontier,
                                     explore, aqm, extensions, churn)
                 [--cache-stats]     append a result-store report (per-shard
-                                    segment sizes, hit/miss/heal counters)
+                                    segment sizes, hit/miss/heal counters,
+                                    jobs executed)
   axcc run-all  [--out-dir D]       the full experiment suite; writes one
                                     report per experiment to D when given
                                     (`--out-dir results` regenerates the
@@ -568,23 +569,22 @@ fn runner_from(args: &Args) -> Result<SweepRunner, CliError> {
 }
 
 /// Render the runner's result-store statistics (`sweep --cache-stats`):
-/// process-lifetime hit/miss/heal counters, the in-memory index size, and
-/// one row per on-disk shard with its entry count and segment bytes — the
-/// observable footprint of the sharded log-structured store (O(shards)
-/// files regardless of job count).
-fn render_cache_stats(runner: &SweepRunner) -> String {
+/// process-lifetime hit/miss/heal counters, the jobs this process had to
+/// execute, the live entry count, and one row per shard with its entry
+/// count and segment bytes — the observable footprint of the sharded
+/// log-structured store (O(shards) files regardless of job count).
+fn render_cache_stats(runner: &SweepRunner, executed: u64) -> String {
     let Some(cache) = runner.cache_handle() else {
         return "result store: disabled (--no-cache)\n".to_string();
     };
     let s = cache.stats();
     let mut out = format!(
-        "result store: {} hits / {} misses this process, {} heal event(s)\n\
-         in-memory index: {} entries; on disk: {} entries in {} segment file(s), {} bytes\n",
+        "result store: {} hits / {} misses, {executed} jobs executed this process, {} heal event(s)\n\
+         live entries: {}; on disk: {} segment file(s), {} bytes\n",
         s.hits,
         s.misses,
         s.heal_events,
-        s.mem_entries,
-        s.disk_entries(),
+        s.live_entries,
         s.shards.iter().filter(|sh| sh.entries > 0).count(),
         s.segment_bytes(),
     );
@@ -634,6 +634,7 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     }
     let mut out = String::new();
     let mut failures = Vec::new();
+    let mut executed = 0;
     for (i, exp) in experiments.iter().enumerate() {
         if i > 0 {
             out.push('\n');
@@ -641,6 +642,7 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         let sw = Stopwatch::start();
         let outcome = (exp.run)(&runner, budget);
         let stats = runner.take_stats();
+        executed += stats.executed;
         let _ = write!(out, "{} — {}\n\n{}", exp.name, exp.artifact, outcome.report);
         let _ = writeln!(
             out,
@@ -657,7 +659,7 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     }
     if want_cache_stats {
         out.push('\n');
-        out.push_str(&render_cache_stats(&runner));
+        out.push_str(&render_cache_stats(&runner, executed));
     }
     if failures.is_empty() {
         Ok(out)

@@ -152,7 +152,7 @@ fn sweep_honours_chunk_size_and_reports_cache_stats() {
     let (code, cold, stderr) = axcc(&cold_args);
     assert_eq!(code, 0, "stdout: {cold}\nstderr: {stderr}");
     assert!(cold.contains("result store:"), "{cold}");
-    assert!(cold.contains("in-memory index:"), "{cold}");
+    assert!(cold.contains("live entries:"), "{cold}");
     assert!(cold.contains("shard"), "{cold}");
     assert!(cold.contains("0.0% hit rate"), "{cold}");
 

@@ -44,12 +44,21 @@ impl Digest {
 
     /// Parse a digest previously rendered by [`Digest::to_hex`].
     pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        if s.len() != 32 {
             return None;
         }
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Digest { hi, lo })
+        let (hi, lo) = s.as_bytes().split_at(16);
+        // Sixteen hex digits fill a u64 exactly, so the shifts never drop
+        // a set bit.
+        let word = |hex: &[u8]| {
+            hex.iter().try_fold(0u64, |acc, &b| {
+                Some(acc << 4 | u64::from(char::from(b).to_digit(16)?))
+            })
+        };
+        Some(Digest {
+            hi: word(hi)?,
+            lo: word(lo)?,
+        })
     }
 }
 

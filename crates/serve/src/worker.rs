@@ -375,6 +375,30 @@ mod tests {
         (cache, cancel, runner)
     }
 
+    /// The cached eval record's encoded bytes, pinned for both arms: a
+    /// daemon's warm store written by an earlier build keeps answering.
+    #[test]
+    fn cached_eval_record_bytes_are_pinned() {
+        let ok = CachedEval(Ok(EvalOutcome {
+            protocols: vec!["reno".into(), "cubic".into()],
+            mean_window: vec![10.5, 20.25],
+            mean_goodput: vec![0.5, f64::INFINITY],
+            efficiency: 0.98,
+            loss_bound: 0.0,
+            fairness: 1.0,
+            convergence: f64::INFINITY,
+            fast_utilization: None,
+            latency_inflation: 1.25,
+            mean_utilization: 0.875,
+        }));
+        assert_eq!(ok.to_record().encode(), "15\n1\n2\nreno\ncubic\n4025000000000000\n4034400000000000\n3fe0000000000000\n7ff0000000000000\n3fef5c28f5c28f5c\n0000000000000000\n3ff0000000000000\n7ff0000000000000\n-\n3ff4000000000000\n3fec000000000000\n");
+        let err = CachedEval(Err("invalid scenario:\nsteps \\ must be > 0".into()));
+        assert_eq!(
+            err.to_record().encode(),
+            "2\n0\ninvalid scenario:\\nsteps \\\\ must be > 0\n"
+        );
+    }
+
     fn eval_spec() -> EvalSpec {
         EvalSpec {
             protocols: vec!["reno".to_string(), "cubic".to_string()],

@@ -1,42 +1,51 @@
 //! The content-addressed result store.
 //!
-//! Results live in an in-memory `BTreeMap` keyed by the 128-bit job
-//! [`Digest`]; a cache may additionally be backed by a directory holding
-//! a **sharded, log-structured** store: [`SHARD_COUNT`] append-only
-//! segment files, each owning the digests whose top hex digit matches
-//! the shard id. A segment is a sequence of length-prefixed entries
-//! (`axcc1 <32-hex digest> <body len>\n` followed by exactly that many
-//! bytes of encoded [`Record`]); an in-memory per-shard index from
-//! digest to byte range is rebuilt by scanning the segment the first
-//! time the shard is touched. Later entries for the same digest win
-//! during the scan, so an append is also an overwrite — there is no
-//! in-place mutation anywhere in the format.
+//! A cache is [`SHARD_COUNT`] shards, each owning the 128-bit job
+//! [`Digest`]s whose leading hex digit is the shard id. A shard's one
+//! copy of its entries is an in-memory **segment**: a log of
+//! length-prefixed entries (`axcc1 <32-hex digest> <body len>\n`
+//! followed by exactly that many bytes of encoded [`Record`]) plus an
+//! index from digest to the body's byte range in that log. Every lookup
+//! is answered from it — an index probe and a decode, no syscall. Later
+//! entries for the same digest win, so an append is also an overwrite;
+//! nothing is mutated in place.
+//!
+//! A cache may be backed by a directory holding one segment file per
+//! shard in the same format. The first touch of a shard reads its file
+//! into the in-memory segment; every append extends the in-memory segment
+//! and then writes the same bytes to the end of the file, which is thus a
+//! mirror that the next process reads back. A handle never reads a file
+//! again after that first scan, so another handle appending to or
+//! compacting the same directory cannot change what this one returns.
 //!
 //! Because the address is a content hash of *all* inputs including the
 //! engine version, entries never go stale — a stale input simply hashes
-//! elsewhere — so there is no eviction machinery; segments are compacted
-//! (latest entry per digest, temp file + rename) only when they outgrow
-//! the rotation threshold. A cold sweep therefore creates O(shards)
-//! files regardless of job count.
+//! elsewhere — so there is no eviction machinery; a segment is compacted
+//! (latest entry per digest) only when it outgrows the rotation
+//! threshold, and its file is then replaced by the compacted copy (temp
+//! file + rename). A cold sweep therefore creates O(shards) files
+//! regardless of job count.
 //!
-//! Disk I/O is strictly best-effort: a segment whose tail was truncated
+//! File I/O is strictly best-effort: a segment whose tail was truncated
 //! by a killed process is healed by truncating back to the last whole
 //! entry (the lost tail re-runs as misses), an entry whose body fails to
 //! decode is dropped from the index (miss, recompute, re-append), and
-//! write failures are swallowed — a broken cache directory may cost
+//! write failures are swallowed — the in-memory segment already holds
+//! the entry, so a broken cache directory may cost the next process
 //! time, never correctness.
 
 use crate::record::Record;
 use axcc_core::fingerprint::Digest;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Number of segment shards in an on-disk store: the shard id is the
-/// leading hex digit of the digest.
+/// Number of segment shards in a store: the shard id is the leading hex
+/// digit of the digest.
 pub const SHARD_COUNT: usize = 16;
 
 /// Default segment size above which a shard is compacted and rewritten.
@@ -50,28 +59,34 @@ const ENTRY_MAGIC: &str = "axcc1";
 /// process id in the name.)
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Byte range of one indexed record body inside its segment file.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    offset: u64,
-    len: u32,
+/// One shard's entries: the segment log and the index into it.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Whether the shard's file has been read in (a cache without a
+    /// directory has none to read).
+    opened: bool,
+    bytes: Vec<u8>,
+    /// Digest → byte range of its latest body in `bytes`.
+    index: BTreeMap<Digest, Range<usize>>,
 }
 
-/// One segment shard: lazily opened, then an index over the segment file.
+/// One shard and the lock that orders its file writes.
 #[derive(Debug, Default)]
 struct Shard {
-    opened: bool,
-    index: BTreeMap<Digest, Span>,
-    /// Current segment length in bytes (append position).
-    bytes: u64,
+    /// The lookup state; [`ResultCache::get`] takes only this lock.
+    segment: Mutex<Segment>,
+    /// Held across this handle's writes to the shard's file, so appends
+    /// and compactions reach the file in the order they reached the
+    /// segment while `segment` stays free for lookups.
+    file: Mutex<()>,
 }
 
-/// The on-disk half of a cache: a directory of segment shards.
-#[derive(Debug)]
-struct DiskStore {
-    dir: PathBuf,
-    rotate_bytes: u64,
-    shards: Vec<Mutex<Shard>>,
+/// One shard's share of a batch, framed as segment entries.
+#[derive(Debug, Default)]
+struct Framed {
+    bytes: Vec<u8>,
+    /// Each entry's digest and the byte range of its body in `bytes`.
+    bodies: Vec<(Digest, Range<usize>)>,
 }
 
 /// Per-shard occupancy as reported by [`ResultCache::stats`].
@@ -79,7 +94,8 @@ struct DiskStore {
 pub struct ShardStats {
     /// Live (indexed) entries in the shard.
     pub entries: usize,
-    /// Current segment file size in bytes, including superseded entries.
+    /// Current segment size in bytes, including superseded entries; the
+    /// segment file mirrors it.
     pub segment_bytes: u64,
 }
 
@@ -87,47 +103,44 @@ pub struct ShardStats {
 /// `axcc sweep --cache-stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered (from memory or disk).
+    /// Lookups answered.
     pub hits: u64,
     /// Lookups that found nothing (the job re-ran).
     pub misses: u64,
     /// Corruption repairs: truncated segment tails and entries whose body
     /// failed to decode, both healed into plain misses.
     pub heal_events: u64,
-    /// Entries currently held in memory.
-    pub mem_entries: usize,
-    /// Per-shard occupancy; empty for purely in-memory caches.
+    /// Live entries (latest per digest) across all shards.
+    pub live_entries: usize,
+    /// Per-shard occupancy; empty for caches without a directory.
     pub shards: Vec<ShardStats>,
 }
 
 impl CacheStats {
-    /// Total live entries across all disk shards.
-    pub fn disk_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.entries).sum()
-    }
-
-    /// Total segment bytes across all disk shards.
+    /// Total segment bytes across all shards.
     pub fn segment_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.segment_bytes).sum()
     }
 }
 
-/// In-memory + optional on-disk record store, shared across worker
-/// threads.
+/// Sharded record store, optionally mirrored to a directory, shared
+/// across worker threads.
 #[derive(Debug)]
 pub struct ResultCache {
-    mem: Mutex<BTreeMap<Digest, Record>>,
-    disk: Option<DiskStore>,
+    dir: Option<PathBuf>,
+    rotate_bytes: u64,
+    shards: Vec<Shard>,
     hits: AtomicU64,
     misses: AtomicU64,
     heals: AtomicU64,
 }
 
 impl ResultCache {
-    fn with_disk_opt(disk: Option<DiskStore>) -> Self {
+    fn new(dir: Option<PathBuf>, rotate_bytes: u64) -> Self {
         ResultCache {
-            mem: Mutex::new(BTreeMap::new()),
-            disk,
+            dir,
+            rotate_bytes,
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             heals: AtomicU64::new(0),
@@ -136,7 +149,7 @@ impl ResultCache {
 
     /// Purely in-memory cache (lives as long as the process).
     pub fn in_memory() -> Self {
-        Self::with_disk_opt(None)
+        Self::new(None, DEFAULT_ROTATE_BYTES)
     }
 
     /// Cache backed by `dir` (created on first write). Entries persist
@@ -150,17 +163,10 @@ impl ResultCache {
     /// threshold, for tests that need to exercise compaction without
     /// writing megabytes.
     pub fn with_disk_rotate_at(dir: PathBuf, rotate_bytes: u64) -> Self {
-        let shards = (0..SHARD_COUNT)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
-        Self::with_disk_opt(Some(DiskStore {
-            dir,
-            rotate_bytes,
-            shards,
-        }))
+        Self::new(Some(dir), rotate_bytes)
     }
 
-    /// Look up a record; disk hits are promoted into memory.
+    /// Look up a record, decoding it from the shard's in-memory segment.
     ///
     /// An indexed entry whose body no longer decodes (bit rot, a stray
     /// editor) is dropped from the index and treated as a miss, so the
@@ -168,17 +174,33 @@ impl ResultCache {
     /// entry would shadow its own address forever and every warm run
     /// would silently pay for the same re-computation.
     pub fn get(&self, digest: &Digest) -> Option<Record> {
-        if let Some(rec) = self.lock_mem().get(digest) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(rec.clone());
+        let id = shard_of(digest);
+        let mut segment = lock(&self.shards[id].segment);
+        self.open(id, &mut segment);
+        let found = segment.index.get(digest).map(|range| {
+            segment
+                .bytes
+                .get(range.clone())
+                .and_then(|body| Record::decode(std::str::from_utf8(body).ok()?))
+        });
+        match found {
+            Some(Some(record)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(record)
+            }
+            Some(None) => {
+                // Heal-by-forgetting: drop the poisoned index entry so the
+                // recomputed result can take the address back.
+                segment.index.remove(digest);
+                self.heals.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
         }
-        let Some(rec) = self.disk_get(digest) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        self.lock_mem().insert(*digest, rec.clone());
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(rec)
     }
 
     /// Store a record under its content address.
@@ -191,50 +213,45 @@ impl ResultCache {
     /// write path of chunked dispatch: a worker flushes its whole chunk
     /// here in one call.
     pub fn put_batch(&self, entries: Vec<(Digest, Record)>) {
-        if entries.is_empty() {
-            return;
+        // Frame each shard's entries before taking a lock.
+        let mut groups: Vec<Framed> = (0..SHARD_COUNT).map(|_| Framed::default()).collect();
+        for (digest, record) in &entries {
+            let group = &mut groups[shard_of(digest)];
+            let body = push_entry(&mut group.bytes, digest, record.encode().as_bytes());
+            group.bodies.push((*digest, body));
         }
-        if let Some(disk) = &self.disk {
-            // Group by shard so each segment is appended to exactly once.
-            let mut by_shard: Vec<Vec<&(Digest, Record)>> =
-                (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-            for entry in &entries {
-                by_shard[shard_of(&entry.0)].push(entry);
+        for (id, group) in groups.into_iter().enumerate() {
+            if !group.bodies.is_empty() {
+                self.append(id, group);
             }
-            for (id, group) in by_shard.iter().enumerate() {
-                if !group.is_empty() {
-                    disk.append(id, group, &self.heals);
-                }
-            }
-        }
-        let mut mem = self.lock_mem();
-        for (digest, record) in entries {
-            mem.insert(digest, record);
         }
     }
 
-    /// Number of entries currently held in memory.
+    /// Number of live entries (opens every shard, like
+    /// [`stats`](Self::stats)).
     pub fn len(&self) -> usize {
-        self.lock_mem().len()
+        self.stats().live_entries
     }
 
-    /// Whether the in-memory store is empty.
+    /// Whether the cache holds no live entry.
     pub fn is_empty(&self) -> bool {
-        self.lock_mem().is_empty()
+        self.len() == 0
     }
 
     /// Counters and per-shard occupancy. Opens (scans) any shard not yet
     /// touched, so the numbers reflect the directory, not just this
     /// process's traffic.
     pub fn stats(&self) -> CacheStats {
+        let mut live_entries = 0;
         let mut shards = Vec::new();
-        if let Some(disk) = &self.disk {
-            for id in 0..SHARD_COUNT {
-                let mut shard = disk.lock_shard(id);
-                disk.ensure_open(id, &mut shard, &self.heals);
+        for (id, shard) in self.shards.iter().enumerate() {
+            let mut segment = lock(&shard.segment);
+            self.open(id, &mut segment);
+            live_entries += segment.index.len();
+            if self.dir.is_some() {
                 shards.push(ShardStats {
-                    entries: shard.index.len(),
-                    segment_bytes: shard.bytes,
+                    entries: segment.index.len(),
+                    segment_bytes: segment.bytes.len() as u64,
                 });
             }
         }
@@ -242,35 +259,127 @@ impl ResultCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             heal_events: self.heals.load(Ordering::Relaxed),
-            mem_entries: self.len(),
+            live_entries,
             shards,
         }
     }
 
-    /// Disk half of [`get`](Self::get): index lookup, then a seek+read of
-    /// the body bytes.
-    fn disk_get(&self, digest: &Digest) -> Option<Record> {
-        let disk = self.disk.as_ref()?;
-        let id = shard_of(digest);
-        let mut shard = disk.lock_shard(id);
-        disk.ensure_open(id, &mut shard, &self.heals);
-        let span = *shard.index.get(digest)?;
-        let Some(rec) = disk.read_span(id, span) else {
-            // Heal-by-forgetting: drop the poisoned index entry so the
-            // recomputed result can take the address back.
-            shard.index.remove(digest);
-            self.heals.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        Some(rec)
+    fn segment_path(&self, id: usize) -> Option<PathBuf> {
+        let dir = self.dir.as_ref()?;
+        Some(dir.join(format!("shard-{id:02x}.seg")))
     }
 
-    /// Lock the map, recovering from poisoning: a worker that panicked
-    /// mid-insert leaves the map structurally intact (inserts are
-    /// atomic at this level), so the data is still usable.
-    fn lock_mem(&self) -> MutexGuard<'_, BTreeMap<Digest, Record>> {
-        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    /// First touch: read the shard's file into its segment and index
+    /// every whole entry. On the first malformed header or short body the
+    /// file is truncated back to the end of the last whole entry (one heal
+    /// event) — the lost tail simply re-runs as misses.
+    fn open(&self, id: usize, segment: &mut Segment) {
+        if segment.opened {
+            return;
+        }
+        segment.opened = true;
+        let Some(path) = self.segment_path(id) else {
+            return;
+        };
+        let Ok(bytes) = fs::read(&path) else {
+            return;
+        };
+        segment.bytes = bytes;
+        let mut pos = 0;
+        while pos < segment.bytes.len() {
+            let Some((digest, body)) = parse_entry(&segment.bytes, pos) else {
+                break;
+            };
+            pos = body.end;
+            segment.index.insert(digest, body);
+        }
+        if pos < segment.bytes.len() {
+            // Corrupt tail: keep the healthy prefix, drop the rest.
+            self.heals.fetch_add(1, Ordering::Relaxed);
+            segment.bytes.truncate(pos);
+            if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
+                let _ = f.set_len(pos as u64);
+            }
+        }
     }
+
+    /// Add a shard's framed entries to its segment, compacting it if it
+    /// outgrew the threshold, and mirror the change to the file after
+    /// releasing the segment lock.
+    fn append(&self, id: usize, group: Framed) {
+        let shard = &self.shards[id];
+        let _file = lock(&shard.file);
+        let compacted = {
+            let mut segment = lock(&shard.segment);
+            self.open(id, &mut segment);
+            let base = segment.bytes.len();
+            segment.bytes.extend_from_slice(&group.bytes);
+            for (digest, body) in group.bodies {
+                segment
+                    .index
+                    .insert(digest, base + body.start..base + body.end);
+            }
+            if segment.bytes.len() as u64 > self.rotate_bytes {
+                segment.compact();
+                self.dir.is_some().then(|| segment.bytes.clone())
+            } else {
+                None
+            }
+        };
+        let (Some(dir), Some(path)) = (&self.dir, self.segment_path(id)) else {
+            return;
+        };
+        if fs::create_dir_all(dir).is_err() {
+            return;
+        }
+        match compacted {
+            Some(bytes) => replace_file(dir, id, &path, &bytes),
+            None => {
+                let _ = fs::OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(&path)
+                    .and_then(|mut f| f.write_all(&group.bytes));
+            }
+        }
+    }
+}
+
+impl Segment {
+    /// Rewrite the log with only the live (indexed) entries, in digest
+    /// order.
+    fn compact(&mut self) {
+        let mut bytes = Vec::new();
+        let mut index = BTreeMap::new();
+        for (digest, body) in &self.index {
+            let body = self.bytes.get(body.clone()).unwrap_or_default();
+            index.insert(*digest, push_entry(&mut bytes, digest, body));
+        }
+        self.bytes = bytes;
+        self.index = index;
+    }
+}
+
+/// Replace a segment file with `bytes` via temp file + rename, so a
+/// concurrent reader never sees a half-written segment. Best-effort — on
+/// any failure the old file stays, and every entry it holds is still
+/// well-formed.
+fn replace_file(dir: &Path, id: usize, path: &Path, bytes: &[u8]) {
+    let suffix = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".rotate-{id:02x}-{}-{suffix}", std::process::id()));
+    if fs::write(&tmp, bytes)
+        .and_then(|()| fs::rename(&tmp, path))
+        .is_err()
+    {
+        let _ = fs::remove_file(&tmp);
+    }
+}
+
+/// Lock a mutex, recovering from poisoning: segments and indexes are only
+/// changed by whole pushes and swaps, so a panicking holder leaves them
+/// structurally sound.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shard owning `digest`: its leading hex digit.
@@ -278,182 +387,33 @@ fn shard_of(digest: &Digest) -> usize {
     (digest.hi >> 60) as usize
 }
 
-impl DiskStore {
-    fn segment_path(&self, id: usize) -> PathBuf {
-        self.dir.join(format!("shard-{id:02x}.seg"))
-    }
-
-    /// Lock one shard, recovering from poisoning (the index is only ever
-    /// updated after a successful write, so it is structurally sound).
-    fn lock_shard(&self, id: usize) -> MutexGuard<'_, Shard> {
-        self.shards[id]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// First-touch opening: scan the segment into the index (truncating a
-    /// corrupt tail).
-    fn ensure_open(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
-        if shard.opened {
-            return;
-        }
-        shard.opened = true;
-        self.scan_segment(id, shard, heals);
-    }
-
-    /// Build the index by walking the segment's entries; on the first
-    /// malformed header or short body, truncate the file back to the end
-    /// of the last whole entry (one heal event) — the lost tail simply
-    /// re-runs as misses.
-    fn scan_segment(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
-        let path = self.segment_path(id);
-        let Ok(bytes) = fs::read(&path) else {
-            return;
-        };
-        let mut pos: usize = 0;
-        loop {
-            if pos == bytes.len() {
-                shard.bytes = pos as u64;
-                return;
-            }
-            let Some((digest, body_len, body_start)) = parse_entry_header(&bytes, pos) else {
-                break;
-            };
-            let body_end = body_start + body_len;
-            if body_end > bytes.len() {
-                break;
-            }
-            shard.index.insert(
-                digest,
-                Span {
-                    offset: body_start as u64,
-                    len: body_len as u32,
-                },
-            );
-            pos = body_end;
-        }
-        // Corrupt tail: keep the healthy prefix, drop the rest.
-        heals.fetch_add(1, Ordering::Relaxed);
-        shard.bytes = pos as u64;
-        if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
-            let _ = f.set_len(pos as u64);
-        }
-    }
-
-    /// Append a group of records to shard `id` in one buffered segment
-    /// write, updating the index on success and rotating if the segment
-    /// outgrew the threshold. Best-effort: a full disk degrades to an
-    /// in-memory cache, silently.
-    fn append(&self, id: usize, group: &[&(Digest, Record)], heals: &AtomicU64) {
-        let mut shard = self.lock_shard(id);
-        self.ensure_open(id, &mut shard, heals);
-        if fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        let mut buf = Vec::new();
-        let mut spans = Vec::with_capacity(group.len());
-        for (digest, record) in group.iter().copied() {
-            let body = record.encode();
-            let header = format!("{ENTRY_MAGIC} {} {}\n", digest.to_hex(), body.len());
-            let offset = shard.bytes + (buf.len() + header.len()) as u64;
-            buf.extend_from_slice(header.as_bytes());
-            buf.extend_from_slice(body.as_bytes());
-            spans.push((
-                *digest,
-                Span {
-                    offset,
-                    len: body.len() as u32,
-                },
-            ));
-        }
-        let written = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.segment_path(id))
-            .and_then(|mut f| f.write_all(&buf))
-            .is_ok();
-        if written {
-            shard.bytes += buf.len() as u64;
-            for (digest, span) in spans {
-                shard.index.insert(digest, span);
-            }
-        }
-        if shard.bytes > self.rotate_bytes {
-            self.rotate(id, &mut shard);
-        }
-    }
-
-    /// Seek+read one indexed body and decode it.
-    fn read_span(&self, id: usize, span: Span) -> Option<Record> {
-        let mut f = fs::File::open(self.segment_path(id)).ok()?;
-        f.seek(SeekFrom::Start(span.offset)).ok()?;
-        let mut body = vec![0u8; span.len as usize];
-        f.read_exact(&mut body).ok()?;
-        Record::decode(std::str::from_utf8(&body).ok()?)
-    }
-
-    /// Compaction: rewrite the segment with only the live (indexed)
-    /// entries, via temp file + rename so a concurrent reader never sees
-    /// a half-written segment. Best-effort — on any failure the oversized
-    /// segment simply keeps growing until the next rotation attempt.
-    fn rotate(&self, id: usize, shard: &mut Shard) {
-        let mut live: Vec<(Digest, Record)> = Vec::with_capacity(shard.index.len());
-        for (digest, span) in &shard.index {
-            let Some(rec) = self.read_span(id, *span) else {
-                return;
-            };
-            live.push((*digest, rec));
-        }
-        let mut buf = Vec::new();
-        let mut index = BTreeMap::new();
-        for (digest, record) in &live {
-            let body = record.encode();
-            let header = format!("{ENTRY_MAGIC} {} {}\n", digest.to_hex(), body.len());
-            index.insert(
-                *digest,
-                Span {
-                    offset: (buf.len() + header.len()) as u64,
-                    len: body.len() as u32,
-                },
-            );
-            buf.extend_from_slice(header.as_bytes());
-            buf.extend_from_slice(body.as_bytes());
-        }
-        let suffix = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".rotate-{id:02x}-{}-{suffix}", std::process::id()));
-        if fs::write(&tmp, &buf).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        if fs::rename(&tmp, self.segment_path(id)).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        shard.index = index;
-        shard.bytes = buf.len() as u64;
-    }
+/// Append one entry (header, then `body`) to `buf`; returns the body's
+/// byte range in `buf`.
+fn push_entry(buf: &mut Vec<u8>, digest: &Digest, body: &[u8]) -> Range<usize> {
+    // Writing into a `Vec` cannot fail.
+    let _ = writeln!(buf, "{ENTRY_MAGIC} {digest} {}", body.len());
+    let start = buf.len();
+    buf.extend_from_slice(body);
+    start..buf.len()
 }
 
-/// Parse one `axcc1 <32-hex digest> <len>\n` header starting at `pos`;
-/// returns the digest, body length, and the offset where the body starts.
-fn parse_entry_header(bytes: &[u8], pos: usize) -> Option<(Digest, usize, usize)> {
-    // Headers are short; cap the newline scan so a garbage blob cannot
-    // make us walk the whole segment.
-    let window_end = bytes.len().min(pos + 64);
-    let nl = bytes[pos..window_end].iter().position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&bytes[pos..pos + nl]).ok()?;
-    let mut parts = line.split(' ');
-    if parts.next() != Some(ENTRY_MAGIC) {
-        return None;
-    }
-    let digest = Digest::from_hex(parts.next()?)?;
-    let body_len: usize = parts.next()?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((digest, body_len, pos + nl + 1))
+/// Parse the whole entry starting at `pos` — an `axcc1 <32-hex digest>
+/// <len>\n` header and exactly `len` body bytes: its digest and the byte
+/// range of its body; `None` if the header is malformed or the body is
+/// cut off.
+fn parse_entry(bytes: &[u8], pos: usize) -> Option<(Digest, Range<usize>)> {
+    let header = bytes.get(pos..)?.strip_prefix(ENTRY_MAGIC.as_bytes())?;
+    let header = header.strip_prefix(b" ")?;
+    let (hex, header) = header.split_at_checked(32)?;
+    let digest = Digest::from_hex(std::str::from_utf8(hex).ok()?)?;
+    let header = header.strip_prefix(b" ")?;
+    // A header is at most 64 bytes; capping the newline scan keeps a
+    // garbage blob from making us walk the whole segment.
+    let digits = header.iter().take(25).position(|&b| b == b'\n')?;
+    let body_len: usize = std::str::from_utf8(&header[..digits]).ok()?.parse().ok()?;
+    let start = bytes.len() - header.len() + digits + 1;
+    let end = start.checked_add(body_len)?;
+    (end <= bytes.len()).then_some((digest, start..end))
 }
 
 #[cfg(test)]
@@ -489,6 +449,35 @@ mod tests {
             .unwrap_or_default();
         files.sort();
         files
+    }
+
+    /// Three digests sharing one shard, in digest order.
+    fn same_shard_digests(tag: &str) -> [Digest; 3] {
+        let first = digest_of(&format!("{tag}-0"));
+        let mut found: Vec<Digest> = (0..)
+            .map(|i| digest_of(&format!("{tag}-{i}")))
+            .filter(|d| shard_of(d) == shard_of(&first))
+            .take(3)
+            .collect();
+        found.sort();
+        [found[0], found[1], found[2]]
+    }
+
+    #[test]
+    fn a_rotation_by_another_handle_never_returns_another_digests_record() {
+        let dir = temp_dir("foreign-rotate");
+        let [lo, mid, hi] = same_shard_digests("foreign-rotate");
+        let writer = ResultCache::with_disk(dir.clone());
+        writer.put(hi, record_of(1.0));
+        writer.put(mid, record_of(2.0));
+        // R indexes the shard: hi's body sits at the start of the segment.
+        let reader = ResultCache::with_disk(dir.clone());
+        assert_eq!(reader.get(&mid), Some(record_of(2.0)));
+        // Another handle compacts the shard: the segment is rewritten in
+        // digest order, so lo's equal-length body now starts where hi's did.
+        ResultCache::with_disk_rotate_at(dir.clone(), 1).put(lo, record_of(3.0));
+        assert_eq!(reader.get(&hi), Some(record_of(1.0)));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -657,9 +646,9 @@ mod tests {
         cache.put_batch(entries);
         let stats = cache.stats();
         assert_eq!(stats.shards.len(), SHARD_COUNT);
-        assert_eq!(stats.disk_entries(), 32);
+        assert_eq!(stats.shards.iter().map(|s| s.entries).sum::<usize>(), 32);
         assert!(stats.segment_bytes() > 0);
-        assert_eq!(stats.mem_entries, 32);
+        assert_eq!(stats.live_entries, 32);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -21,13 +21,13 @@
 //!   slot vector, so results are reassembled by submission index — which
 //!   is why parallel output is byte-identical to serial output (see
 //!   DESIGN.md, "The sweep subsystem" and §9).
-//! * [`cache`] — content-addressed in-memory + optional on-disk result
-//!   store keyed by the 128-bit job digest. The on-disk layout is
-//!   sharded and log-structured: [`cache::SHARD_COUNT`] append-only
-//!   segment files indexed in memory on open, so a 10⁵-job sweep creates
-//!   O(shards) files, not O(jobs). Record bodies use the exact
-//!   bit-pattern [`record::Record`] codec, not JSON, so ±∞ and NaN
-//!   scores round-trip losslessly.
+//! * [`cache`] — content-addressed result store keyed by the 128-bit job
+//!   digest: [`cache::SHARD_COUNT`] log-structured segments held in
+//!   memory, each optionally mirrored to an append-only segment file that
+//!   is read in once on first touch. Lookups never touch the file, and a
+//!   10⁵-job sweep creates O(shards) files, not O(jobs). Record bodies
+//!   use the exact bit-pattern [`record::Record`] codec, not JSON, so ±∞
+//!   and NaN scores round-trip losslessly.
 //! * [`progress`] — wall-clock / jobs-per-second / hit-rate reporting.
 //!   Timing is *reporting only*; it never feeds back into results, which
 //!   is the contract under which this crate's `Instant::now` suppressions

@@ -12,78 +12,137 @@
 //! per line with `\`-escaping for embedded newlines. Any malformed file
 //! decodes to `None` and is treated as a cache miss, never an error.
 
+use std::fmt::{self, Write as _};
+
 /// A flat, schema-less list of string fields holding one cached result.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The fields live back to back in one `String`, each followed by a `\n`
+/// terminator whose offset delimits it. A record whose fields need no
+/// escaping (every record of numbers) is therefore its own encoded form
+/// less the count line, and building, encoding or decoding one costs two
+/// allocations however many fields it has.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Record {
-    fields: Vec<String>,
+    /// Every field's text followed by `\n`, concatenated.
+    text: String,
+    /// Offset of each field's terminating `\n` in `text`.
+    ends: Vec<usize>,
 }
 
 impl Record {
     /// Empty record; chain `push_*` calls to fill it.
     pub fn new() -> Self {
-        Record { fields: Vec::new() }
+        Record::default()
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.ends.len()
     }
 
     /// Whether the record has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Terminate the field whose text was just appended.
+    fn end_field(&mut self) {
+        self.ends.push(self.text.len());
+        self.text.push('\n');
     }
 
     /// Append a raw string field.
     pub fn push_str(&mut self, s: &str) {
-        self.fields.push(s.to_string());
+        self.text.push_str(s);
+        self.end_field();
     }
 
     /// Append an `f64` as its exact bit pattern (16 hex digits).
     pub fn push_f64(&mut self, v: f64) {
-        self.fields.push(format!("{:016x}", v.to_bits()));
+        let bits = v.to_bits();
+        for shift in (0..16).rev() {
+            let nibble = ((bits >> (shift * 4)) & 0xf) as u8;
+            let digit = if nibble < 10 {
+                b'0' + nibble
+            } else {
+                b'a' + nibble - 10
+            };
+            self.text.push(char::from(digit));
+        }
+        self.end_field();
     }
 
     /// Append an optional `f64` (`-` marks `None`).
     pub fn push_opt_f64(&mut self, v: Option<f64>) {
         match v {
-            None => self.fields.push("-".to_string()),
+            None => self.push_str("-"),
             Some(v) => self.push_f64(v),
         }
     }
 
     /// Append a `usize` in decimal.
     pub fn push_usize(&mut self, v: usize) {
-        self.fields.push(v.to_string());
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.text, "{v}");
+        self.end_field();
     }
 
     /// Append an optional `usize` (`-` marks `None`).
     pub fn push_opt_usize(&mut self, v: Option<usize>) {
         match v {
-            None => self.fields.push("-".to_string()),
+            None => self.push_str("-"),
             Some(v) => self.push_usize(v),
         }
     }
 
     /// Append a bool (`1`/`0`).
     pub fn push_bool(&mut self, v: bool) {
-        self.fields.push(if v { "1" } else { "0" }.to_string());
+        self.push_str(if v { "1" } else { "0" });
     }
 
     /// Cursor for reading fields back in order.
     pub fn reader(&self) -> RecordReader<'_> {
         RecordReader {
-            fields: &self.fields,
+            text: &self.text,
+            ends: &self.ends,
             next: 0,
+            start: 0,
         }
+    }
+
+    /// The fields in order.
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let field = self.text.get(start..end).unwrap_or_default();
+            start = end + 1;
+            field
+        })
     }
 
     /// Serialize to the line-oriented on-disk form.
     pub fn encode(&self) -> String {
-        let mut out = format!("{}\n", self.fields.len());
-        for f in &self.fields {
-            let escaped = f.replace('\\', "\\\\").replace('\n', "\\n");
-            out.push_str(&escaped);
+        let mut out = String::with_capacity(21 + self.text.len());
+        let _ = writeln!(out, "{}", self.len());
+        // Each field brings one `\n` terminator; any other `\n` or `\\`
+        // is field content that needs escaping.
+        let specials = self
+            .text
+            .bytes()
+            .filter(|&b| b == b'\\' || b == b'\n')
+            .count();
+        if specials == self.len() {
+            out.push_str(&self.text);
+            return out;
+        }
+        for field in self.fields() {
+            for c in field.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
+                }
+            }
             out.push('\n');
         }
         out
@@ -92,30 +151,49 @@ impl Record {
     /// Parse the on-disk form; `None` on any malformation (truncated
     /// write, wrong count, bad escape) — callers treat that as a miss.
     pub fn decode(text: &str) -> Option<Record> {
-        let mut lines = text.split('\n');
-        let count: usize = lines.next()?.parse().ok()?;
+        let (count, mut rest) = text.split_once('\n')?;
+        let count: usize = count.parse().ok()?;
         // Every field takes at least its own newline, so a count above the
         // text's length is malformed; capping the reservation keeps a
         // hostile count from overflowing or exhausting the allocator.
-        let mut fields = Vec::with_capacity(count.min(text.len()));
+        let mut ends = Vec::with_capacity(count.min(rest.len()));
+        if !rest.contains('\\') {
+            // Nothing escaped: the lines are the fields verbatim, and the
+            // last field's newline must end the text.
+            ends.extend(
+                rest.bytes()
+                    .enumerate()
+                    .filter_map(|(i, b)| (b == b'\n').then_some(i)),
+            );
+            let whole = ends.last().map_or(0, |&end| end + 1) == rest.len();
+            return (ends.len() == count && whole).then(|| Record {
+                text: rest.to_string(),
+                ends,
+            });
+        }
+        let mut record = Record {
+            text: String::with_capacity(rest.len()),
+            ends,
+        };
         for _ in 0..count {
-            fields.push(unescape(lines.next()?)?);
+            let (field, tail) = rest.split_once('\n')?;
+            unescape_into(&mut record.text, field)?;
+            record.end_field();
+            rest = tail;
         }
-        // Exactly one trailing empty segment must remain (final '\n').
-        if lines.next() != Some("") || lines.next().is_some() {
-            return None;
-        }
-        Some(Record { fields })
+        rest.is_empty().then_some(record)
     }
 }
 
-/// Reverse the `encode` escaping; `None` on a dangling backslash or an
-/// unknown escape.
-fn unescape(s: &str) -> Option<String> {
-    if !s.contains('\\') {
-        return Some(s.to_string());
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.fields()).finish()
     }
-    let mut out = String::with_capacity(s.len());
+}
+
+/// Append the reverse of the `encode` escaping of `s` to `out`; `None` on
+/// a dangling backslash or an unknown escape.
+fn unescape_into(out: &mut String, s: &str) -> Option<()> {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
@@ -128,7 +206,7 @@ fn unescape(s: &str) -> Option<String> {
             _ => return None,
         }
     }
-    Some(out)
+    Some(())
 }
 
 /// In-order field cursor over a [`Record`]. Every accessor returns
@@ -136,15 +214,34 @@ fn unescape(s: &str) -> Option<String> {
 /// implementations short-circuit cleanly with `?`.
 #[derive(Debug)]
 pub struct RecordReader<'a> {
-    fields: &'a [String],
+    text: &'a str,
+    ends: &'a [usize],
     next: usize,
+    /// Start offset of field `next` in `text`.
+    start: usize,
 }
 
 impl<'a> RecordReader<'a> {
+    /// The next field and its terminator's offset, without consuming it.
+    fn peek(&self) -> Option<(&'a str, usize)> {
+        let end = *self.ends.get(self.next)?;
+        Some((self.text.get(self.start..end)?, end))
+    }
+
     fn take(&mut self) -> Option<&'a str> {
-        let f = self.fields.get(self.next)?;
+        let (field, end) = self.peek()?;
         self.next += 1;
-        Some(f)
+        self.start = end + 1;
+        Some(field)
+    }
+
+    /// Consume the next field if it is the `None` marker `-`.
+    fn take_none(&mut self) -> bool {
+        let none = matches!(self.peek(), Some(("-", _)));
+        if none {
+            self.take();
+        }
+        none
     }
 
     /// Next field as a raw string.
@@ -163,8 +260,7 @@ impl<'a> RecordReader<'a> {
 
     /// Next field as an optional `f64`.
     pub fn opt_f64(&mut self) -> Option<Option<f64>> {
-        if self.fields.get(self.next).map(String::as_str) == Some("-") {
-            self.next += 1;
+        if self.take_none() {
             return Some(None);
         }
         self.f64().map(Some)
@@ -177,8 +273,7 @@ impl<'a> RecordReader<'a> {
 
     /// Next field as an optional `usize`.
     pub fn opt_usize(&mut self) -> Option<Option<usize>> {
-        if self.fields.get(self.next).map(String::as_str) == Some("-") {
-            self.next += 1;
+        if self.take_none() {
             return Some(None);
         }
         self.usize().map(Some)
@@ -196,7 +291,7 @@ impl<'a> RecordReader<'a> {
     /// Whether every field has been consumed (call last in
     /// `from_record` to reject records with trailing garbage).
     pub fn exhausted(&self) -> bool {
-        self.next == self.fields.len()
+        self.next == self.ends.len()
     }
 }
 
@@ -304,6 +399,53 @@ impl Cacheable for axcc_core::AxiomScores {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The encoded bytes of every record shape this crate stores, pinned:
+    /// segments written by earlier builds must keep decoding, and the
+    /// same results must keep producing byte-identical segments.
+    #[test]
+    fn encode_bytes_are_pinned_for_every_builtin_cacheable() {
+        assert_eq!(1.5f64.to_record().encode(), "1\n3ff8000000000000\n");
+        assert_eq!(
+            (0.5, f64::INFINITY).to_record().encode(),
+            "2\n3fe0000000000000\n7ff0000000000000\n"
+        );
+        assert_eq!(
+            (-0.0, f64::NAN, 1e300).to_record().encode(),
+            "3\n8000000000000000\n7ff8000000000000\n7e37e43c8800759c\n"
+        );
+        assert_eq!(
+            vec![f64::NEG_INFINITY, f64::MIN_POSITIVE]
+                .to_record()
+                .encode(),
+            "3\n2\nfff0000000000000\n0010000000000000\n"
+        );
+        assert_eq!(Vec::<f64>::new().to_record().encode(), "1\n0\n");
+        let scores = axcc_core::AxiomScores {
+            efficiency: 0.97,
+            fast_utilization: f64::INFINITY,
+            loss_bound: 0.25,
+            fairness: 1.0,
+            convergence: f64::INFINITY,
+            robustness: 0.5,
+            tcp_friendliness: 1.25,
+            latency_inflation: 1.0,
+        };
+        assert_eq!(scores.to_record().encode(), "8\n3fef0a3d70a3d70a\n7ff0000000000000\n3fd0000000000000\n3ff0000000000000\n7ff0000000000000\n3fe0000000000000\n3ff4000000000000\n3ff0000000000000\n");
+        let mut r = Record::new();
+        r.push_str("multi\nline \\ field");
+        r.push_str("");
+        r.push_opt_f64(None);
+        r.push_opt_f64(Some(2.0));
+        r.push_usize(0);
+        r.push_usize(usize::MAX);
+        r.push_opt_usize(None);
+        r.push_opt_usize(Some(42));
+        r.push_bool(true);
+        r.push_bool(false);
+        assert_eq!(r.encode(), "10\nmulti\\nline \\\\ field\n\n-\n4000000000000000\n0\n18446744073709551615\n-\n42\n1\n0\n");
+        assert_eq!(Record::new().encode(), "0\n");
+    }
 
     #[test]
     fn round_trips_exact_bits() {

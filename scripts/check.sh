@@ -60,6 +60,22 @@ echo "==> axcc sweep --only explore --smoke (parameter-space exploration through
 cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 --chunk-size 8 \
   --cache-dir target/sweep-cache-ci --cache-stats > /dev/null
 
+# A warm re-run must answer every job from the store and print the same
+# report: run explore --smoke twice into a fresh store, compare the two
+# reports up to the timing footer, and require the second run's
+# --cache-stats line to show no misses and no executed jobs.
+echo "==> warm re-run of explore --smoke: identical report, 0 misses, 0 executed"
+rm -rf target/warm-rerun-ci
+mkdir -p target/warm-rerun-ci
+for run in cold warm; do
+  cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 \
+    --cache-dir target/warm-rerun-ci/store --cache-stats > "target/warm-rerun-ci/$run.txt"
+  sed '/ jobs over /,$d' "target/warm-rerun-ci/$run.txt" > "target/warm-rerun-ci/$run.report"
+done
+cmp target/warm-rerun-ci/cold.report target/warm-rerun-ci/warm.report
+grep -q '^result store: [0-9]* hits / 0 misses, 0 jobs executed this process' \
+  target/warm-rerun-ci/warm.txt
+
 echo "==> results/ regenerates byte for byte (registry at paper budget + the four examples, release)"
 rm -rf target/results-check
 cargo run -q --release -p axcc-cli -- run-all --jobs 0 --no-cache \
