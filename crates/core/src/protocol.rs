@@ -49,15 +49,15 @@ impl Observation {
     }
 }
 
-/// One step's observations for *all* senders, laid out as contiguous
-/// per-field lanes (the engine's struct-of-arrays hot-path view). The
-/// shared link RTT is a scalar because every sender on a single link sees
-/// the same RTT; per-sender fields index by sender.
+/// One step's observations for *all* senders, laid out as per-field
+/// lanes, with one RTT shared by every sender.
 ///
-/// [`Protocol::next_window_lane`] receives this view so simple protocols
-/// can read straight from the lanes without materializing an
-/// [`Observation`]; the default method builds one via
-/// [`LaneObs::observation`], so existing protocols are unaffected.
+/// Leftover API: no engine builds this view or calls
+/// [`Protocol::next_window_lane`] — each sender's step hands its protocol
+/// its own [`Observation`] through [`Protocol::next_window`], and
+/// protocols implement that method only. The type and the lane method
+/// remain solely because perfbench's `RecordingProtocol` overrides
+/// them; both go with the next change to perfbench.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneObs<'a> {
     /// Index of the time step that just elapsed.
@@ -105,12 +105,12 @@ pub trait Protocol: Send + std::fmt::Debug {
     /// observation of the step that just ended.
     fn next_window(&mut self, obs: &Observation) -> f64;
 
-    /// Lane-slice variant of [`next_window`](Self::next_window): select
-    /// sender `i`'s next window reading directly from the engine's
-    /// struct-of-arrays lanes. The default materializes the scalar
-    /// observation and delegates, so overriding is purely an optimization
-    /// — any override must return the bit-identical value the default
-    /// would (the simulator equivalence proptests enforce this).
+    /// Lane-slice variant of [`next_window`](Self::next_window) over a
+    /// [`LaneObs`]: materializes sender `i`'s observation and delegates.
+    ///
+    /// Leftover API: no engine calls it, so protocols implement
+    /// [`next_window`](Self::next_window) only; it remains solely because
+    /// perfbench's `RecordingProtocol` overrides it (see [`LaneObs`]).
     fn next_window_lane(&mut self, lanes: &LaneObs<'_>, i: usize) -> f64 {
         self.next_window(&lanes.observation(i))
     }

@@ -25,7 +25,7 @@ use axcc_core::axioms::streaming::{
     MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
 use axcc_core::protocol::clamp_window;
-use axcc_core::{LaneObs, Observation, RunTrace, ScenarioError, SenderTrace};
+use axcc_core::{Observation, RunTrace, ScenarioError, SenderTrace};
 use axcc_topo::Topology;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -152,26 +152,21 @@ impl StepSink for axcc_core::axioms::churn::ChurnAccumulator {
 }
 
 /// Struct-of-arrays per-sender state: one contiguous lane per field, so
-/// the engine's per-step passes (total-window reduction, loss
-/// application, goodput, protocol updates) each sweep a flat `f64` slice
-/// instead of hopping across an array of structs.
+/// the total-window reduction and the per-sender step sweep flat `f64`
+/// slices instead of hopping across an array of structs.
 #[derive(Debug, Default)]
 struct SenderLanes {
     /// Current congestion windows `x_i^(t)` (idle senders hold 0.0).
     windows: Vec<f64>,
-    /// Composed per-sender loss for the step in flight.
-    losses: Vec<f64>,
     /// Running per-sender min-RTT.
     min_rtts: Vec<f64>,
-    /// Requested next windows, staged before the divergence scan.
-    requests: Vec<f64>,
     /// Admission flags (a sender is active iff started and not stopped).
     started: Vec<bool>,
     /// Departure flags.
     stopped: Vec<bool>,
 }
 
-fn reset_lane(v: &mut Vec<f64>, n: usize, x: f64) {
+fn reset_lane<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
     v.clear();
     v.resize(n, x);
 }
@@ -182,7 +177,7 @@ struct LinkLanes {
     /// Per-link load `X_l`: the windows of the senders crossing `l`.
     loads: Vec<f64>,
     /// Per-link droptail loss `L_l(X_l)`.
-    losses: Vec<f64>,
+    link_losses: Vec<f64>,
     /// Per-link queueing delay `rtt_l(X_l) − 2Θ_l`.
     qdelays: Vec<f64>,
     /// Every sender's path, concatenated in sender order.
@@ -198,7 +193,7 @@ impl LinkLanes {
     fn prepare(&mut self, topology: &Topology, senders: &[SenderConfig]) {
         let nl = topology.num_links();
         reset_lane(&mut self.loads, nl, 0.0);
-        reset_lane(&mut self.losses, nl, 0.0);
+        reset_lane(&mut self.link_losses, nl, 0.0);
         reset_lane(&mut self.qdelays, nl, 0.0);
         self.path_links.clear();
         self.spans.clear();
@@ -210,6 +205,74 @@ impl LinkLanes {
             // Constant across the run, so summed once, in path order.
             self.base_rtts.push(topology.path_min_rtt(&cfg.path));
         }
+    }
+}
+
+/// What the per-sender step reads and writes: the senders' protocols and
+/// lanes, the wire-loss sampler and the run's one RNG.
+struct SenderStep<'a> {
+    senders: &'a mut [SenderConfig],
+    windows: &'a mut [f64],
+    min_rtts: &'a mut [f64],
+    wire_loss: &'a mut LossProcess,
+    rng: ChaCha8Rng,
+    feedback: FeedbackMode,
+    max_window: f64,
+}
+
+impl SenderStep<'_> {
+    /// Step `t` for each sender in `active` (ascending) on the RTT and
+    /// congestion loss `link(i, block)` gives it (a multi-link `link` also
+    /// stages the sender's path RTT): composed loss (the congestion loss
+    /// as is under `path_loss_only`), min-RTT, staged row, the protocol's
+    /// next window, divergence check and clamp. The first non-finite
+    /// request aborts, so the lowest-index offender is named. Always
+    /// inlined: each call site gets its own copy, and the `&[i]` call for
+    /// a lone sender becomes straight-line code (DESIGN.md §8).
+    #[inline(always)]
+    fn step_senders(
+        &mut self,
+        active: &[usize],
+        t: u64,
+        block: &mut StepBlock,
+        path_loss_only: bool,
+        link: impl Fn(usize, &mut StepBlock) -> (f64, f64),
+    ) -> Result<(), ScenarioError> {
+        for &i in active {
+            let (rtt, congestion_loss) = link(i, block);
+            let w = self.windows[i];
+            let loss = if path_loss_only {
+                congestion_loss
+            } else {
+                let wire = self.wire_loss.sample(&mut self.rng, i, w);
+                let observed = match self.feedback {
+                    FeedbackMode::Synchronized => congestion_loss,
+                    FeedbackMode::PerPacket => {
+                        sample_loss_fraction(&mut self.rng, w, congestion_loss)
+                    }
+                };
+                compose_loss(observed, wire)
+            };
+            self.min_rtts[i] = self.min_rtts[i].min(rtt);
+            block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
+            let requested = self.senders[i].protocol.next_window(&Observation {
+                tick: t,
+                window: w,
+                loss_rate: loss,
+                rtt,
+                min_rtt: self.min_rtts[i],
+            });
+            if !requested.is_finite() {
+                return Err(ScenarioError::NumericalDivergence {
+                    step: t,
+                    sender: i,
+                    context: "requested window",
+                    value: requested,
+                });
+            }
+            self.windows[i] = clamp_window(requested, self.max_window);
+        }
+        Ok(())
     }
 }
 
@@ -247,13 +310,9 @@ impl EngineWorkspace {
     /// run state.
     fn prepare(&mut self, n: usize, loss_model: LossModel) {
         reset_lane(&mut self.lanes.windows, n, 0.0);
-        reset_lane(&mut self.lanes.losses, n, 0.0);
         reset_lane(&mut self.lanes.min_rtts, n, f64::INFINITY);
-        reset_lane(&mut self.lanes.requests, n, 0.0);
-        self.lanes.started.clear();
-        self.lanes.started.resize(n, false);
-        self.lanes.stopped.clear();
-        self.lanes.stopped.resize(n, false);
+        reset_lane(&mut self.lanes.started, n, false);
+        reset_lane(&mut self.lanes.stopped, n, false);
         self.active.clear();
         self.active.reserve(n);
         self.boundaries.clear();
@@ -322,18 +381,18 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///   can only take effect at a precomputed set of boundary steps, so the
 ///   per-step scans are hoisted out of the inner loop entirely and the
 ///   active-sender set is rebuilt once per span;
-/// * **lane passes** — per-sender work runs as passes over the active
-///   senders' contiguous lanes (composed loss, min-RTT and goodput staged
-///   in one pass; then protocol requests; then the divergence scan and
-///   clamp), and finished rows are staged into a [`StepBlock`]
-///   delivered to the sink in batches ([`StepSink::on_steps`]).
+/// * **one per-sender step** — each sender's loss draw, protocol update,
+///   divergence check and clamp run in one walk over the active senders
+///   ([`SenderStep::step_senders`]), which both topologies' bodies call,
+///   and finished rows are staged into a [`StepBlock`] delivered to the
+///   sink in batches ([`StepSink::on_steps`]).
 ///
-/// One general one-link step body serves every sender count and
-/// activity pattern, with two shortcuts that were measured to pay for
-/// themselves (DESIGN.md §8): the flat-link hoist, which turns the step
-/// RTT and congestion loss into span constants when `n` clamped windows
-/// cannot reach capacity, and a single-lane copy of the body for spans
-/// with one active sender.
+/// A protocol sees only its own [`Observation`] and never the engine's
+/// RNG, so fusing the walk leaves the draws, and the bits, as they were.
+/// Two shortcuts were measured to pay for themselves (DESIGN.md §8): the
+/// flat-link hoist (step RTT and congestion loss become span constants
+/// when `n` clamped windows cannot reach capacity) and a second
+/// instantiation of the step for one-link spans with one active sender.
 ///
 /// Every f64 reduction keeps the scalar engine's exact evaluation order:
 /// the total window is a strict left-to-right `iter().sum()` and goodput
@@ -364,7 +423,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
 
     let n = senders.len();
     let horizon = steps as u64;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
     // Without wire loss or sampled feedback a multi-link sender's loss is
     // its path's congestion loss as is, not passed through `compose_loss`.
@@ -386,14 +444,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
         wire_loss,
         links,
     } = ws;
-    let SenderLanes {
-        windows,
-        losses,
-        min_rtts,
-        requests,
-        started,
-        stopped,
-    } = lanes;
 
     // Activity boundaries: the only steps where the active population or
     // the link can change. The scalar engine re-checked all three every
@@ -433,6 +483,26 @@ fn try_run_scenario_with_workspace<S: StepSink>(
     let mut active_link = link;
     let mut pending_changes = bandwidth_changes.iter().copied().peekable();
 
+    let mut run = SenderStep {
+        senders: &mut senders,
+        windows: &mut lanes.windows,
+        min_rtts: &mut lanes.min_rtts,
+        wire_loss,
+        rng: ChaCha8Rng::seed_from_u64(seed),
+        feedback,
+        max_window,
+    };
+    // Commit the staged row of step `t`, flushing a full block to the sink.
+    let mut commit = |block: &mut StepBlock, t: u64| {
+        if block.advance() {
+            sink.on_steps(block);
+            block.begin(t as usize + 1);
+            if !static_dense {
+                block.zero_senders();
+            }
+        }
+    };
+
     for bi in 0..boundaries.len() {
         let span_start = boundaries[bi];
         let span_end = boundaries.get(bi + 1).copied().unwrap_or(horizon);
@@ -449,21 +519,19 @@ fn try_run_scenario_with_workspace<S: StepSink>(
         // (1) admissions and departures due at this span, then the span's
         // active set (ascending, so RNG draw order matches the scalar
         // engine's 0..n sweep).
-        for (i, cfg) in senders.iter().enumerate() {
-            if !started[i] && span_start >= cfg.start_tick {
-                started[i] = true;
-                windows[i] = clamp_window(cfg.initial_window, max_window);
+        active.clear();
+        for (i, cfg) in run.senders.iter().enumerate() {
+            if !lanes.started[i] && span_start >= cfg.start_tick {
+                lanes.started[i] = true;
+                run.windows[i] = clamp_window(cfg.initial_window, max_window);
             }
             if let Some(stop) = cfg.stop_tick {
-                if !stopped[i] && span_start >= stop {
-                    stopped[i] = true;
-                    windows[i] = 0.0;
+                if !lanes.stopped[i] && span_start >= stop {
+                    lanes.stopped[i] = true;
+                    run.windows[i] = 0.0;
                 }
             }
-        }
-        active.clear();
-        for i in 0..n {
-            if started[i] && !stopped[i] {
+            if lanes.started[i] && !lanes.stopped[i] {
                 active.push(i);
             }
         }
@@ -471,7 +539,7 @@ fn try_run_scenario_with_workspace<S: StepSink>(
         if multi_link {
             let LinkLanes {
                 loads,
-                losses: link_losses,
+                link_losses,
                 qdelays,
                 path_links,
                 spans,
@@ -485,71 +553,40 @@ fn try_run_scenario_with_workspace<S: StepSink>(
                 for &i in active.iter() {
                     let (a, b) = spans[i];
                     for &l in &path_links[a..b] {
-                        loads[l] += windows[i];
+                        loads[l] += run.windows[i];
                     }
                 }
                 for (l, hop) in topology.links().iter().enumerate() {
                     link_losses[l] = hop.loss_rate(loads[l]);
                     qdelays[l] = hop.rtt(loads[l]) - hop.min_rtt();
                 }
-                let total: f64 = windows.iter().sum();
+                let total: f64 = run.windows.iter().sum();
                 let floor_link = topology.link(floor);
                 block.stage_shared(total, floor_link.rtt(loads[floor]), link_losses[floor]);
 
-                // (3) per-sender path RTT (recorded for idle senders too),
-                // composed loss, goodput and protocol update.
-                for i in 0..n {
-                    let path = &path_links[spans[i].0..spans[i].1];
-                    let rtt: f64 = base_rtts[i] + path.iter().map(|&l| qdelays[l]).sum::<f64>();
+                // (3) every sender's path RTT, recorded for idle senders
+                // too, and the active senders' step on their own paths.
+                let path_rtt = |i: usize| {
+                    let (a, b) = spans[i];
+                    base_rtts[i] + path_links[a..b].iter().map(|&l| qdelays[l]).sum::<f64>()
+                };
+                for i in (0..n).filter(|&i| !lanes.started[i] || lanes.stopped[i]) {
+                    block.stage_sender_rtt(i, path_rtt(i));
+                }
+                run.step_senders(active, t, block, path_loss_only, |i, block| {
+                    let (a, b) = spans[i];
+                    let rtt = path_rtt(i);
                     block.stage_sender_rtt(i, rtt);
-                    if !started[i] || stopped[i] {
-                        continue;
-                    }
                     // Two near-1 link losses can round the product's
                     // complement to exactly 1.0; clamp as `compose_loss`.
-                    let congestion_loss = (1.0
-                        - path.iter().map(|&l| 1.0 - link_losses[l]).product::<f64>())
-                    .min(1.0 - f64::EPSILON);
-                    let w = windows[i];
-                    let loss = if path_loss_only {
-                        congestion_loss
-                    } else {
-                        let wire = wire_loss.sample(&mut rng, i, w);
-                        let observed = match feedback {
-                            FeedbackMode::Synchronized => congestion_loss,
-                            FeedbackMode::PerPacket => {
-                                sample_loss_fraction(&mut rng, w, congestion_loss)
-                            }
-                        };
-                        compose_loss(observed, wire)
-                    };
-                    min_rtts[i] = min_rtts[i].min(rtt);
-                    block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
-                    let requested = senders[i].protocol.next_window(&Observation {
-                        tick: t,
-                        window: w,
-                        loss_rate: loss,
-                        rtt,
-                        min_rtt: min_rtts[i],
-                    });
-                    if !requested.is_finite() {
-                        return Err(ScenarioError::NumericalDivergence {
-                            step: t,
-                            sender: i,
-                            context: "requested window",
-                            value: requested,
-                        });
-                    }
-                    windows[i] = clamp_window(requested, max_window);
-                }
-
-                if block.advance() {
-                    sink.on_steps(block);
-                    block.begin(t as usize + 1);
-                    if !static_dense {
-                        block.zero_senders();
-                    }
-                }
+                    let loss = 1.0
+                        - path_links[a..b]
+                            .iter()
+                            .map(|&l| 1.0 - link_losses[l])
+                            .product::<f64>();
+                    (rtt, loss.min(1.0 - f64::EPSILON))
+                })?;
+                commit(block, t);
             }
             continue;
         }
@@ -564,57 +601,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
         let flat_link = (n as f64) * max_window * (1.0 + 1e-9) < active_link.capacity();
         let flat_rtt = active_link.min_rtt();
 
-        // Single-lane span: with one active sender (every robustness
-        // cell) the passes below collapse to straight-line code on its
-        // lane. Statement for statement the general body, so the bits
-        // are the same; it pays for itself (see DESIGN.md §8).
-        if let [i] = active[..] {
-            for t in span_start..span_end {
-                let total: f64 = windows.iter().sum();
-                let (rtt, congestion_loss) = if flat_link {
-                    (flat_rtt, 0.0)
-                } else {
-                    (active_link.rtt(total), active_link.loss_rate(total))
-                };
-                let w = windows[i];
-                let wire = wire_loss.sample(&mut rng, i, w);
-                let observed = match feedback {
-                    FeedbackMode::Synchronized => congestion_loss,
-                    FeedbackMode::PerPacket => sample_loss_fraction(&mut rng, w, congestion_loss),
-                };
-                let loss = compose_loss(observed, wire);
-                losses[i] = loss;
-                min_rtts[i] = min_rtts[i].min(rtt);
-                block.stage_shared(total, rtt, congestion_loss);
-                block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
-                let lane_obs = LaneObs {
-                    tick: t,
-                    rtt,
-                    windows: &windows[..],
-                    losses: &losses[..],
-                    min_rtts: &min_rtts[..],
-                };
-                let requested = senders[i].protocol.next_window_lane(&lane_obs, i);
-                if !requested.is_finite() {
-                    return Err(ScenarioError::NumericalDivergence {
-                        step: t,
-                        sender: i,
-                        context: "requested window",
-                        value: requested,
-                    });
-                }
-                windows[i] = clamp_window(requested, max_window);
-                if block.advance() {
-                    sink.on_steps(block);
-                    block.begin(t as usize + 1);
-                    if !static_dense {
-                        block.zero_senders();
-                    }
-                }
-            }
-            continue;
-        }
-
         for t in span_start..span_end {
             // (2) shared link state. Idle senders hold exactly 0.0, and
             // adding +0.0 to a non-negative partial sum is exact, so
@@ -623,67 +609,24 @@ fn try_run_scenario_with_workspace<S: StepSink>(
             // deliberately NOT used: f64 addition is non-associative, so
             // incremental updates would drift from the recorded column
             // and break the streaming path's bit-identity contract.)
-            let total: f64 = windows.iter().sum();
+            let total: f64 = run.windows.iter().sum();
             let (rtt, congestion_loss) = if flat_link {
                 (flat_rtt, 0.0)
             } else {
                 (active_link.rtt(total), active_link.loss_rate(total))
             };
-
-            // (3) each active sender's composed loss, min-RTT and goodput,
-            // staged as the finished row. Idle senders' columns hold
-            // staged zeros (the block is zeroed between flushes when the
-            // population churns), matching the scalar engine's explicit
-            // zero records.
             block.stage_shared(total, rtt, congestion_loss);
-            for &i in active.iter() {
-                let w = windows[i];
-                let wire = wire_loss.sample(&mut rng, i, w);
-                let observed = match feedback {
-                    FeedbackMode::Synchronized => congestion_loss,
-                    FeedbackMode::PerPacket => sample_loss_fraction(&mut rng, w, congestion_loss),
-                };
-                let loss = compose_loss(observed, wire);
-                losses[i] = loss;
-                min_rtts[i] = min_rtts[i].min(rtt);
-                block.stage_sender(i, w, loss, w * (1.0 - loss) / rtt);
-            }
 
-            // (4) protocol updates straight off the lanes, then the
-            // divergence scan + clamp. The scan reports the lowest-index
-            // offender, exactly as the scalar engine's interleaved check
-            // did (protocol state past the offender differs, but an
-            // errored run's protocols and sink are both discarded).
-            let lane_obs = LaneObs {
-                tick: t,
-                rtt,
-                windows: &windows[..],
-                losses: &losses[..],
-                min_rtts: &min_rtts[..],
-            };
-            for &i in active.iter() {
-                requests[i] = senders[i].protocol.next_window_lane(&lane_obs, i);
+            // (3) the active senders' step on the shared RTT and loss;
+            // idle senders keep the block's staged zeros. A lone active
+            // sender (every robustness cell) takes its own instantiation.
+            let shared = |_, _: &mut StepBlock| (rtt, congestion_loss);
+            if let [i] = active[..] {
+                run.step_senders(&[i], t, block, false, shared)?;
+            } else {
+                run.step_senders(active, t, block, false, shared)?;
             }
-            for &i in active.iter() {
-                let requested = requests[i];
-                if !requested.is_finite() {
-                    return Err(ScenarioError::NumericalDivergence {
-                        step: t,
-                        sender: i,
-                        context: "requested window",
-                        value: requested,
-                    });
-                }
-                windows[i] = clamp_window(requested, max_window);
-            }
-
-            if block.advance() {
-                sink.on_steps(block);
-                block.begin(t as usize + 1);
-                if !static_dense {
-                    block.zero_senders();
-                }
-            }
+            commit(block, t);
         }
     }
     if !block.is_empty() {
@@ -1977,8 +1920,8 @@ mod tests {
             }
         }
         // Churn: the active set is sparse for most of the run, and only
-        // sender 1 is active before step 100 (the single-lane span on a
-        // lane other than 0).
+        // sender 1 is active before step 100 (the step's one-lane
+        // instantiation, on a lane other than 0).
         assert_engines_match(|| {
             Scenario::new(flat_link())
                 .sender(

@@ -14,9 +14,10 @@
 
 #![allow(clippy::unwrap_used)] // a refused scenario should abort the test loudly
 
-use axcc_core::{LinkParams, Protocol, RunTrace};
-use axcc_fluidsim::{ChurnPlan, Scenario, SenderConfig, Topology};
-use axcc_protocols::{Aimd, Cubic, Vegas};
+use axcc_core::protocol::MAX_WINDOW;
+use axcc_core::{LinkParams, Observation, Protocol, RunTrace, ScenarioError};
+use axcc_fluidsim::{ChurnPlan, FeedbackMode, LossModel, Scenario, SenderConfig, Topology};
+use axcc_protocols::{Aimd, Cubic, RobustAimd, Vegas};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -57,6 +58,12 @@ impl Net {
     fn flow(mut self, cfg: SenderConfig, path: Vec<usize>) -> Self {
         self.paths.push(path.clone());
         self.scenario = self.scenario.sender(cfg.path(path));
+        self
+    }
+
+    /// Apply a scenario-wide option (wire loss, feedback, seed, …).
+    fn with(mut self, f: impl FnOnce(Scenario) -> Scenario) -> Self {
+        self.scenario = f(self.scenario);
         self
     }
 
@@ -240,4 +247,135 @@ fn three_hop_lot_in_overload_with_a_one_step_sender() {
             0x144b_ff8e_9260_2ce8,
         ],
     );
+}
+
+/// The gauntlet's infinite-capacity link, `C = 10¹⁰ MSS`: no window the
+/// engine can hold reaches capacity, so the link runs flat.
+fn flat_link() -> LinkParams {
+    LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW)
+}
+
+#[test]
+fn one_link_lone_sender_on_a_flat_link_under_wire_loss() {
+    let bernoulli = Net::new(Topology::single(flat_link()), 1000)
+        .flow(reno().initial_window(50.0), vec![0])
+        .with(|s| s.wire_loss(LossModel::Bernoulli { rate: 0.02 }).seed(3));
+    check(
+        bernoulli,
+        &[0x088a_d57c_091e_5b7e],
+        &[0xd148_a516_5fd7_75bd],
+    );
+    let bursty = Net::new(Topology::single(flat_link()), 1000)
+        .flow(
+            SenderConfig::new(Box::new(RobustAimd::table2())).initial_window(10.0),
+            vec![0],
+        )
+        .with(|s| s.wire_loss(LossModel::bursty(0.01, 6.0, 0.2)).seed(4));
+    check(bursty, &[0x128c_3a49_a7ee_3dad], &[0x2a8c_e689_51c1_593c]);
+}
+
+#[test]
+fn one_link_reno_and_cubic_with_per_packet_feedback() {
+    let net = Net::new(Topology::single(LinkParams::reference()), 1500)
+        .flow(reno().initial_window(20.0), vec![0])
+        .flow(cubic().initial_window(5.0), vec![0])
+        .with(|s| s.feedback(FeedbackMode::PerPacket).seed(11));
+    check(
+        net,
+        &[0x2fc1_70be_507b_5c91, 0x1571_db7b_28c1_0038],
+        &[0xc669_4627_d29f_1f66],
+    );
+}
+
+#[test]
+fn one_link_population_going_one_three_one_inside_a_block() {
+    // Blocks hold 128 steps: the two visitors arrive at 150 and leave at
+    // 230, both inside the block starting at 128, under per-sender
+    // Gilbert–Elliott chains.
+    let net = Net::new(Topology::single(LinkParams::reference()), 600)
+        .flow(cubic().initial_window(10.0), vec![0])
+        .flow(
+            reno().initial_window(4.0).start_at(150).stop_at(230),
+            vec![0],
+        )
+        .flow(vegas().start_at(150).stop_at(230), vec![0])
+        .with(|s| s.wire_loss(LossModel::bursty(0.01, 4.0, 0.3)).seed(21));
+    check(
+        net,
+        &[
+            0x09fd_910a_a849_eea3,
+            0x8430_f278_47c5_ce3e,
+            0x7d81_00a3_5dab_8d8a,
+        ],
+        &[0xab8e_8105_0e90_bf7b],
+    );
+}
+
+#[test]
+fn one_link_bandwidth_change() {
+    let net = Net::new(Topology::single(LinkParams::reference()), 1200)
+        .flow(reno().initial_window(30.0), vec![0])
+        .flow(vegas(), vec![0])
+        .with(|s| s.bandwidth_change(400, 40.0).bandwidth_change(900, 250.0));
+    check(
+        net,
+        &[0xdba7_a330_b4d9_9bf9, 0x9082_4c2d_409b_f779],
+        &[0x9206_ebf8_1cfc_3545],
+    );
+}
+
+/// Grows by one MSS per step, then requests `emit` from step `at` on.
+#[derive(Debug, Clone)]
+struct DivergeAt {
+    at: u64,
+    emit: f64,
+}
+
+impl Protocol for DivergeAt {
+    fn name(&self) -> String {
+        "DivergeAt".into()
+    }
+    fn next_window(&mut self, obs: &Observation) -> f64 {
+        if obs.tick >= self.at {
+            self.emit
+        } else {
+            obs.window + 1.0
+        }
+    }
+    fn loss_based(&self) -> bool {
+        true
+    }
+    fn reset(&mut self) {}
+    fn clone_box(&self) -> Box<dyn Protocol> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn one_link_divergent_run_reports_the_lowest_index_offender() {
+    // Senders 1 and 2 diverge at the same step with different values;
+    // sender 3 would diverge later. The error names sender 1's.
+    let diverge = |at, emit| SenderConfig::new(Box::new(DivergeAt { at, emit }));
+    let err = Scenario::on(Topology::single(LinkParams::reference()))
+        .sender(reno())
+        .sender(diverge(333, f64::NEG_INFINITY))
+        .sender(diverge(333, f64::NAN))
+        .sender(diverge(400, f64::INFINITY))
+        .wire_loss(LossModel::Bernoulli { rate: 0.01 })
+        .seed(5)
+        .steps(500)
+        .try_run()
+        .unwrap_err();
+    match err {
+        ScenarioError::NumericalDivergence {
+            step,
+            sender,
+            context,
+            value,
+        } => {
+            assert_eq!((step, sender, context), (333, 1, "requested window"));
+            assert_eq!(value.to_bits(), f64::NEG_INFINITY.to_bits());
+        }
+        other => panic!("expected a divergence, got {other}"),
+    }
 }

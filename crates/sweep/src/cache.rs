@@ -68,6 +68,11 @@ struct Segment {
     bytes: Vec<u8>,
     /// Digest → byte range of its latest body in `bytes`.
     index: BTreeMap<Digest, Range<usize>>,
+    /// The length the last compaction left `bytes` at, if that was still
+    /// over the rotation threshold (0 otherwise): live entries alone
+    /// outgrow it, so the next compaction waits for another threshold's
+    /// worth of appends instead of rewriting the shard on every put.
+    compacted_over: u64,
 }
 
 /// One shard and the lock that orders its file writes.
@@ -303,9 +308,9 @@ impl ResultCache {
         }
     }
 
-    /// Add a shard's framed entries to its segment, compacting it if it
-    /// outgrew the threshold, and mirror the change to the file after
-    /// releasing the segment lock.
+    /// Add a shard's framed entries to its segment, compacting it once it
+    /// outgrows the threshold (see `Segment::compacted_over`), and mirror
+    /// the change to the file after releasing the segment lock.
     fn append(&self, id: usize, group: Framed) {
         let shard = &self.shards[id];
         let _file = lock(&shard.file);
@@ -319,8 +324,10 @@ impl ResultCache {
                     .index
                     .insert(digest, base + body.start..base + body.end);
             }
-            if segment.bytes.len() as u64 > self.rotate_bytes {
+            if segment.bytes.len() as u64 > self.rotate_bytes + segment.compacted_over {
                 segment.compact();
+                let len = segment.bytes.len() as u64;
+                segment.compacted_over = if len > self.rotate_bytes { len } else { 0 };
                 self.dir.is_some().then(|| segment.bytes.clone())
             } else {
                 None
@@ -619,6 +626,58 @@ mod tests {
         assert!(files.len() <= SHARD_COUNT);
         let warm = ResultCache::with_disk(dir.clone());
         assert_eq!(warm.get(&d), Some(record_of(63.0)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_shard_whose_live_entries_outgrow_the_threshold_is_not_rewritten_on_every_put() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_dir("live-over");
+        let cache = ResultCache::with_disk_rotate_at(dir.clone(), 256);
+        let id = shard_of(&digest_of("live-over-0"));
+        let path = dir.join(format!("shard-{id:02x}.seg"));
+        let file = || fs::metadata(&path).map(|m| (m.ino(), m.len())).ok();
+        // Unique digests in one shard: compaction can drop nothing.
+        let digests: Vec<Digest> = (0..)
+            .map(|i| digest_of(&format!("live-over-{i}")))
+            .filter(|d| shard_of(d) == id)
+            .take(40)
+            .collect();
+        let mut next = digests.iter().enumerate();
+        // Fill until a put compacts the shard (the file is replaced, so its
+        // inode changes) and leaves it over the threshold.
+        loop {
+            let (i, d) = next.next().expect("the shard outgrows 256 bytes");
+            let before = file();
+            cache.put(*d, record_of(i as f64));
+            let (inode, len) = file().expect("the segment file exists");
+            if before.is_some_and(|(b, _)| b != inode) && len > 256 {
+                break;
+            }
+        }
+        // Less than another threshold's worth of puts appends to the same
+        // file instead of compacting and rewriting it on every put.
+        let (inode, start) = file().unwrap();
+        for (i, d) in next.by_ref().take(3) {
+            cache.put(*d, record_of(i as f64));
+            assert_eq!(file().unwrap().0, inode, "put {i} rewrote the segment file");
+        }
+        assert!(file().unwrap().1 - start < 256);
+        // Another threshold's worth compacts again.
+        let rewritten = next.any(|(i, d)| {
+            cache.put(*d, record_of(i as f64));
+            file().unwrap().0 != inode
+        });
+        assert!(rewritten, "the segment was never compacted again");
+        // Every record put, in digest-list order, reads back from a fresh
+        // handle.
+        let put = cache.len();
+        let warm = ResultCache::with_disk(dir.clone());
+        assert_eq!(warm.len(), put);
+        for (i, d) in digests[..put].iter().enumerate() {
+            assert_eq!(warm.get(d), Some(record_of(i as f64)));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@ pub enum Rule {
     LockDiscipline,
     /// Unordered-container iteration feeding an order-sensitive sink.
     NondetIteration,
-    /// Heap allocation inside an engine step loop (`for t in …`).
+    /// Heap allocation inside an engine step loop (`for t in …`) or a
+    /// step helper it calls (`fn step_…`).
     StepAlloc,
     /// Meta-rule: malformed `tidy-allow` suppressions.
     TidyAllow,
@@ -163,9 +164,10 @@ pub struct RuleSet {
     /// Run the scope-aware `nondet-iteration` family on this file.
     pub nondet_iteration: bool,
     /// Flag heap allocation inside an engine step loop. Granted to the
-    /// simulator crates: the per-step body (`for t in …`) is the hot
-    /// path, and every buffer it needs must be hoisted into a reusable
-    /// workspace (or prefilled column) before the loop starts.
+    /// simulator crates: the per-step body (`for t in …`, and any helper
+    /// named `step_…` that holds part of it) is the hot path, and every
+    /// buffer it needs must be hoisted into a reusable workspace (or
+    /// prefilled column) before the loop starts.
     pub step_alloc: bool,
 }
 
@@ -260,7 +262,8 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
 /// Allocation patterns forbidden inside an engine step loop. The hot
 /// path must work entirely in buffers hoisted before the loop (the
 /// `EngineWorkspace` arena, prefilled trace columns); any of these inside
-/// a `for t in …` body is a per-step heap allocation.
+/// a `for t in …` body or a `fn step_…` body is a per-step heap
+/// allocation.
 const ALLOC_PATTERNS: &[&str] = &[
     "Vec::new(",
     "vec![",
@@ -297,10 +300,13 @@ pub fn check_lines(
 ) -> Vec<(usize, Rule, String)> {
     let mut findings = Vec::new();
     // Brace-depth tracker for the step-loop-alloc family: `step_body` is
-    // the depth of the innermost `for t in …` body currently open (the
-    // step loops of the fluid engines bind their step counter `t`).
+    // the depth of the outermost step body currently open — a `for t in …`
+    // loop (the step loops of the fluid engines bind their step counter
+    // `t`) or a `fn step_…` helper holding part of one, whose body opens
+    // on the line where its (possibly multi-line) signature ends.
     let mut depth: i64 = 0;
     let mut step_body: Option<i64> = None;
+    let mut step_fn_pending = false;
     for (idx, line) in file.lines.iter().enumerate() {
         let lineno = idx + 1;
         let raw_code = line.code.as_str();
@@ -335,8 +341,17 @@ pub fn check_lines(
                     }
                 }
             }
-            if code.trim_start().starts_with("for t in ") && depth > depth_before {
-                step_body = Some(depth);
+            let trimmed = code.trim_start();
+            if trimmed.starts_with("fn step_") || trimmed.contains(" fn step_") {
+                step_fn_pending = true;
+            }
+            let opens_step = step_fn_pending || trimmed.starts_with("for t in ");
+            if opens_step && depth > depth_before {
+                step_body.get_or_insert(depth);
+                step_fn_pending = false;
+            } else if step_fn_pending && trimmed.ends_with(';') {
+                // A bodiless declaration (a trait method).
+                step_fn_pending = false;
             }
         }
         if rules.determinism {
@@ -952,6 +967,34 @@ fn engine() {
         let hits = check_lines(&lex(src), step_rules(), false);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].0, 4);
+    }
+
+    #[test]
+    fn step_loop_alloc_covers_step_helpers() {
+        // The body of a `fn step_…` is step-loop code wherever it sits,
+        // its signature may span lines, and a `for t in …` nested in it
+        // does not end the scope early.
+        let src = "\
+impl Run {
+    fn step_senders(
+        &mut self,
+        active: &[usize],
+    ) -> Result<(), Error> {
+        for t in 0..1 {
+            self.log.push(t);
+        }
+        self.log.push(0);
+        Ok(())
+    }
+    fn step_count(&self) -> usize;
+    fn report(&self) -> Vec<f64> {
+        self.log.to_vec()
+    }
+}
+";
+        let hits = check_lines(&lex(src), step_rules(), false);
+        let lines: Vec<usize> = hits.iter().map(|(l, _, _)| *l).collect();
+        assert_eq!(lines, [7, 9], "{hits:?}");
     }
 
     #[test]

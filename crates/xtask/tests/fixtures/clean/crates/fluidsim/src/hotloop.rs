@@ -7,15 +7,21 @@ pub fn run(steps: usize, n: usize, windows: &mut [f64]) -> Vec<f64> {
     let mut totals = vec![0.0; steps];
     let mut loads = vec![0.0; n];
     for t in 0..steps {
-        loads.fill(0.0);
-        for (l, w) in loads.iter_mut().zip(windows.iter()) {
-            *l += *w;
-        }
+        step_loads(&mut loads, windows);
         totals[t] = loads.iter().sum();
     }
     let mut tail = totals.clone();
     tail.push(0.0);
     tail
+}
+
+/// The loop's per-step helper: step-loop code, so it too works by `fill`
+/// and indexed writes only.
+fn step_loads(loads: &mut [f64], windows: &[f64]) {
+    loads.fill(0.0);
+    for (l, w) in loads.iter_mut().zip(windows.iter()) {
+        *l += *w;
+    }
 }
 
 #[cfg(test)]

@@ -185,9 +185,24 @@ fn bad_fixture_trips_the_step_loop_alloc_rule() {
     assert_finding(&diags, hotloop, Rule::StepAlloc, "`.to_vec()`");
     assert_finding(&diags, hotloop, Rule::StepAlloc, "`.push(`");
 
+    // …and so does the `.push(` inside the `fn step_…` helper the loop
+    // calls…
+    let src = std::fs::read_to_string(fixture_root("bad").join(hotloop)).expect("hotloop fixture");
+    let helper_push = src
+        .lines()
+        .position(|l| l.contains("log.push("))
+        .expect("fixture has a step helper")
+        + 1;
+    assert!(
+        diags.iter().any(|d| d.file == hotloop
+            && d.rule == Rule::StepAlloc
+            && d.line == helper_push
+            && d.message.contains("`.push(`")),
+        "allocation inside a step helper must be flagged"
+    );
+
     // …while the with_capacity on the hoisted accumulator (before the
     // loop) does not.
-    let src = std::fs::read_to_string(fixture_root("bad").join(hotloop)).expect("hotloop fixture");
     let hoisted_line = src
         .lines()
         .position(|l| l.contains("with_capacity"))
