@@ -152,6 +152,20 @@ pub fn solo_metrics_of_acc(acc: &MetricAccumulator) -> SoloMetrics {
 impl axcc_sweep::Cacheable for SoloMetrics {
     fn to_record(&self) -> axcc_sweep::Record {
         let mut r = axcc_sweep::Record::new();
+        self.encode_into(&mut r);
+        r
+    }
+    fn from_record(record: &axcc_sweep::Record) -> Option<Self> {
+        let mut rd = record.reader();
+        let m = SoloMetrics::decode_from(&mut rd)?;
+        rd.exhausted().then_some(m)
+    }
+}
+
+impl SoloMetrics {
+    /// Append the seven metrics to `r` in field order: the one record
+    /// layout of a solo measurement, wherever it is cached.
+    pub fn encode_into(&self, r: &mut axcc_sweep::Record) {
         r.push_f64(self.efficiency);
         r.push_f64(self.loss_bound);
         r.push_f64(self.fairness);
@@ -159,11 +173,12 @@ impl axcc_sweep::Cacheable for SoloMetrics {
         r.push_opt_f64(self.fast_utilization);
         r.push_f64(self.latency_inflation);
         r.push_f64(self.mean_utilization);
-        r
     }
-    fn from_record(record: &axcc_sweep::Record) -> Option<Self> {
-        let mut rd = record.reader();
-        let m = SoloMetrics {
+
+    /// Read back what [`encode_into`](Self::encode_into) wrote; `None`
+    /// on a short or malformed record.
+    pub fn decode_from(rd: &mut axcc_sweep::RecordReader<'_>) -> Option<Self> {
+        Some(SoloMetrics {
             efficiency: rd.f64()?,
             loss_bound: rd.f64()?,
             fairness: rd.f64()?,
@@ -171,12 +186,9 @@ impl axcc_sweep::Cacheable for SoloMetrics {
             fast_utilization: rd.opt_f64()?,
             latency_inflation: rd.f64()?,
             mean_utilization: rd.f64()?,
-        };
-        rd.exhausted().then_some(m)
+        })
     }
-}
 
-impl SoloMetrics {
     /// Per-metric worst of two measurements (the universal-quantifier
     /// aggregation).
     pub fn pointwise_worst(&self, other: &SoloMetrics) -> SoloMetrics {

@@ -223,7 +223,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     let trace = if packet {
         let mut sc = PacketScenario::new(link).duration_secs(duration).seed(seed);
         if wire > 0.0 {
-            sc = sc.wire_loss(wire);
+            sc = sc.wire_loss(LossModel::Bernoulli { rate: wire });
         }
         if let Some(k) = ecn {
             sc = sc.ecn_threshold(k);

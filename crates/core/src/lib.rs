@@ -12,7 +12,8 @@
 //! discrete-time fluid model) and `axcc-packetsim` (an event-driven
 //! packet-level simulator standing in for the paper's Emulab testbed); both
 //! produce the [`trace::RunTrace`] type defined here, over which the axioms
-//! are evaluated.
+//! are evaluated, and both sample the one non-congestion loss model,
+//! [`loss::LossModel`].
 //!
 //! ## Model recap (paper, Section 2)
 //!
@@ -45,6 +46,7 @@ pub mod axioms;
 pub mod error;
 pub mod fingerprint;
 pub mod link;
+pub mod loss;
 pub mod protocol;
 pub mod score;
 pub mod theory;
@@ -54,6 +56,7 @@ pub mod units;
 pub use error::ScenarioError;
 pub use fingerprint::{Digest, Fingerprint, Fingerprinter};
 pub use link::{LinkParams, LossRate, RttSeconds};
+pub use loss::LossModel;
 pub use protocol::{LaneObs, Observation, Protocol};
 pub use score::AxiomScores;
 pub use trace::{RunTrace, SenderTrace};

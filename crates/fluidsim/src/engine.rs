@@ -227,8 +227,8 @@ impl SenderStep<'_> {
     /// as is under `path_loss_only`), min-RTT, staged row, the protocol's
     /// next window, divergence check and clamp. The first non-finite
     /// request aborts, so the lowest-index offender is named. Always
-    /// inlined: each call site gets its own copy, and the `&[i]` call for
-    /// a lone sender becomes straight-line code (DESIGN.md §8).
+    /// inlined: each topology's body gets its own copy, specialized to
+    /// its `link` closure (DESIGN.md §8).
     #[inline(always)]
     fn step_senders(
         &mut self,
@@ -618,14 +618,8 @@ fn try_run_scenario_with_workspace<S: StepSink>(
             block.stage_shared(total, rtt, congestion_loss);
 
             // (3) the active senders' step on the shared RTT and loss;
-            // idle senders keep the block's staged zeros. A lone active
-            // sender (every robustness cell) takes its own instantiation.
-            let shared = |_, _: &mut StepBlock| (rtt, congestion_loss);
-            if let [i] = active[..] {
-                run.step_senders(&[i], t, block, false, shared)?;
-            } else {
-                run.step_senders(active, t, block, false, shared)?;
-            }
+            // idle senders keep the block's staged zeros.
+            run.step_senders(active, t, block, false, |_, _| (rtt, congestion_loss))?;
             commit(block, t);
         }
     }
@@ -1477,7 +1471,8 @@ mod tests {
         // trickle; after recovery the sender re-fills the pipe.
         let trace = Scenario::new(link())
             .homogeneous(&Aimd::reno(), 1, 1.0)
-            .outage(500, 600)
+            .bandwidth_change(500, 1e-3)
+            .bandwidth_change(600, 1000.0)
             .steps(1500)
             .run();
         let during = axcc_core::trace::mean(&trace.senders[0].goodput[520..600]);
@@ -1920,8 +1915,8 @@ mod tests {
             }
         }
         // Churn: the active set is sparse for most of the run, and only
-        // sender 1 is active before step 100 (the step's one-lane
-        // instantiation, on a lane other than 0).
+        // sender 1 is active before step 100 (a one-sender active set on
+        // a lane other than 0).
         assert_engines_match(|| {
             Scenario::new(flat_link())
                 .sender(

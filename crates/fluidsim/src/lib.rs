@@ -11,11 +11,15 @@
 //! * **staggered entry** — each sender has a start step, modeling
 //!   "connections (with smaller window sizes) starting to send after other
 //!   connections";
-//! * **non-congestion loss injection** ([`loss::LossModel`]) — the
-//!   constant/random wire loss of Metric VI and the PCC motivating
-//!   scenario, plus Gilbert–Elliott bursty loss and link outages for the
-//!   adverse-network gauntlet, all driven by a seeded ChaCha8 RNG so every
-//!   run is reproducible;
+//! * **non-congestion loss injection** ([`LossModel`], shared with the
+//!   packet engine and sampled here per step and per sender by
+//!   [`LossProcess`]) — the constant/random wire loss of Metric VI and
+//!   the PCC motivating scenario, plus Gilbert–Elliott bursty loss for
+//!   the adverse-network gauntlet, all driven by a seeded ChaCha8 RNG so
+//!   every run is reproducible;
+//! * **bandwidth schedules** ([`Scenario::bandwidth_change`]) — the link
+//!   rate changes at given steps (a near-zero rate and back is an
+//!   outage);
 //! * **typed errors** — [`Scenario::try_run`] returns [`ScenarioError`]
 //!   for invalid configurations and numerically divergent runs instead of
 //!   panicking;

@@ -1,164 +1,35 @@
-//! Non-congestion ("wire") loss injection.
+//! The fluid engine's sampler for non-congestion ("wire") loss.
 //!
-//! Metric VI quantifies robustness against *"constant random packet loss
-//! rate of at most α"* on a link of infinite capacity — loss that does not
-//! signal congestion (wireless corruption, shallow-buffered middleboxes,
-//! etc.; the scenario PCC's authors use to motivate that protocol).
-//!
-//! The fluid model carries loss as a per-step *rate*, so wire loss composes
-//! with congestion loss independently:
+//! The loss model itself, [`LossModel`], lives in `axcc-core` and is
+//! shared with the packet engine. The fluid model carries loss as a
+//! per-step *rate*, so wire loss composes with congestion loss
+//! independently:
 //!
 //! ```text
 //! L_eff = 1 − (1 − L_congestion) · (1 − L_wire)
 //! ```
 //!
-//! Three wire-loss models are provided:
+//! Per step and per sender, the models sample as:
 //!
-//! * [`LossModel::Constant`] — every step experiences exactly the given
-//!   rate; this is the literal reading of the axiom and is fully
-//!   deterministic.
-//! * [`LossModel::Bernoulli`] — each step's loss fraction is sampled as
-//!   `k/w` with `k ~ Binomial(⌈w⌉, rate)`: the packet-level reality the
-//!   rate abstracts. Small windows then see *bursty* loss (often 0,
+//! * [`LossModel::Constant`] — exactly the given rate; this is the literal
+//!   reading of the axiom and is fully deterministic.
+//! * [`LossModel::Bernoulli`] — the loss fraction `k/⌈w⌉` with
+//!   `k ~ Binomial(⌈w⌉, rate)`: the packet-level reality the rate
+//!   abstracts. Small windows then see *bursty* loss (often 0,
 //!   occasionally ≥ 1 packet), which is exactly what breaks TCP in
 //!   practice and makes the robustness experiments more faithful.
-//! * [`LossModel::GilbertElliott`] — a two-state Markov chain per sender:
-//!   a mostly-clean *good* state and a lossy *bad* state with geometric
-//!   sojourn times. This is the classic model of *correlated* loss
-//!   (wireless fades, microwave links, interference bursts) and the
-//!   substrate of the adverse-network gauntlet: uniform and bursty models
-//!   share a mean rate but stress protocols very differently.
+//! * [`LossModel::GilbertElliott`] — a two-state Markov chain per sender
+//!   whose state emits the step's rate: the classic model of *correlated*
+//!   loss (wireless fades, interference bursts) and the substrate of the
+//!   adverse-network gauntlet.
 //!
 //! Gilbert–Elliott is *stateful* (the chain's state persists across
 //! steps), so sampling goes through [`LossProcess`], which owns one chain
-//! per sender. The stateless variants pass through unchanged — their RNG
-//! draw sequences are identical to the pre-fault-layer engine, keeping
-//! old seeds bit-compatible.
+//! per sender.
 
+pub use axcc_core::LossModel;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
-/// A non-congestion loss model applied per sender per time step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LossModel {
-    /// No wire loss (the paper's deterministic core model).
-    None,
-    /// Constant loss rate each step — the literal Metric VI scenario.
-    Constant {
-        /// The loss rate applied every step, in `[0, 1)`.
-        rate: f64,
-    },
-    /// Per-packet Bernoulli loss: the step's loss fraction is
-    /// `k / ⌈w⌉` with `k ~ Binomial(⌈w⌉, rate)`.
-    Bernoulli {
-        /// Per-packet drop probability, in `[0, 1)`.
-        rate: f64,
-    },
-    /// Two-state Markov (Gilbert–Elliott) bursty loss. Each sender carries
-    /// its own chain; per step the chain's current state emits its loss
-    /// rate, then transitions.
-    GilbertElliott {
-        /// P(good → bad) per step, in `[0, 1]`.
-        p_enter: f64,
-        /// P(bad → good) per step, in `(0, 1]`. Mean burst length is
-        /// `1/p_exit` steps.
-        p_exit: f64,
-        /// Loss rate emitted in the good state, in `[0, 1)` (usually 0).
-        loss_good: f64,
-        /// Loss rate emitted in the bad state, in `[0, 1)`.
-        loss_bad: f64,
-    },
-}
-
-impl LossModel {
-    /// A Gilbert–Elliott model parameterized the way experiments think
-    /// about it: a long-run `mean_rate`, a mean burst length of
-    /// `burst_len` steps, and a bad-state loss rate `loss_bad`
-    /// (good state is clean).
-    ///
-    /// Solving the stationary distribution `π_bad = p_enter/(p_enter+p_exit)`:
-    /// `π_bad = mean_rate/loss_bad`, `p_exit = 1/burst_len`, and
-    /// `p_enter = π_bad·p_exit/(1−π_bad)`.
-    ///
-    /// With `burst_len = 1` the chain has no memory beyond a single step —
-    /// the closest GE analogue of uniform loss — so sweeping `burst_len`
-    /// at fixed `mean_rate` isolates *burstiness* as the experimental
-    /// variable.
-    pub fn bursty(mean_rate: f64, burst_len: f64, loss_bad: f64) -> Self {
-        let pi_bad = if loss_bad > 0.0 {
-            mean_rate / loss_bad
-        } else {
-            f64::NAN
-        };
-        let p_exit = if burst_len > 0.0 {
-            1.0 / burst_len
-        } else {
-            f64::NAN
-        };
-        let p_enter = pi_bad * p_exit / (1.0 - pi_bad);
-        LossModel::GilbertElliott {
-            p_enter,
-            p_exit,
-            loss_good: 0.0,
-            loss_bad,
-        }
-    }
-
-    /// The model's long-run mean rate (0 for [`LossModel::None`]).
-    pub fn nominal_rate(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Constant { rate } | LossModel::Bernoulli { rate } => rate,
-            LossModel::GilbertElliott {
-                p_enter,
-                p_exit,
-                loss_good,
-                loss_bad,
-            } => {
-                let pi_bad = p_enter / (p_enter + p_exit);
-                pi_bad * loss_bad + (1.0 - pi_bad) * loss_good
-            }
-        }
-    }
-
-    /// Validate the model's parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        let rate_ok = |r: f64| (0.0..1.0).contains(&r);
-        match *self {
-            LossModel::None => Ok(()),
-            LossModel::Constant { rate } | LossModel::Bernoulli { rate } => {
-                if rate_ok(rate) {
-                    Ok(())
-                } else {
-                    Err(format!("wire loss rate {rate} outside [0,1)"))
-                }
-            }
-            LossModel::GilbertElliott {
-                p_enter,
-                p_exit,
-                loss_good,
-                loss_bad,
-            } => {
-                if !(0.0..=1.0).contains(&p_enter) || !p_enter.is_finite() {
-                    return Err(format!("Gilbert-Elliott p_enter {p_enter} outside [0,1]"));
-                }
-                if !(p_exit > 0.0 && p_exit <= 1.0) {
-                    return Err(format!("Gilbert-Elliott p_exit {p_exit} outside (0,1]"));
-                }
-                if !rate_ok(loss_good) {
-                    return Err(format!(
-                        "Gilbert-Elliott loss_good {loss_good} outside [0,1)"
-                    ));
-                }
-                if !rate_ok(loss_bad) {
-                    return Err(format!("Gilbert-Elliott loss_bad {loss_bad} outside [0,1)"));
-                }
-                Ok(())
-            }
-        }
-    }
-}
 
 /// The runtime sampler for a [`LossModel`]: owns the per-sender
 /// Gilbert–Elliott chain states (all chains start in the good state).
@@ -288,7 +159,6 @@ mod tests {
     fn none_is_zero() {
         let mut r = rng(1);
         assert_eq!(one(LossModel::None, &mut r, 100.0), 0.0);
-        assert_eq!(LossModel::None.nominal_rate(), 0.0);
     }
 
     #[test]
@@ -367,50 +237,6 @@ mod tests {
         let mut p2 = LossProcess::new(m, 1);
         for _ in 0..100 {
             assert_eq!(p1.sample(&mut r1, 0, 50.0), p2.sample(&mut r2, 0, 50.0));
-        }
-    }
-
-    #[test]
-    fn validation() {
-        assert!(LossModel::Constant { rate: 0.5 }.validate().is_ok());
-        assert!(LossModel::Constant { rate: 1.0 }.validate().is_err());
-        assert!(LossModel::Bernoulli { rate: -0.1 }.validate().is_err());
-        assert!(LossModel::None.validate().is_ok());
-    }
-
-    #[test]
-    fn gilbert_elliott_validation() {
-        assert!(LossModel::bursty(0.01, 8.0, 0.2).validate().is_ok());
-        // Mean rate above loss_bad is unrealizable (π_bad would exceed 1).
-        assert!(LossModel::bursty(0.3, 8.0, 0.2).validate().is_err());
-        assert!(LossModel::GilbertElliott {
-            p_enter: 0.1,
-            p_exit: 0.0,
-            loss_good: 0.0,
-            loss_bad: 0.5
-        }
-        .validate()
-        .is_err());
-        assert!(LossModel::GilbertElliott {
-            p_enter: -0.1,
-            p_exit: 0.5,
-            loss_good: 0.0,
-            loss_bad: 0.5
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn bursty_constructor_hits_requested_mean() {
-        for (mean, burst) in [(0.01, 1.0), (0.01, 8.0), (0.05, 16.0)] {
-            let m = LossModel::bursty(mean, burst, 0.2);
-            m.validate().unwrap();
-            assert!(
-                (m.nominal_rate() - mean).abs() < 1e-12,
-                "nominal {} vs requested {mean}",
-                m.nominal_rate()
-            );
         }
     }
 

@@ -195,17 +195,6 @@ impl Scenario {
         self
     }
 
-    /// Schedule a link outage: for steps in `[from_step, to_step)` the
-    /// bandwidth collapses to a residual trickle (10⁻⁶ of nominal — the
-    /// fluid model needs strictly positive bandwidth), then recovers to
-    /// the nominal rate. A fault-layer convenience over
-    /// [`bandwidth_change`](Scenario::bandwidth_change).
-    pub fn outage(self, from_step: u64, to_step: u64) -> Self {
-        let nominal = self.topology.link(0).bandwidth;
-        self.bandwidth_change(from_step, nominal * 1e-6)
-            .bandwidth_change(to_step, nominal)
-    }
-
     /// Select the congestion-feedback mode (default:
     /// [`FeedbackMode::Synchronized`], the paper's model).
     pub fn feedback(mut self, mode: FeedbackMode) -> Self {
@@ -279,9 +268,7 @@ impl Scenario {
             });
         }
         self.topology.validate()?;
-        self.loss_model
-            .validate()
-            .map_err(ScenarioError::InvalidLossModel)?;
+        self.loss_model.validate()?;
         for (i, cfg) in self.senders.iter().enumerate() {
             if !(cfg.initial_window.is_finite() && cfg.initial_window >= 0.0) {
                 return Err(ScenarioError::InvalidSender {
@@ -509,7 +496,7 @@ mod tests {
     fn bandwidth_changes_are_refused_on_multi_link_topologies() {
         let err = Scenario::on(Topology::parking_lot(2, link()))
             .homogeneous(&Aimd::reno(), 1, 1.0)
-            .outage(10, 20)
+            .bandwidth_change(10, 500.0)
             .try_run()
             .unwrap_err();
         assert_eq!(
@@ -532,14 +519,12 @@ mod tests {
     }
 
     #[test]
-    fn outage_schedules_collapse_and_recovery() {
+    fn bandwidth_changes_are_kept_in_step_order() {
         let s = Scenario::new(link())
             .homogeneous(&Aimd::reno(), 1, 1.0)
-            .outage(100, 150);
-        assert_eq!(s.bandwidth_changes.len(), 2);
-        assert_eq!(s.bandwidth_changes[0].0, 100);
-        assert!(s.bandwidth_changes[0].1 < 1.0);
-        assert_eq!(s.bandwidth_changes[1], (150, 1000.0));
+            .bandwidth_change(150, 1000.0)
+            .bandwidth_change(100, 1e-3);
+        assert_eq!(s.bandwidth_changes, vec![(100, 1e-3), (150, 1000.0)]);
         assert_eq!(s.validate(), Ok(()));
     }
 }

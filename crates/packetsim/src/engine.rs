@@ -1,14 +1,13 @@
 //! The discrete-event engine: scenario builder, main loop, trace sampling.
 
 use crate::event::{Event, EventQueue};
-use crate::faults::{FaultPlan, FaultState, WireLoss};
 use crate::queue::{DropTailQueue, Enqueue, QueuedPacket};
 use crate::red::{Red, RedConfig, RedVerdict};
 use crate::sender::{SendMode, Sender};
 use crate::stats::{FlowStats, QueueStats};
 use crate::time::Time;
 use axcc_core::protocol::MAX_WINDOW;
-use axcc_core::{LinkParams, Protocol, RunTrace, ScenarioError, SenderTrace};
+use axcc_core::{LinkParams, LossModel, Protocol, RunTrace, ScenarioError, SenderTrace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -89,9 +88,8 @@ pub struct PacketScenario {
     link: LinkParams,
     senders: Vec<PacketSenderConfig>,
     duration_secs: f64,
-    faults: FaultPlan,
+    loss: LossModel,
     seed: u64,
-    sample_interval_secs: Option<f64>,
     max_window: f64,
     ecn_threshold: Option<usize>,
     red: Option<RedConfig>,
@@ -99,15 +97,14 @@ pub struct PacketScenario {
 
 impl PacketScenario {
     /// A scenario on the given link: no flows yet, 10 s duration, no
-    /// faults, seed 0, sampling every minimum RTT.
+    /// wire loss, seed 0. The trace samples every minimum RTT.
     pub fn new(link: LinkParams) -> Self {
         PacketScenario {
             link,
             senders: Vec::new(),
             duration_secs: 10.0,
-            faults: FaultPlan::new(),
+            loss: LossModel::None,
             seed: 0,
-            sample_interval_secs: None,
             max_window: MAX_WINDOW,
             ecn_threshold: None,
             red: None,
@@ -167,33 +164,18 @@ impl PacketScenario {
         self
     }
 
-    /// Per-packet Bernoulli wire-loss probability (non-congestion loss).
-    /// Shorthand for a fault plan whose data path is
-    /// [`WireLoss::Bernoulli`]; composes with other impairments set via
-    /// [`faults`](Self::faults) *before* this call (and is overwritten by
-    /// a later `faults` call).
-    pub fn wire_loss(mut self, rate: f64) -> Self {
-        self.faults.data_loss = WireLoss::Bernoulli { rate };
+    /// Apply a non-congestion loss model to the data path, sampled once
+    /// per packet leaving the bottleneck (one Gilbert–Elliott chain for
+    /// the link). [`LossModel::Constant`], a per-step rate, is refused by
+    /// [`validate`](Self::validate), as are out-of-domain parameters.
+    pub fn wire_loss(mut self, model: LossModel) -> Self {
+        self.loss = model;
         self
     }
 
-    /// Install a full fault-injection plan (replaces any previous plan,
-    /// including [`wire_loss`](Self::wire_loss)).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Seed the fault-injection RNG.
+    /// Seed the RNG behind wire loss and RED.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the trace sampling interval (default: one minimum RTT).
-    /// Must be positive and finite (checked by [`validate`](Self::validate)).
-    pub fn sample_interval_secs(mut self, s: f64) -> Self {
-        self.sample_interval_secs = Some(s);
         self
     }
 
@@ -262,15 +244,6 @@ impl PacketScenario {
                 constraint: "positive and finite",
             });
         }
-        if let Some(s) = self.sample_interval_secs {
-            if !(s > 0.0 && s.is_finite()) {
-                return Err(ScenarioError::InvalidParameter {
-                    field: "sample_interval_secs",
-                    value: s,
-                    constraint: "positive and finite",
-                });
-            }
-        }
         if !(self.max_window.is_finite() && self.max_window > 0.0) {
             return Err(ScenarioError::InvalidParameter {
                 field: "max_window",
@@ -296,7 +269,12 @@ impl PacketScenario {
                 });
             }
         }
-        self.faults.validate()?;
+        self.loss.validate()?;
+        if let LossModel::Constant { rate } = self.loss {
+            return Err(ScenarioError::InvalidLossModel(format!(
+                "constant per-step rate {rate} has no per-packet meaning; use Bernoulli"
+            )));
+        }
         for (i, sc) in self.senders.iter().enumerate() {
             let sender_field = |field, value, constraint| ScenarioError::InvalidSender {
                 index: i,
@@ -405,7 +383,9 @@ struct Engine {
     events: EventQueue,
     queue: DropTailQueue,
     rng: ChaCha8Rng,
-    faults: FaultState,
+    loss: LossModel,
+    /// Whether the link's Gilbert–Elliott chain is in its bad state.
+    loss_bad: bool,
     serialization: Time,
     /// Per-flow feedback delay: bottleneck RTT floor plus the flow's own
     /// access delay (both directions).
@@ -416,6 +396,7 @@ struct Engine {
     flow_rtt_floor: Vec<f64>,
     red: Option<Red>,
     end: Time,
+    /// The trace's sampling period: the link's minimum RTT.
     sample_interval: Time,
     // trace assembly
     traces: Vec<SenderTrace>,
@@ -443,9 +424,6 @@ impl Engine {
         // clock nor the sampler can spin at one instant on a link whose
         // RTT rounds to zero nanoseconds.
         let feedback_delay = Time::from_secs_f64(link.min_rtt()).max(Time::NANOSECOND);
-        let sample_interval =
-            Time::from_secs_f64(cfg.sample_interval_secs.unwrap_or_else(|| link.min_rtt()))
-                .max(Time::NANOSECOND);
         let end = Time::from_secs_f64(cfg.duration_secs);
 
         let mut events = EventQueue::new();
@@ -489,13 +467,14 @@ impl Engine {
                 }
             },
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            faults: FaultState::new(cfg.faults),
+            loss: cfg.loss,
+            loss_bad: false,
             serialization,
             flow_feedback_delay,
             flow_rtt_floor,
             red: cfg.red.map(Red::new),
             end,
-            sample_interval,
+            sample_interval: feedback_delay,
             traces,
             total_col: Vec::new(),
             rtt_col: Vec::new(),
@@ -599,7 +578,6 @@ impl Engine {
             dropped: self.queue.total_dropped() + self.red_dropped,
             max_depth: self.queue.max_depth(),
             wire_lost: self.wire_lost,
-            ack_lost: self.faults.ack_lost,
             marked: self.queue.total_marked() + self.red_marked,
         };
         let flows: Vec<FlowStats> = self.senders.iter().map(|s| s.stats).collect();
@@ -664,8 +642,8 @@ impl Engine {
         }
         match self.queue.offer(pkt) {
             Enqueue::StartService => {
-                let ser = self.serialization_at(now);
-                self.events.schedule(now + ser, Event::QueueDeparture);
+                self.events
+                    .schedule(now + self.serialization, Event::QueueDeparture);
             }
             Enqueue::Buffered => {}
             Enqueue::Dropped => {
@@ -680,69 +658,26 @@ impl Engine {
         }
     }
 
-    /// The bottleneck's serialization time at `now`: the nominal rate
-    /// unless a capacity flap is active. Packets already in service keep
-    /// their scheduled departure; the new rate applies from the next
-    /// service start.
-    fn serialization_at(&self, now: Time) -> Time {
-        if self.faults.plan().capacity_flaps.is_empty() {
-            return self.serialization;
-        }
-        let bw = self
-            .faults
-            .bandwidth_at(now.as_secs_f64(), self.link.bandwidth);
-        Time::from_secs_f64(1.0 / bw)
-    }
-
     fn on_departure(&mut self, now: Time) {
         let (pkt, more) = self.queue.depart();
         if more {
-            let ser = self.serialization_at(now);
-            self.events.schedule(now + ser, Event::QueueDeparture);
+            self.events
+                .schedule(now + self.serialization, Event::QueueDeparture);
         }
-        let flow = pkt.flow;
-        let feedback = self.flow_feedback_delay[flow];
-        // Fault pipeline, in wire order. The outage check is purely
-        // deterministic and precedes every RNG draw, so adding an outage
-        // window never shifts the random stream of the surviving steps.
-        //
-        // (1) Outage or data-path wire loss: the packet never arrives.
-        if self.faults.in_outage(now.as_secs_f64()) || self.faults.data_strike(&mut self.rng) {
+        let (flow, sent_at) = (pkt.flow, pkt.sent_at);
+        let event = if strike(self.loss, &mut self.loss_bad, &mut self.rng) {
+            // Wire loss: the packet never arrives.
             self.wire_lost += 1;
-            self.events.schedule(
-                now + feedback,
-                Event::LossNotify {
-                    flow,
-                    sent_at: pkt.sent_at,
-                },
-            );
-            return;
-        }
-        // (2) ACK-path loss: the packet arrived but its feedback did not.
-        // The sender discovers the hole by timeout — modeled as a loss
-        // notification after twice the feedback delay (a conservative
-        // RTO), which keeps packet conservation exact.
-        if self.faults.ack_strike(&mut self.rng) {
-            self.events.schedule(
-                now + feedback + feedback,
-                Event::LossNotify {
-                    flow,
-                    sent_at: pkt.sent_at,
-                },
-            );
-            return;
-        }
-        // (3) Delivered feedback, possibly reordered and/or jittered.
-        let extra = self.faults.feedback_extra_secs(&mut self.rng);
-        let delay = feedback + Time::from_secs_f64(extra);
-        self.events.schedule(
-            now + delay,
+            Event::LossNotify { flow, sent_at }
+        } else {
             Event::AckArrive {
                 flow,
-                sent_at: pkt.sent_at,
+                sent_at,
                 marked: pkt.marked,
-            },
-        );
+            }
+        };
+        self.events
+            .schedule(now + self.flow_feedback_delay[flow], event);
     }
 
     fn record_sample(&mut self) {
@@ -790,6 +725,31 @@ impl Engine {
         self.loss_col.push(loss);
         self.interval_queue_offered = 0;
         self.interval_queue_drops = 0;
+    }
+}
+
+/// Advance the link's loss process by one departing packet: whether
+/// `model` strikes it. `bad` is the Gilbert–Elliott chain's state. Draws
+/// nothing for [`LossModel::None`] (or a zero Bernoulli rate), one
+/// uniform for Bernoulli, and for Gilbert–Elliott one for the emitted
+/// rate (when positive) then one for the transition. `Constant` never
+/// reaches the engine: `PacketScenario::validate` refuses it.
+fn strike(model: LossModel, bad: &mut bool, rng: &mut ChaCha8Rng) -> bool {
+    match model {
+        LossModel::None | LossModel::Constant { .. } => false,
+        LossModel::Bernoulli { rate } => rate > 0.0 && rng.gen::<f64>() < rate,
+        LossModel::GilbertElliott {
+            p_enter,
+            p_exit,
+            loss_good,
+            loss_bad,
+        } => {
+            let emitted = if *bad { loss_bad } else { loss_good };
+            let lost = emitted > 0.0 && rng.gen::<f64>() < emitted;
+            let u = rng.gen::<f64>();
+            *bad = if *bad { u >= p_exit } else { u < p_enter };
+            lost
+        }
     }
 }
 
@@ -885,7 +845,7 @@ mod tests {
         let out = PacketScenario::new(paper_link())
             .homogeneous(&Aimd::reno(), 1)
             .duration_secs(10.0)
-            .wire_loss(0.02)
+            .wire_loss(LossModel::Bernoulli { rate: 0.02 })
             .seed(9)
             .run();
         assert!(out.queue.wire_lost > 0);
@@ -893,7 +853,7 @@ mod tests {
         let out2 = PacketScenario::new(paper_link())
             .homogeneous(&Aimd::reno(), 1)
             .duration_secs(10.0)
-            .wire_loss(0.02)
+            .wire_loss(LossModel::Bernoulli { rate: 0.02 })
             .seed(9)
             .run();
         assert_eq!(out.queue.wire_lost, out2.queue.wire_lost);
@@ -908,7 +868,7 @@ mod tests {
             let out = PacketScenario::new(link)
                 .sender(PacketSenderConfig::new(p))
                 .duration_secs(60.0)
-                .wire_loss(0.005)
+                .wire_loss(LossModel::Bernoulli { rate: 0.005 })
                 .seed(1)
                 .run();
             let tail = out.trace.tail_start(0.5);
@@ -1072,7 +1032,6 @@ mod tests {
 
     #[test]
     fn try_run_returns_typed_errors_instead_of_panicking() {
-        use crate::faults::FaultPlan;
         let err = PacketScenario::new(paper_link()).try_run().unwrap_err();
         assert_eq!(err, ScenarioError::NoSenders);
 
@@ -1091,7 +1050,7 @@ mod tests {
 
         let err = PacketScenario::new(paper_link())
             .homogeneous(&Aimd::reno(), 1)
-            .wire_loss(1.5)
+            .wire_loss(LossModel::Bernoulli { rate: 1.5 })
             .try_run()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidLossModel(_)));
@@ -1122,18 +1081,13 @@ mod tests {
             }
         ));
 
+        // A per-step rate has no per-packet meaning.
         let err = PacketScenario::new(paper_link())
             .homogeneous(&Aimd::reno(), 1)
-            .faults(FaultPlan::new().jitter(f64::NAN))
+            .wire_loss(LossModel::Constant { rate: 0.01 })
             .try_run()
             .unwrap_err();
-        assert!(matches!(
-            err,
-            ScenarioError::InvalidParameter {
-                field: "jitter_secs",
-                ..
-            }
-        ));
+        assert!(matches!(err, ScenarioError::InvalidLossModel(_)));
     }
 
     #[test]
@@ -1274,28 +1228,27 @@ mod tests {
 
     #[test]
     fn bursty_and_uniform_loss_both_impair_at_packet_granularity() {
-        use crate::faults::{FaultPlan, WireLoss};
         // Same 1% mean rate, two temporal structures. At per-packet
         // granularity a burst of consecutive drops lands inside one
         // SACK-recovery epoch and costs one back-off, while the same
         // number of drops spread uniformly trigger a back-off each — the
         // classic correlated-loss result: at fixed mean rate, bursty loss
         // leaves an AIMD *more* goodput than independent loss.
-        let run = |plan: FaultPlan| {
+        let run = |model: LossModel| {
             let link = LinkParams::from_experiment(Bandwidth::Mbps(100.0), 42.0, 500.0);
             let out = PacketScenario::new(link)
                 .homogeneous(&Aimd::reno(), 1)
                 .duration_secs(30.0)
-                .faults(plan)
+                .wire_loss(model)
                 .seed(11)
                 .run();
             assert!(out.conservation_ok());
             let tail = out.trace.tail_start(0.5);
             out.trace.senders[0].mean_goodput_from(tail)
         };
-        let clean = run(FaultPlan::new());
-        let uniform = run(FaultPlan::new().data_loss(WireLoss::Bernoulli { rate: 0.01 }));
-        let bursty = run(FaultPlan::new().data_loss(WireLoss::bursty(0.01, 8.0, 0.25)));
+        let clean = run(LossModel::None);
+        let uniform = run(LossModel::Bernoulli { rate: 0.01 });
+        let bursty = run(LossModel::bursty(0.01, 8.0, 0.25));
         // Both impair badly relative to the clean link…
         assert!(uniform < 0.25 * clean, "uniform {uniform} vs clean {clean}");
         assert!(bursty < 0.5 * clean, "bursty {bursty} vs clean {clean}");
@@ -1305,79 +1258,12 @@ mod tests {
     }
 
     #[test]
-    fn ack_loss_is_counted_and_conserves_packets() {
-        use crate::faults::{FaultPlan, WireLoss};
-        let out = PacketScenario::new(paper_link())
-            .homogeneous(&Aimd::reno(), 1)
-            .duration_secs(10.0)
-            .faults(FaultPlan::new().ack_loss(WireLoss::Bernoulli { rate: 0.02 }))
-            .seed(5)
-            .run();
-        assert!(out.queue.ack_lost > 0, "no ACKs were lost");
-        assert_eq!(out.queue.wire_lost, 0);
-        assert!(out.conservation_ok());
-    }
-
-    #[test]
-    fn outage_stops_delivery_then_recovers() {
-        use crate::faults::FaultPlan;
-        let out = PacketScenario::new(paper_link())
-            .homogeneous(&Aimd::reno(), 1)
-            .duration_secs(20.0)
-            .faults(FaultPlan::new().outage(8.0, 10.0))
-            .run();
-        assert!(out.conservation_ok());
-        assert!(out.queue.wire_lost > 0, "outage lost no packets");
-        // Goodput in the outage window collapses vs the surrounding steady
-        // state; afterwards the flow recovers.
-        let interval = out.trace.link.min_rtt();
-        let idx = |secs: f64| (secs / interval) as usize;
-        let g = &out.trace.senders[0].goodput;
-        let during = axcc_core::trace::mean(&g[idx(8.5)..idx(10.0)]);
-        let after = axcc_core::trace::mean(&g[idx(15.0)..idx(19.0)]);
-        assert!(during < 0.2 * after, "during {during} vs after {after}");
-    }
-
-    #[test]
-    fn capacity_flap_halves_throughput() {
-        use crate::faults::FaultPlan;
-        // Nominal 20 Mbps (≈1667 MSS/s); flap to half rate at t = 15 s.
-        let nominal = paper_link().bandwidth;
-        let out = PacketScenario::new(paper_link())
-            .homogeneous(&Aimd::reno(), 1)
-            .duration_secs(30.0)
-            .faults(FaultPlan::new().capacity_flap(15.0, nominal / 2.0))
-            .run();
-        assert!(out.conservation_ok());
-        let interval = out.trace.link.min_rtt();
-        let idx = |secs: f64| (secs / interval) as usize;
-        let g = &out.trace.senders[0].goodput;
-        let before = axcc_core::trace::mean(&g[idx(8.0)..idx(14.0)]);
-        let after = axcc_core::trace::mean(&g[idx(22.0)..idx(29.0)]);
-        assert!(
-            after < 0.75 * before,
-            "goodput before {before} vs after flap {after}"
-        );
-        assert!(
-            after > 0.25 * before,
-            "flow should survive the flap: {after}"
-        );
-    }
-
-    #[test]
-    fn jitter_and_reorder_keep_conservation_and_determinism() {
-        use crate::faults::{FaultPlan, WireLoss};
+    fn gilbert_elliott_loss_keeps_conservation_and_determinism() {
         let run = |seed| {
             let out = PacketScenario::new(paper_link())
                 .homogeneous(&Aimd::reno(), 2)
                 .duration_secs(10.0)
-                .faults(
-                    FaultPlan::new()
-                        .data_loss(WireLoss::bursty(0.005, 4.0, 0.2))
-                        .ack_loss(WireLoss::Bernoulli { rate: 0.005 })
-                        .jitter(0.002)
-                        .reorder(0.01, 0.02),
-                )
+                .wire_loss(LossModel::bursty(0.005, 4.0, 0.2))
                 .seed(seed)
                 .run();
             assert!(out.conservation_ok());
@@ -1387,28 +1273,6 @@ mod tests {
         let b = run(3);
         assert_eq!(a, b);
         assert_ne!(a.0, run(4).0);
-    }
-
-    #[test]
-    fn bernoulli_fault_path_reproduces_legacy_wire_loss_stream() {
-        // wire_loss(r) is sugar for a Bernoulli data-loss plan; both must
-        // consume the identical RNG stream and hence produce identical
-        // runs for the same seed.
-        use crate::faults::{FaultPlan, WireLoss};
-        let legacy = PacketScenario::new(paper_link())
-            .homogeneous(&Aimd::reno(), 1)
-            .duration_secs(10.0)
-            .wire_loss(0.02)
-            .seed(9)
-            .run();
-        let plan = PacketScenario::new(paper_link())
-            .homogeneous(&Aimd::reno(), 1)
-            .duration_secs(10.0)
-            .faults(FaultPlan::new().data_loss(WireLoss::Bernoulli { rate: 0.02 }))
-            .seed(9)
-            .run();
-        assert_eq!(legacy.trace, plan.trace);
-        assert_eq!(legacy.queue, plan.queue);
     }
 
     #[test]
@@ -1553,5 +1417,52 @@ mod tests {
             mean_rtt < threshold_rtt,
             "mean rtt {mean_rtt} vs threshold-ish {threshold_rtt} (full {full_buffer_rtt})"
         );
+    }
+
+    fn strikes(model: LossModel, seed: u64, n: usize) -> Vec<bool> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut bad = false;
+        (0..n).map(|_| strike(model, &mut bad, &mut rng)).collect()
+    }
+
+    #[test]
+    fn no_loss_draws_nothing() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut bad = false;
+        for model in [LossModel::None, LossModel::Bernoulli { rate: 0.0 }] {
+            assert!(!strike(model, &mut bad, &mut rng));
+        }
+        assert_eq!(rng.gen::<u64>(), ChaCha8Rng::seed_from_u64(1).gen::<u64>());
+    }
+
+    #[test]
+    fn bernoulli_strikes_hit_near_rate() {
+        let n = 20_000;
+        let hits = strikes(LossModel::Bernoulli { rate: 0.1 }, 2, n);
+        let frac = hits.iter().filter(|&&h| h).count() as f64 / n as f64;
+        assert!((frac - 0.1).abs() < 0.01, "loss fraction {frac}");
+    }
+
+    #[test]
+    fn gilbert_elliott_strikes_come_in_bursts() {
+        // The chain spends bursts of mean 10 packets in the bad state:
+        // hits cluster, unlike Bernoulli at the same mean rate.
+        let n = 100_000;
+        let seq = strikes(LossModel::bursty(0.05, 10.0, 0.5), 3, n);
+        let frac = seq.iter().filter(|&&h| h).count() as f64 / n as f64;
+        assert!((frac - 0.05).abs() < 0.01, "loss fraction {frac}");
+        // Conditional loss probability right after a loss should be near
+        // the bad-state rate (0.5), far above the 5% mean.
+        let after_loss = seq.windows(2).filter(|w| w[0]).count();
+        let after_loss_hits = seq.windows(2).filter(|w| w[0] && w[1]).count();
+        let cond = after_loss_hits as f64 / after_loss as f64;
+        assert!(cond > 0.3, "conditional loss after loss {cond}");
+    }
+
+    #[test]
+    fn same_seed_same_strikes() {
+        let model = LossModel::bursty(0.02, 8.0, 0.2);
+        assert_eq!(strikes(model, 9, 2000), strikes(model, 9, 2000));
+        assert_ne!(strikes(model, 9, 2000), strikes(model, 10, 2000));
     }
 }

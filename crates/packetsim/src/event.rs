@@ -7,14 +7,13 @@
 //! same order.
 //!
 //! Almost every event the engine schedules lands at `now + D` for a
-//! constant `D`: ACKs and loss notices one feedback delay out, ACK-path
-//! losses two, departures one serialization time, samples one sample
-//! interval. The clock `now` never goes back, so each such stream is
-//! already sorted by time. The queue keeps up to [`MAX_LANES`] FIFO
-//! *delay lines*: `schedule` appends an event to the line whose last
-//! event is the latest one not after it (best fit), and only events that
-//! fit no line (jittered or reordered feedback, one-off timers) go to a
-//! binary heap. Sequence numbers only grow, so appending keeps every line
+//! constant `D`: ACKs and loss notices one feedback delay out,
+//! departures one serialization time, samples one sample interval. The
+//! clock `now` never goes back, so each such stream is already sorted by
+//! time. The queue keeps up to [`MAX_LANES`] FIFO *delay lines*:
+//! `schedule` appends an event to the line whose last event is the
+//! latest one not after it (best fit), and only events that fit no line
+//! (out-of-order one-off timers) go to a binary heap. Sequence numbers only grow, so appending keeps every line
 //! sorted by `(time, seq)`; `pop` takes the least of the line fronts and
 //! the heap top, which is the global minimum. The pop order is therefore
 //! exactly that of a single heap on `(time, seq)`, while most events cost
@@ -107,9 +106,8 @@ impl PartialOrd for Scheduled {
 }
 
 /// Most delay lines a queue keeps; events that fit none go to the heap.
-/// A run has a handful of constant-delay streams (feedback, ACK-path
-/// loss, departures, samples, timers), so a few lines absorb nearly all
-/// of its events.
+/// A run has a handful of constant-delay streams (feedback, departures,
+/// samples, timers), so a few lines absorb nearly all of its events.
 pub const MAX_LANES: usize = 8;
 
 /// Deterministic event queue.

@@ -20,17 +20,18 @@
 //!   [`ChurnPlan`](axcc_topo::ChurnPlan) the fluid engine uses into a
 //!   packet-level flow population — identical arrival patterns in both
 //!   engines;
-//! * composable **fault injection** ([`faults`]): Bernoulli or
-//!   Gilbert–Elliott bursty wire loss (non-congestion loss, Metric VI),
-//!   ACK-path loss, feedback jitter and reordering, link outages, and
-//!   capacity flaps — all drawn from a seeded ChaCha8 RNG.
+//! * **wire loss** on the data path ([`PacketScenario::wire_loss`]): the
+//!   non-congestion loss of Metric VI, described by the same
+//!   [`LossModel`] the fluid engine samples. Here it is sampled once per
+//!   packet leaving the bottleneck — a Bernoulli coin, or one
+//!   Gilbert–Elliott chain for the link — from a seeded ChaCha8 RNG.
 //!
 //! The engine is single-threaded and fully deterministic: events at equal
 //! timestamps are ordered by insertion sequence, virtual time is integer
 //! nanoseconds, and all randomness flows from the scenario seed.
 //!
 //! Output is the same [`RunTrace`](axcc_core::RunTrace) the fluid simulator
-//! produces (sampled on a fixed grid, default one minimum-RTT), plus
+//! produces (sampled every minimum RTT), plus
 //! per-flow packet accounting ([`stats::FlowStats`]) with a conservation
 //! invariant (`sent = acked + lost + in flight`) the test-suite enforces.
 //!
@@ -62,7 +63,6 @@
 
 mod engine;
 pub mod event;
-pub mod faults;
 pub mod queue;
 pub mod red;
 pub mod sender;
@@ -71,9 +71,10 @@ pub mod time;
 
 pub use engine::{PacketScenario, PacketSenderConfig, SimOutput};
 pub use event::{Event, EventQueue};
-pub use faults::{FaultPlan, FaultState, WireLoss};
 pub use queue::DropTailQueue;
 pub use red::{Red, RedConfig, RedVerdict};
 pub use sender::{SendMode, Sender};
 pub use stats::{FlowStats, QueueStats};
 pub use time::Time;
+
+pub use axcc_core::LossModel;

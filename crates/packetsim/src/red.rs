@@ -55,7 +55,9 @@ impl RedConfig {
         }
     }
 
-    /// Check parameter domains, returning a typed error.
+    /// Check parameter domains — `0 ≤ min_th < max_th`, `0 < max_p ≤ 1`,
+    /// `0 < weight ≤ 1` — returning a typed error naming the first
+    /// violated one.
     pub fn check(&self) -> Result<(), axcc_core::ScenarioError> {
         use axcc_core::ScenarioError::InvalidParameter;
         if !(self.min_th >= 0.0 && self.min_th < self.max_th) {
@@ -81,27 +83,6 @@ impl RedConfig {
         }
         Ok(())
     }
-
-    /// Validate parameter domains.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ min_th < max_th`, `0 < max_p ≤ 1`,
-    /// `0 < weight ≤ 1`.
-    pub fn validate(&self) {
-        assert!(
-            self.min_th >= 0.0 && self.min_th < self.max_th,
-            "RED thresholds must satisfy 0 <= min_th < max_th"
-        );
-        assert!(
-            self.max_p > 0.0 && self.max_p <= 1.0,
-            "RED max_p must be in (0,1]"
-        );
-        assert!(
-            self.weight > 0.0 && self.weight <= 1.0,
-            "RED weight must be in (0,1]"
-        );
-    }
 }
 
 /// RED's per-arrival decision.
@@ -123,9 +104,11 @@ pub struct Red {
 }
 
 impl Red {
-    /// A RED instance with the given (validated) configuration.
+    /// A RED instance with the given configuration, which
+    /// [`RedConfig::check`] must accept (`PacketScenario::validate` runs
+    /// it before the engine builds one).
     pub fn new(config: RedConfig) -> Self {
-        config.validate();
+        debug_assert!(config.check().is_ok());
         Red { config, avg: 0.0 }
     }
 
@@ -233,14 +216,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_th < max_th")]
-    fn rejects_inverted_thresholds() {
-        Red::new(RedConfig {
-            min_th: 10.0,
-            max_th: 5.0,
-            max_p: 0.1,
-            weight: 0.02,
-            mark: false,
-        });
+    fn check_refuses_each_constraint() {
+        use axcc_core::ScenarioError::InvalidParameter;
+        let good = RedConfig::classic(100.0);
+        assert_eq!(good.check(), Ok(()));
+        let field = |c: RedConfig| match c.check() {
+            Err(InvalidParameter { field, .. }) => field,
+            other => panic!("{c:?}: expected InvalidParameter, got {other:?}"),
+        };
+        for bad in [
+            RedConfig {
+                min_th: 10.0,
+                max_th: 5.0,
+                ..good
+            },
+            RedConfig {
+                min_th: -1.0,
+                ..good
+            },
+            RedConfig {
+                min_th: f64::NAN,
+                ..good
+            },
+        ] {
+            assert_eq!(field(bad), "red.min_th");
+        }
+        for max_p in [0.0, 1.5, f64::NAN] {
+            assert_eq!(field(RedConfig { max_p, ..good }), "red.max_p");
+        }
+        for weight in [0.0, -0.1, 2.0, f64::NAN] {
+            assert_eq!(field(RedConfig { weight, ..good }), "red.weight");
+        }
     }
 }

@@ -46,9 +46,6 @@ pub struct QueueStats {
     pub max_depth: usize,
     /// Packets dropped by the wire-loss process (after the queue).
     pub wire_lost: u64,
-    /// ACKs lost on the reverse path (delivered packets whose feedback
-    /// never arrived; the sender learns via timeout).
-    pub ack_lost: u64,
     /// Packets ECN-marked by the queue.
     pub marked: u64,
 }
@@ -106,7 +103,6 @@ mod tests {
             dropped: 10,
             max_depth: 7,
             wire_lost: 0,
-            ack_lost: 0,
             marked: 0,
         };
         assert!((q.drop_fraction() - 0.1).abs() < 1e-12);

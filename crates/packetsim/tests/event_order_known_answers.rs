@@ -10,10 +10,10 @@
 //!
 //! Together the scenarios reach every [`Event`](axcc_packetsim::Event)
 //! variant (flow start and stop, queue departure, ACK, loss notice, paced
-//! send, monitor-interval boundary, sample) and every fault path:
-//! Bernoulli and Gilbert–Elliott data loss, ACK loss, jitter, reordering,
-//! an outage, a capacity flap, RED drop and mark, step ECN, staggered
-//! starts and `stop_at_secs`.
+//! send, monitor-interval boundary, sample) and every loss path:
+//! Bernoulli and Gilbert–Elliott wire loss, tail-drop overflow, RED drop
+//! and mark, step ECN, staggered starts, an extra access delay and
+//! `stop_at_secs`.
 
 #![allow(clippy::unwrap_used)] // a failed run should abort the test loudly
 
@@ -21,8 +21,7 @@ use axcc_core::fingerprint::Fingerprinter;
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, RunTrace};
 use axcc_packetsim::{
-    FaultPlan, FlowStats, PacketScenario, PacketSenderConfig, QueueStats, RedConfig, SimOutput,
-    WireLoss,
+    FlowStats, LossModel, PacketScenario, PacketSenderConfig, QueueStats, RedConfig, SimOutput,
 };
 use axcc_protocols::{Aimd, Cubic, Pcc};
 
@@ -75,8 +74,8 @@ fn flow(f: &FlowStats) -> String {
 
 fn queue(q: &QueueStats) -> String {
     format!(
-        "enqueued={} dropped={} max_depth={} wire_lost={} ack_lost={} marked={}",
-        q.enqueued, q.dropped, q.max_depth, q.wire_lost, q.ack_lost, q.marked
+        "enqueued={} dropped={} max_depth={} wire_lost={} marked={}",
+        q.enqueued, q.dropped, q.max_depth, q.wire_lost, q.marked
     )
 }
 
@@ -101,7 +100,7 @@ fn bernoulli_loss_with_staggered_starts() {
         .sender(reno().start_at_secs(0.5))
         .sender(PacketSenderConfig::new(Box::new(Cubic::linux())).start_at_secs(1.25))
         .duration_secs(4.0)
-        .wire_loss(0.02)
+        .wire_loss(LossModel::Bernoulli { rate: 0.02 })
         .seed(9);
     check(
         "bernoulli",
@@ -111,60 +110,48 @@ fn bernoulli_loss_with_staggered_starts() {
             "flow sent=714 acked=681 lost=20 marked=0 epochs=99",
             "flow sent=668 acked=646 lost=16 marked=0 epochs=85",
             "flow sent=2088 acked=2016 lost=37 marked=0 epochs=63",
-            "queue enqueued=3470 dropped=0 max_depth=17 wire_lost=76 ack_lost=0 marked=0",
+            "queue enqueued=3470 dropped=0 max_depth=17 wire_lost=76 marked=0",
         ],
     );
 }
 
 #[test]
-fn gilbert_elliott_ack_loss_jitter_and_reorder() {
+fn gilbert_elliott_loss_with_an_extra_delay_flow() {
     let sc = PacketScenario::new(paper_link())
         .sender(reno())
         .sender(reno().extra_delay_secs(0.011))
         .duration_secs(4.0)
-        .faults(
-            FaultPlan::new()
-                .data_loss(WireLoss::bursty(0.01, 4.0, 0.25))
-                .ack_loss(WireLoss::Bernoulli { rate: 0.01 })
-                .jitter(0.003)
-                .reorder(0.02, 0.015),
-        )
+        .wire_loss(LossModel::bursty(0.01, 4.0, 0.25))
         .seed(3);
     check(
         "gilbert-elliott",
         sc,
         &[
-            "trace 13ae067f58eae8eaa930648cca57882b",
-            "flow sent=900 acked=877 lost=15 marked=0 epochs=92",
-            "flow sent=490 acked=470 lost=15 marked=0 epochs=62",
-            "queue enqueued=1390 dropped=0 max_depth=5 wire_lost=12 ack_lost=19 marked=0",
+            "trace dd5345d8eccf6086eb42c64eb248ccd3",
+            "flow sent=1123 acked=1096 lost=11 marked=0 epochs=95",
+            "flow sent=898 acked=875 lost=6 marked=0 epochs=62",
+            "queue enqueued=2021 dropped=0 max_depth=8 wire_lost=17 marked=0",
         ],
     );
 }
 
 #[test]
-fn outage_capacity_flap_and_departure() {
+fn overflow_with_a_departing_flow() {
     // A 10-MSS buffer and a 60-MSS initial window, so the tail overflows.
     let link = LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 10.0);
     let sc = PacketScenario::new(link)
         .sender(reno().initial_cwnd(60.0))
         .sender(reno().start_at_secs(0.2).stop_at_secs(2.5))
         .duration_secs(4.0)
-        .faults(
-            FaultPlan::new()
-                .outage(1.0, 1.4)
-                .capacity_flap(2.0, link.bandwidth / 2.0)
-                .capacity_flap(3.0, link.bandwidth),
-        )
         .seed(1);
     check(
-        "outage-flap",
+        "overflow",
         sc,
         &[
-            "trace 2f02081415f31cfdc9e25978979fde28",
-            "flow sent=2137 acked=1915 lost=175 marked=0 epochs=96",
-            "flow sent=558 acked=487 lost=71 marked=0 epochs=56",
-            "queue enqueued=2603 dropped=92 max_depth=10 wire_lost=154 ack_lost=0 marked=0",
+            "trace 8ec52976add5c0561f16d948c363b28b",
+            "flow sent=4108 acked=3939 lost=91 marked=0 epochs=92",
+            "flow sent=1095 acked=1094 lost=1 marked=0 epochs=53",
+            "queue enqueued=5111 dropped=92 max_depth=10 wire_lost=0 marked=0",
         ],
     );
 }
@@ -186,7 +173,7 @@ fn red_early_drop() {
             "flow sent=2254 acked=2220 lost=3 marked=0 epochs=79",
             "flow sent=2019 acked=1977 lost=2 marked=0 epochs=80",
             "flow sent=1468 acked=1439 lost=5 marked=0 epochs=73",
-            "queue enqueued=5731 dropped=10 max_depth=38 wire_lost=0 ack_lost=0 marked=0",
+            "queue enqueued=5731 dropped=10 max_depth=38 wire_lost=0 marked=0",
         ],
     );
 }
@@ -208,7 +195,7 @@ fn red_marking() {
             "flow sent=2449 acked=2431 lost=0 marked=6 epochs=85",
             "flow sent=1728 acked=1706 lost=0 marked=6 epochs=86",
             "flow sent=1569 acked=1548 lost=0 marked=5 epochs=85",
-            "queue enqueued=5746 dropped=0 max_depth=27 wire_lost=0 ack_lost=0 marked=17",
+            "queue enqueued=5746 dropped=0 max_depth=27 wire_lost=0 marked=17",
         ],
     );
 }
@@ -227,7 +214,7 @@ fn step_ecn() {
             "trace 6cd37b7a67da64f2c5decdd33c419017",
             "flow sent=2707 acked=2668 lost=0 marked=149 epochs=90",
             "flow sent=2114 acked=2078 lost=0 marked=85 epochs=80",
-            "queue enqueued=4821 dropped=0 max_depth=22 wire_lost=0 ack_lost=0 marked=234",
+            "queue enqueued=4821 dropped=0 max_depth=22 wire_lost=0 marked=234",
         ],
     );
 }
@@ -239,7 +226,7 @@ fn paced_pcc_beside_windowed_flows() {
         .sender(reno().paced().start_at_secs(0.3).stop_at_secs(3.0))
         .sender(reno().extra_delay_secs(0.005))
         .duration_secs(4.0)
-        .wire_loss(0.005)
+        .wire_loss(LossModel::Bernoulli { rate: 0.005 })
         .seed(7);
     check(
         "paced",
@@ -249,7 +236,7 @@ fn paced_pcc_beside_windowed_flows() {
             "flow sent=2217 acked=2142 lost=10 marked=0 epochs=90",
             "flow sent=917 acked=911 lost=6 marked=0 epochs=60",
             "flow sent=1332 acked=1311 lost=5 marked=0 epochs=75",
-            "queue enqueued=4466 dropped=0 max_depth=18 wire_lost=22 ack_lost=0 marked=0",
+            "queue enqueued=4466 dropped=0 max_depth=18 wire_lost=22 marked=0",
         ],
     );
 }

@@ -3,25 +3,27 @@
 //! Scenarios with extreme but finite parameters — RTTs from picoseconds
 //! to hours, bandwidths from one packet per thousand seconds to a
 //! terabit, window caps up to `MAX_WINDOW`, start, stop and access
-//! delays up to `f64::MAX`, and every fault at full strength — must
-//! either be refused with a typed [`ScenarioError`] or run to completion
-//! with packet conservation intact. They must never panic (this file runs
-//! under the test profile, so integer overflow checks and the engine's
-//! debug assertions are on) and never hang.
+//! delays up to `f64::MAX`, and every wire-loss model at full strength —
+//! must either be refused with a typed [`ScenarioError`] or run to
+//! completion with packet conservation intact; a constant per-step loss
+//! rate is always refused. They must never panic (this file runs under
+//! the test profile, so integer overflow checks and the engine's debug
+//! assertions are on) and never hang.
 //!
 //! The work a case can do is kept small, not because larger cases fail
 //! but so the suite stays fast: the simulated duration is cut so that
 //! neither the bottleneck (`bandwidth × duration`) nor a window cycling
 //! once per RTT (`max_window × duration / RTT`) exceeds
-//! [`PACKET_BUDGET`] packets, the trace holds at most [`SAMPLE_BUDGET`]
-//! samples, and initial windows stay at or below 10⁴ packets, since a
-//! window-clocked flow puts its whole initial window on the wire at once.
+//! [`PACKET_BUDGET`] packets, the trace (one sample per RTT) holds at
+//! most [`SAMPLE_BUDGET`] samples, and initial windows stay at or below
+//! 10⁴ packets, since a window-clocked flow puts its whole initial
+//! window on the wire at once.
 
 #![allow(clippy::unwrap_used)] // a misspelled protocol name should abort loudly
 
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, ScenarioError};
-use axcc_packetsim::{FaultPlan, PacketScenario, PacketSenderConfig, RedConfig, WireLoss};
+use axcc_packetsim::{LossModel, PacketScenario, PacketSenderConfig, RedConfig};
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
 
@@ -70,12 +72,15 @@ fn arb_delay() -> impl Strategy<Value = f64> {
     })
 }
 
-fn arb_loss() -> impl Strategy<Value = WireLoss> {
-    (0u8..4, 0.0f64..0.99, 1.0f64..50.0, 0.0f64..0.99).prop_map(|(kind, rate, burst, bad)| {
+/// A data-path loss model; one in five is the `Constant` rate the
+/// packet engine refuses.
+fn arb_loss() -> impl Strategy<Value = LossModel> {
+    (0u8..5, 0.0f64..0.99, 1.0f64..50.0, 0.0f64..0.99).prop_map(|(kind, rate, burst, bad)| {
         match kind {
-            0 | 1 => WireLoss::None,
-            2 => WireLoss::Bernoulli { rate },
-            _ => WireLoss::bursty(rate * bad, burst, bad),
+            0 => LossModel::None,
+            1 => LossModel::Constant { rate },
+            2 => LossModel::Bernoulli { rate },
+            _ => LossModel::bursty(rate * bad, burst, bad),
         }
     })
 }
@@ -135,39 +140,11 @@ struct Case {
     prop_delay: f64,
     buffer: f64,
     duration: f64,
-    sample_interval: Option<f64>,
     max_window: f64,
     queue: u8,
     flows: Vec<Flow>,
-    faults: FaultPlan,
+    loss: LossModel,
     seed: u64,
-}
-
-fn arb_faults() -> impl Strategy<Value = FaultPlan> {
-    (
-        arb_loss(),
-        arb_loss(),
-        (0u8..3, arb_delay()),
-        (0.0f64..0.99, arb_delay()),
-        proptest::collection::vec((0.0f64..0.1, arb_delay()), 0..3),
-        proptest::collection::vec((0.0f64..0.1, log_uniform(1e-3, 1e7)), 0..3),
-    )
-        .prop_map(
-            |(data, ack, (j_kind, jitter), (p, extra), outages, flaps)| {
-                let mut plan = FaultPlan::new()
-                    .data_loss(data)
-                    .ack_loss(ack)
-                    .jitter(if j_kind == 0 { 0.0 } else { jitter })
-                    .reorder(p, extra);
-                for (from, len) in outages {
-                    plan = plan.outage(from, from + len.max(1e-9));
-                }
-                for (at, bw) in flaps {
-                    plan = plan.capacity_flap(at, bw);
-                }
-                plan
-            },
-        )
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -180,11 +157,10 @@ fn arb_case() -> impl Strategy<Value = Case> {
             log_uniform(1e-9, 1e-4),
             log_uniform(1e-4, MAX_DURATION),
         ),
-        (any::<bool>(), log_uniform(1e-9, 1e10)),
         (0u8..8, log_uniform(1.0, 1e4)),
         0u8..4,
         proptest::collection::vec(arb_flow(), 1..4),
-        arb_faults(),
+        arb_loss(),
         any::<u64>(),
     )
         .prop_map(
@@ -193,39 +169,31 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 prop_delay,
                 (b_kind, buf),
                 (d_kind, short, long),
-                (explicit, interval),
                 (w_kind, window_cap),
                 queue,
                 flows,
-                faults,
+                loss,
                 seed,
             )| {
                 let max_window = if w_kind == 0 { MAX_WINDOW } else { window_cap };
                 // A flow resolves at most one window of packets per RTT
-                // (and a feedback delay is at least one nanosecond), and
-                // the bottleneck serializes `bandwidth` packets a second.
+                // (and a feedback delay is at least one nanosecond), the
+                // bottleneck serializes `bandwidth` packets a second, and
+                // the trace takes one sample per RTT.
                 let rtt = (2.0 * prop_delay).max(1e-9);
                 let duration = if d_kind == 0 { short } else { long }
                     .min(PACKET_BUDGET / bandwidth)
-                    .min(PACKET_BUDGET * rtt / max_window);
-                // Sampling every `interval`, or every minimum RTT by
-                // default, whichever keeps the trace within budget.
-                let floor = duration / SAMPLE_BUDGET;
-                let sample_interval = if explicit || 2.0 * prop_delay < floor {
-                    Some(interval.max(floor))
-                } else {
-                    None
-                };
+                    .min(PACKET_BUDGET * rtt / max_window)
+                    .min(SAMPLE_BUDGET * rtt);
                 Case {
                     bandwidth,
                     prop_delay,
                     buffer: if b_kind == 0 { 0.0 } else { buf.round() },
                     duration,
-                    sample_interval,
                     max_window,
                     queue,
                     flows,
-                    faults,
+                    loss,
                     seed,
                 }
             },
@@ -237,11 +205,8 @@ fn build(case: &Case) -> PacketScenario {
     let mut sc = PacketScenario::new(link)
         .duration_secs(case.duration)
         .max_window(case.max_window)
-        .faults(case.faults.clone())
+        .wire_loss(case.loss)
         .seed(case.seed);
-    if let Some(s) = case.sample_interval {
-        sc = sc.sample_interval_secs(s);
-    }
     sc = match case.queue {
         1 => sc.ecn_threshold((case.buffer / 2.0) as usize),
         2 => sc.red(RedConfig::classic(case.buffer)),
@@ -269,7 +234,20 @@ proptest! {
 
     #[test]
     fn extreme_scenarios_error_or_conserve(case in arb_case()) {
-        match build(&case).try_run() {
+        let result = build(&case).try_run();
+        if let LossModel::Constant { .. } = case.loss {
+            // Refused, and by its loss model whenever nothing else is
+            // wrong with the scenario.
+            let lossless = Case { loss: LossModel::None, ..case.clone() };
+            prop_assert!(result.is_err(), "a constant per-step rate ran: {case:?}");
+            if build(&lossless).validate().is_ok() {
+                prop_assert!(
+                    matches!(result, Err(ScenarioError::InvalidLossModel(_))),
+                    "a constant per-step rate must be refused: {case:?}"
+                );
+            }
+        }
+        match result {
             Ok(out) => {
                 prop_assert!(out.conservation_ok(), "conservation violated: {case:?}");
                 prop_assert_eq!(out.trace.validate(case.max_window), Ok(()));

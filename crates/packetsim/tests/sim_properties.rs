@@ -7,7 +7,7 @@
 // allow-unwrap-in-tests exemption does not reach.
 #![allow(clippy::unwrap_used)]
 use axcc_core::protocol::MAX_WINDOW;
-use axcc_core::LinkParams;
+use axcc_core::{LinkParams, LossModel};
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ fn check_conservation_and_bounds(
 ) -> Result<(), TestCaseError> {
     let mut sc = PacketScenario::new(link)
         .duration_secs(4.0)
-        .wire_loss(wire)
+        .wire_loss(LossModel::Bernoulli { rate: wire })
         .seed(seed);
     for (i, name) in names.iter().enumerate() {
         sc = sc.sender(
@@ -104,7 +104,7 @@ proptest! {
             let out = PacketScenario::new(link)
                 .homogeneous(resolve(name).unwrap().as_ref(), 2)
                 .duration_secs(3.0)
-                .wire_loss(wire)
+                .wire_loss(LossModel::Bernoulli { rate: wire })
                 .seed(seed)
                 .run();
             (out.trace, out.flows, out.queue)

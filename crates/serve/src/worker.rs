@@ -21,7 +21,7 @@
 //! cancellation signal.
 
 use crate::protocol::{ErrorKind, EvalSpec, ExperimentSpec, Op};
-use axcc_analysis::estimators::{solo_metrics_of_acc, stream_options_for};
+use axcc_analysis::estimators::{solo_metrics_of_acc, stream_options_for, SoloMetrics};
 use axcc_analysis::experiments::{find_experiment, RunBudget};
 use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
@@ -105,13 +105,7 @@ struct EvalOutcome {
     protocols: Vec<String>,
     mean_window: Vec<f64>,
     mean_goodput: Vec<f64>,
-    efficiency: f64,
-    loss_bound: f64,
-    fairness: f64,
-    convergence: f64,
-    fast_utilization: Option<f64>,
-    latency_inflation: f64,
-    mean_utilization: f64,
+    metrics: SoloMetrics,
 }
 
 impl EvalOutcome {
@@ -126,13 +120,7 @@ impl EvalOutcome {
         for &g in &self.mean_goodput {
             r.push_f64(g);
         }
-        r.push_f64(self.efficiency);
-        r.push_f64(self.loss_bound);
-        r.push_f64(self.fairness);
-        r.push_f64(self.convergence);
-        r.push_opt_f64(self.fast_utilization);
-        r.push_f64(self.latency_inflation);
-        r.push_f64(self.mean_utilization);
+        self.metrics.encode_into(r);
     }
 
     fn decode_from(rd: &mut axcc_sweep::RecordReader<'_>) -> Option<Self> {
@@ -153,13 +141,7 @@ impl EvalOutcome {
             protocols,
             mean_window,
             mean_goodput,
-            efficiency: rd.f64()?,
-            loss_bound: rd.f64()?,
-            fairness: rd.f64()?,
-            convergence: rd.f64()?,
-            fast_utilization: rd.opt_f64()?,
-            latency_inflation: rd.f64()?,
-            mean_utilization: rd.f64()?,
+            metrics: SoloMetrics::decode_from(rd)?,
         })
     }
 }
@@ -182,26 +164,24 @@ impl EvalOutcome {
                 Value::Object(m)
             })
             .collect();
+        let m = &self.metrics;
         let mut metrics = Map::new();
-        metrics.insert("efficiency".to_string(), json_f64(self.efficiency));
-        metrics.insert("loss_bound".to_string(), json_f64(self.loss_bound));
-        metrics.insert("fairness".to_string(), json_f64(self.fairness));
-        metrics.insert("convergence".to_string(), json_f64(self.convergence));
+        metrics.insert("efficiency".to_string(), json_f64(m.efficiency));
+        metrics.insert("loss_bound".to_string(), json_f64(m.loss_bound));
+        metrics.insert("fairness".to_string(), json_f64(m.fairness));
+        metrics.insert("convergence".to_string(), json_f64(m.convergence));
         metrics.insert(
             "fast_utilization".to_string(),
-            match self.fast_utilization {
+            match m.fast_utilization {
                 Some(v) => json_f64(v),
                 None => Value::Null,
             },
         );
         metrics.insert(
             "latency_inflation".to_string(),
-            json_f64(self.latency_inflation),
+            json_f64(m.latency_inflation),
         );
-        metrics.insert(
-            "mean_utilization".to_string(),
-            json_f64(self.mean_utilization),
-        );
+        metrics.insert("mean_utilization".to_string(), json_f64(m.mean_utilization));
         let mut m = Map::new();
         m.insert("senders".to_string(), Value::Array(senders));
         m.insert("metrics".to_string(), Value::Object(metrics));
@@ -294,19 +274,12 @@ fn run_eval(spec: &EvalSpec, runner: &SweepRunner) -> JobResult {
     let cached = runner.run_cached("serve/eval", spec, || {
         CachedEval(match build_and_run(spec) {
             Ok(acc) => {
-                let m = solo_metrics_of_acc(&acc);
                 let senders = 0..acc.num_senders();
                 Ok(EvalOutcome {
                     protocols: spec.protocols.clone(),
                     mean_window: senders.clone().map(|i| acc.tail_mean_window(i)).collect(),
                     mean_goodput: senders.map(|i| acc.tail_mean_goodput(i)).collect(),
-                    efficiency: m.efficiency,
-                    loss_bound: m.loss_bound,
-                    fairness: m.fairness,
-                    convergence: m.convergence,
-                    fast_utilization: m.fast_utilization,
-                    latency_inflation: m.latency_inflation,
-                    mean_utilization: m.mean_utilization,
+                    metrics: solo_metrics_of_acc(&acc),
                 })
             }
             Err((_, msg)) => Err(msg),
@@ -383,13 +356,15 @@ mod tests {
             protocols: vec!["reno".into(), "cubic".into()],
             mean_window: vec![10.5, 20.25],
             mean_goodput: vec![0.5, f64::INFINITY],
-            efficiency: 0.98,
-            loss_bound: 0.0,
-            fairness: 1.0,
-            convergence: f64::INFINITY,
-            fast_utilization: None,
-            latency_inflation: 1.25,
-            mean_utilization: 0.875,
+            metrics: SoloMetrics {
+                efficiency: 0.98,
+                loss_bound: 0.0,
+                fairness: 1.0,
+                convergence: f64::INFINITY,
+                fast_utilization: None,
+                latency_inflation: 1.25,
+                mean_utilization: 0.875,
+            },
         }));
         assert_eq!(ok.to_record().encode(), "15\n1\n2\nreno\ncubic\n4025000000000000\n4034400000000000\n3fe0000000000000\n7ff0000000000000\n3fef5c28f5c28f5c\n0000000000000000\n3ff0000000000000\n7ff0000000000000\n-\n3ff4000000000000\n3fec000000000000\n");
         let err = CachedEval(Err("invalid scenario:\nsteps \\ must be > 0".into()));

@@ -19,7 +19,7 @@
 
 use axiomatic_cc::core::units::{sec_to_ms, Bandwidth};
 use axiomatic_cc::core::{LinkParams, Protocol};
-use axiomatic_cc::packetsim::{FaultPlan, PacketScenario, PacketSenderConfig, WireLoss};
+use axiomatic_cc::packetsim::{LossModel, PacketScenario, PacketSenderConfig};
 use axiomatic_cc::protocols::{Aimd, Cubic, Pcc, RobustAimd};
 
 /// Mean non-congestion loss rate of both impairments.
@@ -29,11 +29,11 @@ const BURST_LEN: f64 = 6.0;
 /// In-burst loss rate of the bursty impairment.
 const LOSS_BAD: f64 = 0.3;
 
-fn goodput(proto: &dyn Protocol, link: LinkParams, plan: FaultPlan) -> f64 {
+fn goodput(proto: &dyn Protocol, link: LinkParams, loss: LossModel) -> f64 {
     let out = PacketScenario::new(link)
         .sender(PacketSenderConfig::new(proto.clone_box()))
         .duration_secs(30.0)
-        .faults(plan)
+        .wire_loss(loss)
         .seed(11)
         .run();
     let tail = out.trace.tail_start(0.5);
@@ -70,16 +70,16 @@ fn main() {
     );
     println!("{}", "-".repeat(68));
     for proto in &lineup {
-        let clean = goodput(proto.as_ref(), link, FaultPlan::new());
+        let clean = goodput(proto.as_ref(), link, LossModel::None);
         let uniform = goodput(
             proto.as_ref(),
             link,
-            FaultPlan::new().data_loss(WireLoss::Bernoulli { rate: MEAN_RATE }),
+            LossModel::Bernoulli { rate: MEAN_RATE },
         );
         let bursty = goodput(
             proto.as_ref(),
             link,
-            FaultPlan::new().data_loss(WireLoss::bursty(MEAN_RATE, BURST_LEN, LOSS_BAD)),
+            LossModel::bursty(MEAN_RATE, BURST_LEN, LOSS_BAD),
         );
         println!(
             "{:<20} {:>10.0} {:>10.0} {:>10.0} {:>13.2}x",

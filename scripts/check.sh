@@ -76,7 +76,7 @@ cmp target/warm-rerun-ci/cold.report target/warm-rerun-ci/warm.report
 grep -q '^result store: [0-9]* hits / 0 misses, 0 jobs executed this process' \
   target/warm-rerun-ci/warm.txt
 
-echo "==> results/ regenerates byte for byte (registry at paper budget + the four examples, release)"
+echo "==> results/ regenerates byte for byte (registry at paper budget + the six examples, release)"
 rm -rf target/results-check
 cargo run -q --release -p axcc-cli -- run-all --jobs 0 --no-cache \
   --out-dir target/results-check > /dev/null
@@ -84,6 +84,8 @@ cargo run -q --release --example ablations > target/results-check/ablations.txt
 cargo run -q --release --example table2_packet -- --paced > target/results-check/table2_paced.txt
 cargo run -q --release --example parking_lot > target/results-check/parking_lot.txt
 cargo run -q --release --example parking_lot_churn > target/results-check/parking_lot_churn.txt
+cargo run -q --release --example bursty_satellite > target/results-check/bursty_satellite.txt
+cargo run -q --release --example lossy_satellite > target/results-check/lossy_satellite.txt
 diff -r results target/results-check
 
 echo "All checks passed."

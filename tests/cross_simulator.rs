@@ -9,7 +9,9 @@ use axiomatic_cc::analysis::estimators::{
     measure_solo_packet, SweepConfig,
 };
 use axiomatic_cc::core::units::Bandwidth;
-use axiomatic_cc::core::LinkParams;
+use axiomatic_cc::core::{LinkParams, LossModel, ScenarioError};
+use axiomatic_cc::fluidsim::{Scenario, SenderConfig};
+use axiomatic_cc::packetsim::{PacketScenario, PacketSenderConfig};
 use axiomatic_cc::protocols::{Aimd, Pcc, RobustAimd, SlowStart};
 
 fn paper_link() -> LinkParams {
@@ -71,10 +73,10 @@ fn friendliness_ordering_agrees_across_backends() {
 fn robustness_story_at_packet_level() {
     let link = LinkParams::from_experiment(Bandwidth::Mbps(100.0), 42.0, 500.0);
     let run = |p: Box<dyn axiomatic_cc::core::Protocol>| {
-        let out = axiomatic_cc::packetsim::PacketScenario::new(link)
-            .sender(axiomatic_cc::packetsim::PacketSenderConfig::new(p))
+        let out = PacketScenario::new(link)
+            .sender(PacketSenderConfig::new(p))
             .duration_secs(40.0)
-            .wire_loss(0.005)
+            .wire_loss(LossModel::Bernoulli { rate: 0.005 })
             .seed(11)
             .run();
         assert!(out.conservation_ok());
@@ -92,7 +94,6 @@ fn robustness_story_at_packet_level() {
 /// ACK-clocking it.
 #[test]
 fn paced_pcc_is_at_least_as_aggressive() {
-    use axiomatic_cc::packetsim::{PacketScenario, PacketSenderConfig};
     use axiomatic_cc::protocols::Pcc;
     let link = paper_link();
     let run = |paced: bool| {
@@ -125,13 +126,13 @@ fn paced_pcc_is_at_least_as_aggressive() {
 #[test]
 fn traces_validate_and_align() {
     let link = paper_link();
-    let fluid = axiomatic_cc::fluidsim::Scenario::new(link)
+    let fluid = Scenario::new(link)
         .homogeneous(&Aimd::reno(), 2, 1.0)
         .steps(500)
         .run();
     fluid.validate(1e9).unwrap();
 
-    let packet = axiomatic_cc::packetsim::PacketScenario::new(link)
+    let packet = PacketScenario::new(link)
         .homogeneous(&Aimd::reno(), 2)
         .duration_secs(10.0)
         .run();
@@ -142,4 +143,70 @@ fn traces_validate_and_align() {
         assert_eq!(f.protocol, p.protocol);
         assert_eq!(f.loss_based, p.loss_based);
     }
+}
+
+/// One loss model, one refusal: both engines reject a malformed model
+/// with the same typed error and message, and the packet engine also
+/// refuses the fluid-only constant per-step rate.
+#[test]
+fn malformed_loss_models_are_refused_alike_by_both_engines() {
+    let ge = |p_enter, p_exit, loss_good, loss_bad| LossModel::GilbertElliott {
+        p_enter,
+        p_exit,
+        loss_good,
+        loss_bad,
+    };
+    let malformed = [
+        LossModel::Bernoulli { rate: f64::NAN },
+        LossModel::Bernoulli { rate: -0.01 },
+        LossModel::Bernoulli { rate: 1.0 },
+        LossModel::Constant { rate: f64::NAN },
+        LossModel::Constant { rate: -0.5 },
+        ge(f64::NAN, 0.5, 0.0, 0.3),
+        ge(-0.1, 0.5, 0.0, 0.3),
+        ge(0.1, 0.0, 0.0, 0.3),
+        ge(0.1, f64::NAN, 0.0, 0.3),
+        ge(0.1, 0.5, -0.2, 0.3),
+        ge(0.1, 0.5, 0.0, 1.0),
+        ge(0.1, 0.5, 0.0, f64::NAN),
+        // An unrealizable mean: above the bad state's own rate.
+        LossModel::bursty(0.3, 8.0, 0.2),
+    ];
+    let link = paper_link();
+    let fluid = |m: LossModel| {
+        Scenario::new(link)
+            .sender(SenderConfig::new(Box::new(Aimd::reno())))
+            .wire_loss(m)
+            .validate()
+    };
+    let packet = |m: LossModel| {
+        PacketScenario::new(link)
+            .sender(PacketSenderConfig::new(Box::new(Aimd::reno())))
+            .wire_loss(m)
+            .validate()
+    };
+    for model in malformed {
+        let err = fluid(model).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::InvalidLossModel(_)),
+            "{model:?}: {err:?}"
+        );
+        assert_eq!(packet(model), Err(err), "{model:?}");
+    }
+    // The well-formed models run in both engines, except the constant
+    // per-step rate, which has no per-packet meaning.
+    for model in [
+        LossModel::None,
+        LossModel::Bernoulli { rate: 0.01 },
+        LossModel::bursty(0.01, 4.0, 0.25),
+    ] {
+        assert_eq!(fluid(model), Ok(()), "{model:?}");
+        assert_eq!(packet(model), Ok(()), "{model:?}");
+    }
+    let constant = LossModel::Constant { rate: 0.01 };
+    assert_eq!(fluid(constant), Ok(()));
+    assert!(matches!(
+        packet(constant),
+        Err(ScenarioError::InvalidLossModel(_))
+    ));
 }

@@ -50,7 +50,7 @@ fn packet_runs_are_bit_identical_per_seed() {
                 .sender(PacketSenderConfig::new(resolve(name).unwrap()))
                 .sender(PacketSenderConfig::new(resolve(name).unwrap()).start_at_secs(1.0))
                 .duration_secs(8.0)
-                .wire_loss(0.01)
+                .wire_loss(LossModel::Bernoulli { rate: 0.01 })
                 .seed(seed)
                 .run();
             (out.trace, out.flows, out.queue)
@@ -87,50 +87,39 @@ fn fluid_gilbert_elliott_runs_are_bit_identical_per_seed() {
 
 #[test]
 fn packet_runs_under_every_impairment_are_bit_identical_per_seed() {
-    use axiomatic_cc::packetsim::{FaultPlan, WireLoss};
-    // (label, plan, draws randomness?) — outages and flaps are scheduled,
-    // not drawn, so those runs are identical across seeds too.
-    let plans: Vec<(&str, FaultPlan, bool)> = vec![
+    use axiomatic_cc::packetsim::RedConfig;
+    // Every random process the packet engine draws from: each wire-loss
+    // model on the data path, RED's early drops, and both at once.
+    let red = Some(RedConfig::classic(100.0));
+    let cases: Vec<(&str, LossModel, Option<RedConfig>)> = vec![
+        ("bernoulli loss", LossModel::Bernoulli { rate: 0.02 }, None),
+        ("bursty loss", LossModel::bursty(0.02, 6.0, 0.3), None),
         (
-            "bursty data loss",
-            FaultPlan::new().data_loss(WireLoss::bursty(0.02, 6.0, 0.3)),
-            true,
+            "lossy good state",
+            LossModel::GilbertElliott {
+                p_enter: 0.01,
+                p_exit: 0.2,
+                loss_good: 0.005,
+                loss_bad: 0.3,
+            },
+            None,
         ),
-        (
-            "ack loss",
-            FaultPlan::new().ack_loss(WireLoss::Bernoulli { rate: 0.05 }),
-            true,
-        ),
-        ("jitter", FaultPlan::new().jitter(0.004), true),
-        ("reorder", FaultPlan::new().reorder(0.2, 0.01), true),
-        ("outage", FaultPlan::new().outage(2.0, 2.5), false),
-        (
-            "capacity flap",
-            FaultPlan::new().capacity_flap(3.0, 30_000.0),
-            false,
-        ),
-        (
-            "everything at once",
-            FaultPlan::new()
-                .data_loss(WireLoss::bursty(0.02, 6.0, 0.3))
-                .ack_loss(WireLoss::Bernoulli { rate: 0.02 })
-                .jitter(0.002)
-                .reorder(0.1, 0.005)
-                .outage(2.0, 2.5)
-                .capacity_flap(4.0, 30_000.0),
-            true,
-        ),
+        ("RED early drops", LossModel::None, red),
+        ("everything at once", LossModel::bursty(0.02, 6.0, 0.3), red),
     ];
-    for (label, plan, stochastic) in plans {
+    for (label, model, red) in cases {
         let run = |seed: u64| {
             let link = LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0);
-            let out = PacketScenario::new(link)
+            let mut sc = PacketScenario::new(link)
                 .sender(PacketSenderConfig::new(resolve("reno").unwrap()))
                 .sender(PacketSenderConfig::new(resolve("cubic").unwrap()).start_at_secs(0.5))
                 .duration_secs(6.0)
-                .faults(plan.clone())
-                .seed(seed)
-                .run();
+                .wire_loss(model)
+                .seed(seed);
+            if let Some(red) = red {
+                sc = sc.red(red);
+            }
+            let out = sc.run();
             (out.trace, out.flows, out.queue)
         };
         let (t1, f1, q1) = run(9);
@@ -138,10 +127,8 @@ fn packet_runs_under_every_impairment_are_bit_identical_per_seed() {
         assert_eq!(t1, t2, "{label}: trace diverged under same seed");
         assert_eq!(f1, f2, "{label}: flow stats diverged under same seed");
         assert_eq!(q1, q2, "{label}: queue stats diverged under same seed");
-        if stochastic {
-            let (t3, _, _) = run(10);
-            assert_ne!(t1, t3, "{label}: ignored the seed");
-        }
+        let (t3, _, _) = run(10);
+        assert_ne!(t1, t3, "{label}: ignored the seed");
     }
 }
 

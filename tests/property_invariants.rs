@@ -122,7 +122,7 @@ proptest! {
         let out = PacketScenario::new(link)
             .homogeneous(proto.as_ref(), n)
             .duration_secs(4.0)
-            .wire_loss(wire)
+            .wire_loss(LossModel::Bernoulli { rate: wire })
             .seed(seed)
             .run();
         prop_assert!(out.conservation_ok());
