@@ -21,8 +21,8 @@
 //! * **utilization under churn** — mean link utilization over the steps
 //!   where at least one flow (base or churned) is active.
 //!
-//! The fluid run folds each step into a [`ChurnAccumulator`]; no trace is
-//! recorded.
+//! The fluid run folds each step into a [`ChurnAccumulator`], the packet
+//! storm each sample into a metric accumulator; no trace is recorded.
 
 use crate::report::{fmt_score, TextTable};
 use axcc_core::axioms::churn::{ChurnAccumulator, ChurnConfig};
@@ -131,19 +131,18 @@ fn churn_cell(proto: &dyn Protocol, rate: f64, steps: usize) -> (f64, f64, f64) 
 }
 
 /// Tail utilization of a packet-level run under the arrival storm
-/// (heaviest swept rate). Packet runs record traces; the job fingerprint
+/// (heaviest swept rate), folded as the run goes; the job fingerprint
 /// carries no evaluation tag.
 fn packet_storm_utilization(proto: &dyn Protocol, secs: f64) -> f64 {
     let link = packet_link();
     let step_secs = link.min_rtt();
-    let out = PacketScenario::new(link)
+    let sc = PacketScenario::new(link)
         .homogeneous(proto, BASE_SENDERS)
         .duration_secs(secs)
         .churn(&churn_plan(ARRIVAL_RATES[2]), proto, step_secs)
         // tidy-allow: panic-freedom — the plan and step length are validated experiment constants; expansion cannot fail
-        .unwrap_or_else(|e| panic!("{e}"))
-        .run();
-    let acc = crate::estimators::replay(&out.trace, MetricSet::FAIRNESS);
+        .unwrap_or_else(|e| panic!("{e}"));
+    let acc = crate::estimators::run_packet_streaming(sc, MetricSet::FAIRNESS);
     let goodput: f64 = (0..acc.num_senders())
         .map(|i| acc.tail_mean_goodput(i))
         .sum();

@@ -16,7 +16,9 @@
 //! `friendliness(R-AIMD) / friendliness(PCC)`; > 1 means Robust-AIMD left
 //! TCP more room, as the paper reports in every cell.
 
-use crate::estimators::{measure_friendliness_fluid, measure_friendliness_packet, replay};
+use crate::estimators::{
+    measure_friendliness_fluid, measure_friendliness_packet, run_packet_streaming,
+};
 use crate::report::{fmt_ratio, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
@@ -141,11 +143,9 @@ impl SweepJob for CellJob {
                     sc = sc.sender(PacketSenderConfig::new(Box::new(Pcc::new())).paced());
                 }
                 sc = sc.sender(PacketSenderConfig::new(Box::new(Aimd::reno())));
-                let out = sc.run();
                 let p_idx: Vec<usize> = (0..n_p).collect();
-                let f_p =
-                    replay(&out.trace, MetricSet::FAIRNESS).measured_friendliness(&p_idx, &[n_p]);
-                (f_r, f_p)
+                let acc = run_packet_streaming(sc, MetricSet::FAIRNESS);
+                (f_r, acc.measured_friendliness(&p_idx, &[n_p]))
             }
         }
     }
@@ -282,12 +282,12 @@ mod tests {
             30.0,
             0,
         );
-        let out = PacketScenario::new(link)
+        let sc = PacketScenario::new(link)
             .sender(PacketSenderConfig::new(Box::new(Pcc::new())).paced())
             .sender(PacketSenderConfig::new(Box::new(Aimd::reno())))
-            .duration_secs(30.0)
-            .run();
-        let f_p = replay(&out.trace, MetricSet::FAIRNESS).measured_friendliness(&[0], &[1]);
+            .duration_secs(30.0);
+        let acc = run_packet_streaming(sc, MetricSet::FAIRNESS);
+        let f_p = acc.measured_friendliness(&[0], &[1]);
         assert!(f_r > f_p, "R-AIMD {f_r} vs paced PCC {f_p}");
     }
 

@@ -49,6 +49,7 @@ pub mod link;
 pub mod loss;
 pub mod protocol;
 pub mod score;
+pub mod sink;
 pub mod theory;
 pub mod trace;
 pub mod units;
@@ -59,4 +60,5 @@ pub use link::{LinkParams, LossRate, RttSeconds};
 pub use loss::LossModel;
 pub use protocol::{LaneObs, Observation, Protocol};
 pub use score::AxiomScores;
+pub use sink::{RunShape, StepSink, TraceSink};
 pub use trace::{RunTrace, SenderTrace};

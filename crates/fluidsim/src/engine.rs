@@ -1,17 +1,12 @@
 //! The simulation loop: synchronized discrete-time dynamics (Section 2).
 //!
-//! The loop is written once, as [`try_run_scenario_with`], against a
-//! block visitor ([`StepSink`]): steps are staged into [`StepBlock`]s and
-//! each full block is handed to the sink. Two sinks cover every consumer:
-//!
-//! * [`TraceSink`] appends each block to trace columns and yields the full
-//!   [`RunTrace`] — what [`Scenario::try_run`] returns and what
-//!   plotting/CSV export needs;
-//! * [`MetricAccumulator`] (via [`try_run_scenario_streaming`]) folds each
-//!   block straight into the axiom scores in O(senders) memory, never
-//!   materializing a trajectory. A recorded trace is scored by replaying
-//!   it through the same fold ([`MetricAccumulator::replay`]), so the two
-//!   agree to the bit.
+//! The loop is written once, as [`try_run_scenario_with`], against the
+//! block visitor both engines share ([`StepSink`], in `axcc-core`): steps
+//! are staged into [`StepBlock`]s and each full block is handed to the
+//! sink. A `TraceSink` records the [`Scenario::try_run`] trace; a
+//! [`MetricAccumulator`] (via [`try_run_scenario_streaming`]) folds each
+//! block straight into the axiom scores in O(senders) memory, never
+//! materializing a trajectory.
 //!
 //! The same loop runs every topology. A one-link scenario takes the
 //! paper's arithmetic: the step RTT is `link.rtt(X)` and every sender
@@ -22,134 +17,15 @@
 use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
 use crate::scenario::{FeedbackMode, Scenario, SenderConfig};
 use axcc_core::axioms::streaming::{
-    MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
+    metric_accumulator_for, MetricAccumulator, StepBlock, StreamOptions,
 };
 use axcc_core::protocol::clamp_window;
-use axcc_core::{Observation, RunTrace, ScenarioError, SenderTrace};
+use axcc_core::sink::StepSink;
+use axcc_core::{Observation, ScenarioError};
 use axcc_topo::Topology;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-
-/// Block visitor over the simulation loop.
-///
-/// A [`StepBlock`] holds consecutive steps column by column: the shared
-/// link-state columns (on a multi-link topology: the total window of all
-/// senders, and the RTT and loss of the trace's floor link) and, per
-/// sender, exactly the values a recorded trace appends to that sender's
-/// columns (idle senders appear with zero window and goodput so consumers
-/// see a rectangular run). The block is a buffer reused across flushes —
-/// sinks must copy what they keep.
-pub trait StepSink {
-    /// Consume a whole [`StepBlock`] of staged steps, in step order.
-    fn on_steps(&mut self, block: &StepBlock);
-
-    /// Consume step `t` given as one record per sender, in sender order:
-    /// stages the row (each sender's own RTT included) into a one-step
-    /// block and hands it to [`on_steps`](Self::on_steps). The engine
-    /// never calls it; it serves callers that produce one row at a time,
-    /// such as the scalar reference engines the tests compare against.
-    fn on_step(&mut self, t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        let mut block = StepBlock::new(records.len(), 1);
-        block.track_sender_rtts();
-        block.begin(t as usize);
-        block.stage_shared(total, rtt, loss);
-        for (i, r) in records.iter().enumerate() {
-            block.stage_sender(i, r.window, r.loss, r.goodput);
-            block.stage_sender_rtt(i, r.rtt);
-        }
-        block.advance();
-        self.on_steps(&block);
-    }
-}
-
-/// The recording sink: builds the same [`RunTrace`] the engine always
-/// produced. This (together with its packet-level counterpart) is the
-/// sanctioned construction site for [`RunTrace`] — everything else goes
-/// through a sink so the two evaluation paths cannot drift.
-pub struct TraceSink {
-    link: axcc_core::LinkParams,
-    seed: u64,
-    senders: Vec<SenderTrace>,
-    total_col: Vec<f64>,
-    rtt_col: Vec<f64>,
-    loss_col: Vec<f64>,
-}
-
-impl TraceSink {
-    /// A sink sized for `scenario`, capturing the metadata (link, seed,
-    /// protocol names) the finished trace records.
-    pub fn for_scenario(scenario: &Scenario) -> Self {
-        let own_rtts = scenario.is_multi_link();
-        TraceSink {
-            link: scenario.trace_link(),
-            seed: scenario.seed,
-            senders: scenario
-                .senders
-                .iter()
-                .map(|s| {
-                    let mut tr = SenderTrace::with_capacity(
-                        s.protocol.name(),
-                        s.protocol.loss_based(),
-                        scenario.steps,
-                    );
-                    if own_rtts {
-                        tr.own_rtt_mut().reserve(scenario.steps);
-                    }
-                    tr
-                })
-                .collect(),
-            total_col: Vec::with_capacity(scenario.steps),
-            rtt_col: Vec::with_capacity(scenario.steps),
-            loss_col: Vec::with_capacity(scenario.steps),
-        }
-    }
-
-    /// The finished trace. On one link, per-sender RTT columns stay
-    /// `None`: every sender's RTT equals the shared link column, which
-    /// [`RunTrace::sender_rtt`] resolves on read. On a multi-link
-    /// topology every sender records its own path RTT column.
-    pub fn into_trace(self) -> RunTrace {
-        RunTrace {
-            link: self.link,
-            senders: self.senders,
-            total_window: self.total_col,
-            rtt: self.rtt_col,
-            loss: self.loss_col,
-            seed: self.seed,
-        }
-    }
-}
-
-impl StepSink for TraceSink {
-    // Column-to-column copies: the block already holds each sender's rows
-    // contiguously, so recording a block is six memcpy-shaped extends.
-    fn on_steps(&mut self, block: &StepBlock) {
-        self.total_col.extend_from_slice(block.totals());
-        self.rtt_col.extend_from_slice(block.rtts());
-        self.loss_col.extend_from_slice(block.link_losses());
-        for (i, s) in self.senders.iter_mut().enumerate() {
-            s.window.extend_from_slice(block.windows(i));
-            s.loss.extend_from_slice(block.sender_losses(i));
-            s.goodput.extend_from_slice(block.goodputs(i));
-            if let Some(own) = &mut s.rtt {
-                own.extend_from_slice(block.sender_rtts(i));
-            }
-        }
-    }
-}
-
-impl StepSink for MetricAccumulator {
-    fn on_steps(&mut self, block: &StepBlock) {
-        self.push_block(block);
-    }
-}
-
-impl StepSink for axcc_core::axioms::churn::ChurnAccumulator {
-    fn on_steps(&mut self, block: &StepBlock) {
-        self.push_block(block);
-    }
-}
 
 /// Struct-of-arrays per-sender state: one contiguous lane per field, so
 /// the total-window reduction and the per-sender step sweep flat `f64`
@@ -629,53 +505,6 @@ fn try_run_scenario_with_workspace<S: StepSink>(
     Ok(())
 }
 
-/// Evaluation parameters for the streaming path: the tail, horizon and
-/// escape threshold of the axiom folds, and the metric families to keep.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOptions {
-    /// Fraction of the run treated as transient (`RunTrace::tail_start`).
-    pub tail_fraction: f64,
-    /// Minimum fast-utilization segment horizon.
-    pub min_horizon: usize,
-    /// Escape threshold β for the robustness accumulator.
-    pub escape_beta: f64,
-    /// Which metric families the accumulator maintains. Sweeps that read
-    /// a known subset of scores (a robustness cell only asks
-    /// "did the window escape?") restrict this so the sink skips every
-    /// other family's per-block fold; [`MetricSet::ALL`] keeps the full
-    /// evaluator.
-    pub metrics: MetricSet,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            tail_fraction: axcc_core::axioms::DEFAULT_TAIL_FRACTION,
-            min_horizon: axcc_core::axioms::DEFAULT_MIN_HORIZON,
-            escape_beta: axcc_core::axioms::DEFAULT_ESCAPE_BETA,
-            metrics: MetricSet::ALL,
-        }
-    }
-}
-
-/// The [`MetricAccumulator`] matching `scenario`'s shape: same link, step
-/// count and per-sender `loss_based` flags a recorded trace would carry.
-pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> MetricAccumulator {
-    MetricAccumulator::new(&MetricConfig {
-        link: scenario.trace_link(),
-        steps: scenario.steps,
-        loss_based: scenario
-            .senders
-            .iter()
-            .map(|s| s.protocol.loss_based())
-            .collect(),
-        tail_fraction: options.tail_fraction,
-        min_horizon: options.min_horizon,
-        escape_beta: options.escape_beta,
-        metrics: options.metrics,
-    })
-}
-
 /// Run a scenario through the trace-free streaming path, returning the
 /// populated accumulator. Bit-identical to replaying the trace
 /// [`Scenario::try_run`] records, without the O(steps × senders) trace
@@ -733,8 +562,9 @@ mod tests {
     use super::*;
     use crate::loss::LossModel;
     use crate::scenario::SenderConfig;
+    use axcc_core::axioms::streaming::{MetricConfig, StepRecord};
     use axcc_core::protocol::MAX_WINDOW;
-    use axcc_core::LinkParams;
+    use axcc_core::{LinkParams, RunTrace, TraceSink};
     use axcc_protocols::{Aimd, Mimd, Pcc, RobustAimd, Vegas};
 
     /// C = 100 MSS, τ = 20 MSS.
@@ -1222,6 +1052,24 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn zero_rate_bernoulli_runs_as_no_wire_loss() {
+        // The CLI and the daemon always pass their wire rate through
+        // `Bernoulli`; at rate 0 the run is the lossless one, bit for bit.
+        let run = |model| {
+            Scenario::new(link())
+                .homogeneous(&Aimd::reno(), 2, 2.0)
+                .wire_loss(model)
+                .seed(3)
+                .steps(500)
+                .run()
+        };
+        assert_eq!(
+            run(LossModel::Bernoulli { rate: 0.0 }),
+            run(LossModel::None)
+        );
     }
 
     #[test]

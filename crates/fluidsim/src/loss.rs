@@ -60,7 +60,12 @@ impl LossProcess {
     /// chain restarts in the good state. Only Gilbert–Elliott carries
     /// per-sender state, so the other models allocate nothing.
     pub fn reset(&mut self, model: LossModel, n_senders: usize) {
-        self.model = model;
+        // A zero Bernoulli rate never draws and always samples 0.0, so it
+        // runs as `None`: the same bits without a sampling call per step.
+        self.model = match model {
+            LossModel::Bernoulli { rate: 0.0 } => LossModel::None,
+            model => model,
+        };
         self.in_bad.clear();
         if matches!(model, LossModel::GilbertElliott { .. }) {
             self.in_bad.resize(n_senders, false);

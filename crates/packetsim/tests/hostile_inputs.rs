@@ -5,8 +5,9 @@
 //! terabit, window caps up to `MAX_WINDOW`, start, stop and access
 //! delays up to `f64::MAX`, and every wire-loss model at full strength —
 //! must either be refused with a typed [`ScenarioError`] or run to
-//! completion with packet conservation intact; a constant per-step loss
-//! rate is always refused. They must never panic (this file runs under
+//! completion with packet conservation intact, streaming into a metric
+//! accumulator exactly the scores a replay of its trace gives; a constant
+//! per-step loss rate is always refused. They must never panic (this file runs under
 //! the test profile, so integer overflow checks and the engine's debug
 //! assertions are on) and never hang.
 //!
@@ -26,6 +27,8 @@ use axcc_core::{LinkParams, ScenarioError};
 use axcc_packetsim::{LossModel, PacketScenario, PacketSenderConfig, RedConfig};
 use axcc_protocols::registry::resolve;
 use proptest::prelude::*;
+
+mod common;
 
 /// Most packets one case may put on the wire.
 const PACKET_BUDGET: f64 = 50_000.0;
@@ -251,6 +254,8 @@ proptest! {
             Ok(out) => {
                 prop_assert!(out.conservation_ok(), "conservation violated: {case:?}");
                 prop_assert_eq!(out.trace.validate(case.max_window), Ok(()));
+                // Streaming the same run scores it as replaying its trace.
+                prop_assert_eq!(common::streamed_matches_replay(build(&case), &out), Ok(()));
             }
             Err(e) => {
                 // A refusal names what it refused.

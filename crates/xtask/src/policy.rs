@@ -137,12 +137,10 @@ pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
         return None;
     };
 
-    // The engines' trace sinks are the two sanctioned places that
-    // assemble a `RunTrace` from recorded columns; everywhere else a
-    // literal construction bypasses both evaluation paths.
-    let rules = if rel_path == "crates/fluidsim/src/engine.rs"
-        || rel_path == "crates/packetsim/src/engine.rs"
-    {
+    // The shared trace sink is the one sanctioned place that assembles a
+    // `RunTrace` from recorded columns; everywhere else, both engines
+    // included, a literal construction bypasses the one scoring path.
+    let rules = if rel_path == "crates/core/src/sink.rs" {
         RuleSet {
             trace_discipline: false,
             ..rules
@@ -234,17 +232,17 @@ mod tests {
     }
 
     #[test]
-    fn only_engine_sinks_may_build_runtraces() {
-        for sink in [
+    fn only_the_trace_sink_may_build_runtraces() {
+        let p = policy_for("crates/core/src/sink.rs").unwrap();
+        assert!(
+            !p.rules.trace_discipline,
+            "sink.rs holds the sanctioned sink"
+        );
+        // …with every other rule family still in force there.
+        assert!(p.rules.determinism && p.rules.panic_freedom && p.rules.nan_safety);
+        for other in [
             "crates/fluidsim/src/engine.rs",
             "crates/packetsim/src/engine.rs",
-        ] {
-            let p = policy_for(sink).unwrap();
-            assert!(!p.rules.trace_discipline, "{sink} holds a sanctioned sink");
-            // …with every other rule family still in force there.
-            assert!(p.rules.determinism && p.rules.panic_freedom && p.rules.nan_safety);
-        }
-        for other in [
             "crates/core/src/trace.rs",
             "crates/analysis/src/estimators.rs",
             "crates/sweep/src/runner.rs",

@@ -21,7 +21,7 @@ pub enum Rule {
     UnitSafety,
     /// Crate-root headers, manifest lint opt-in, experiment-module docs.
     Hygiene,
-    /// Direct `RunTrace` construction outside the sanctioned engine sinks.
+    /// Direct `RunTrace` construction outside the sanctioned trace sink.
     TraceDiscipline,
     /// A `Fingerprint` impl that skips a declared field of its type.
     FingerprintCoverage,
@@ -126,10 +126,10 @@ pub struct RuleSet {
     pub unit_safety: bool,
     /// Run the hygiene (header/doc/manifest) checks.
     pub hygiene: bool,
-    /// Flag direct `RunTrace` struct construction. Only the engines'
-    /// sanctioned trace sinks may build one — everything else must go
-    /// through `Scenario::try_run` (or the streaming path), so the two
-    /// evaluation paths remain the only producers of trace data.
+    /// Flag direct `RunTrace` struct construction. Only the shared trace
+    /// sink (`axcc_core::TraceSink`) may build one — everything else,
+    /// both engines included, must go through a sink, so one scoring
+    /// path stays the only producer of trace data.
     pub trace_discipline: bool,
     /// Exempt this file from the thread-spawning determinism patterns.
     /// Only the `axcc-sweep` ordered worker pool earns this: it is the
@@ -428,9 +428,9 @@ pub fn check_lines(
             findings.push((
                 lineno,
                 Rule::TraceDiscipline,
-                "direct `RunTrace` construction outside the engine trace sinks; \
-                 run scenarios through Scenario::try_run (or the streaming path) so \
-                 the two evaluation paths stay the only producers of trace data"
+                "direct `RunTrace` construction outside the shared trace sink; \
+                 record runs through a TraceSink (or fold them with a streaming sink) \
+                 so one scoring path stays the only producer of trace data"
                     .to_string(),
             ));
         }
@@ -607,7 +607,7 @@ pub enum PolicyWaiver {
     WallClock,
     /// `allow_catch_unwind`.
     CatchUnwind,
-    /// `trace_discipline: false` (an engine's sanctioned trace sink).
+    /// `trace_discipline: false` (the sanctioned trace sink).
     TraceSink,
 }
 
