@@ -17,7 +17,7 @@
 
 use crate::estimators::empirical_scores_fluid;
 use crate::pareto::{pareto_front_indices, ScoredPoint, FIGURE1_METRICS};
-use crate::report::{fmt_score, TextTable};
+use crate::report::{scores_row, scores_table};
 use axcc_core::axioms::Metric;
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::{LinkParams, Protocol};
@@ -130,21 +130,9 @@ pub fn search_frontier_with(
 impl FrontierSearch {
     /// Render as text: the score table plus the three frontiers.
     pub fn render(&self) -> String {
-        let mut t = TextTable::new([
-            "protocol", "eff", "fast", "loss", "fair", "conv", "robust", "friendly", "latency",
-        ]);
+        let mut t = scores_table();
         for (name, s) in &self.points {
-            t.row([
-                name.clone(),
-                fmt_score(s.efficiency),
-                fmt_score(s.fast_utilization),
-                fmt_score(s.loss_bound),
-                fmt_score(s.fairness),
-                fmt_score(s.convergence),
-                fmt_score(s.robustness),
-                fmt_score(s.tcp_friendliness),
-                fmt_score(s.latency_inflation),
-            ]);
+            t.row(scores_row(name.clone(), s));
         }
         format!(
             "empirical frontier search over {} candidates\n\n{}\n\

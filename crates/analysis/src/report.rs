@@ -4,6 +4,8 @@
 //! formatting in one place (right-aligned numeric cells, a header rule,
 //! stable column widths) so every table and figure harness reads the same.
 
+use axcc_core::axioms::Metric;
+use axcc_core::AxiomScores;
 use std::fmt::Write as _;
 
 /// A simple column-aligned text table.
@@ -98,6 +100,20 @@ pub fn fmt_score(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// An empty table of protocols' eight scores, one column per metric in
+/// [`Metric::ALL`] order; [`scores_row`] fills it.
+pub fn scores_table() -> TextTable {
+    TextTable::new([
+        "protocol", "eff", "fast", "loss", "fair", "conv", "robust", "friendly", "latency",
+    ])
+}
+
+/// A [`scores_table`] row: `name`, then `s`'s eight scores.
+pub fn scores_row(name: String, s: &AxiomScores) -> Vec<String> {
+    let scores = Metric::ALL.map(|m| fmt_score(s.get(m)));
+    std::iter::once(name).chain(scores).collect()
 }
 
 /// Format a ratio as the paper's Table 2 does: `2.48x`.

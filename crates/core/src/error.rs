@@ -121,6 +121,58 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl ScenarioError {
+    /// This refusal attributed to sender `index`: an
+    /// [`InvalidParameter`](Self::InvalidParameter) becomes an
+    /// [`InvalidSender`](Self::InvalidSender); other errors pass through.
+    #[must_use]
+    pub fn for_sender(self, index: usize) -> Self {
+        match self {
+            ScenarioError::InvalidParameter {
+                field,
+                value,
+                constraint,
+            } => ScenarioError::InvalidSender {
+                index,
+                field,
+                value,
+                constraint,
+            },
+            other => other,
+        }
+    }
+}
+
+/// `Ok` when `ok` holds, else the [`ScenarioError::InvalidParameter`]
+/// refusal of `value` for `field`: the one spelling of a domain check.
+pub fn require(
+    ok: bool,
+    field: &'static str,
+    value: f64,
+    constraint: &'static str,
+) -> Result<(), ScenarioError> {
+    if ok {
+        return Ok(());
+    }
+    Err(ScenarioError::InvalidParameter {
+        field,
+        value,
+        constraint,
+    })
+}
+
+/// [`require`] that `value` is positive and finite.
+pub fn positive_finite(field: &'static str, value: f64) -> Result<(), ScenarioError> {
+    let ok = value > 0.0 && value.is_finite();
+    require(ok, field, value, "positive and finite")
+}
+
+/// [`require`] that `value` is finite and non-negative.
+pub fn finite_non_negative(field: &'static str, value: f64) -> Result<(), ScenarioError> {
+    let ok = value >= 0.0 && value.is_finite();
+    require(ok, field, value, "finite and >= 0")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

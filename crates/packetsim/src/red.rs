@@ -59,29 +59,12 @@ impl RedConfig {
     /// `0 < weight ≤ 1` — returning a typed error naming the first
     /// violated one.
     pub fn check(&self) -> Result<(), axcc_core::ScenarioError> {
-        use axcc_core::ScenarioError::InvalidParameter;
-        if !(self.min_th >= 0.0 && self.min_th < self.max_th) {
-            return Err(InvalidParameter {
-                field: "red.min_th",
-                value: self.min_th,
-                constraint: "0 <= min_th < max_th",
-            });
-        }
-        if !(self.max_p > 0.0 && self.max_p <= 1.0) {
-            return Err(InvalidParameter {
-                field: "red.max_p",
-                value: self.max_p,
-                constraint: "in (0,1]",
-            });
-        }
-        if !(self.weight > 0.0 && self.weight <= 1.0) {
-            return Err(InvalidParameter {
-                field: "red.weight",
-                value: self.weight,
-                constraint: "in (0,1]",
-            });
-        }
-        Ok(())
+        use axcc_core::error::require;
+        let min_th_ok = self.min_th >= 0.0 && self.min_th < self.max_th;
+        require(min_th_ok, "red.min_th", self.min_th, "0 <= min_th < max_th")?;
+        let unit = |v: f64| v > 0.0 && v <= 1.0;
+        require(unit(self.max_p), "red.max_p", self.max_p, "in (0,1]")?;
+        require(unit(self.weight), "red.weight", self.weight, "in (0,1]")
     }
 }
 

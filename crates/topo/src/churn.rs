@@ -2,6 +2,7 @@
 //! lifetimes, and on/off traffic phases, expanded into plain step
 //! intervals both engines consume.
 
+use axcc_core::error::{positive_finite, require};
 use axcc_core::{Fingerprint, Fingerprinter, ScenarioError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -108,37 +109,13 @@ impl ChurnPlan {
 
     /// Check the plan's parameters.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if !(self.arrival_rate.is_finite() && self.arrival_rate > 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                field: "arrival_rate",
-                value: self.arrival_rate,
-                constraint: "positive and finite",
-            });
-        }
-        if !(self.mean_lifetime.is_finite() && self.mean_lifetime > 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                field: "mean_lifetime",
-                value: self.mean_lifetime,
-                constraint: "positive and finite",
-            });
-        }
-        if self.max_concurrent == 0 {
-            return Err(ScenarioError::InvalidParameter {
-                field: "max_concurrent",
-                value: 0.0,
-                constraint: "at least 1",
-            });
-        }
-        if let Some(p) = self.on_off {
-            if p.on_steps == 0 || p.off_steps == 0 {
-                return Err(ScenarioError::InvalidParameter {
-                    field: "on_off",
-                    value: 0.0,
-                    constraint: "on and off phases of at least one step",
-                });
-            }
-        }
-        Ok(())
+        positive_finite("arrival_rate", self.arrival_rate)?;
+        positive_finite("mean_lifetime", self.mean_lifetime)?;
+        require(self.max_concurrent > 0, "max_concurrent", 0.0, "at least 1")?;
+        self.on_off.map_or(Ok(()), |p| {
+            let ok = p.on_steps > 0 && p.off_steps > 0;
+            require(ok, "on_off", 0.0, "on and off phases of at least one step")
+        })
     }
 
     /// Expand the plan over a run of `horizon` steps into concrete flow
