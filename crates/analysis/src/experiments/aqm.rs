@@ -128,12 +128,9 @@ impl Cacheable for AqmCell {
     }
 }
 
-/// One (protocol × discipline) packet-level run. Protocols are rebuilt
-/// from the lineup index inside `run` (`Send` but not `Sync`).
+/// One (protocol × discipline) packet-level run.
 struct AqmJob {
-    // tidy-allow: fingerprint-coverage — redundant with proto_name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    proto_index: usize,
-    proto_name: String,
+    proto: Box<dyn Protocol>,
     discipline: Discipline,
     n: usize,
     duration_secs: f64,
@@ -141,7 +138,7 @@ struct AqmJob {
 
 impl Fingerprint for AqmJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.proto_name);
+        self.proto.fingerprint(fp);
         fp.write_str(&self.discipline.label());
         fp.write_usize(self.n);
         fp.write_f64(self.duration_secs);
@@ -152,8 +149,7 @@ impl SweepJob for AqmJob {
     type Output = AqmCell;
     fn run(&self) -> AqmCell {
         let link = aqm_link();
-        let protocols = aqm_lineup();
-        let proto = protocols[self.proto_index].as_ref();
+        let proto = self.proto.as_ref();
         let mut sc = PacketScenario::new(link)
             .homogeneous(proto, self.n)
             .duration_secs(self.duration_secs)
@@ -218,11 +214,10 @@ pub fn run_aqm_comparison_with(
 ) -> AqmComparison {
     let link = aqm_link();
     let mut jobs = Vec::new();
-    for (proto_index, proto) in aqm_lineup().iter().enumerate() {
+    for proto in aqm_lineup() {
         for discipline in disciplines_for(link.buffer) {
             jobs.push(AqmJob {
-                proto_index,
-                proto_name: proto.name(),
+                proto: proto.clone(),
                 discipline,
                 n,
                 duration_secs,

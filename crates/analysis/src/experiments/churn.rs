@@ -161,19 +161,16 @@ fn fingerprint_setup(rate: f64, fp: &mut Fingerprinter) {
     packet_link().fingerprint(fp);
 }
 
-/// One fluid churn cell: (protocol, arrival rate). Protocols are rebuilt
-/// from the lineup index inside `run` (they are `Send` but not `Sync`).
+/// One fluid churn cell: (protocol, arrival rate).
 struct ChurnCellJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     rate: f64,
     steps: usize,
 }
 
 impl Fingerprint for ChurnCellJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_f64(self.rate);
         fp.write_usize(self.steps);
         fingerprint_setup(self.rate, fp);
@@ -184,23 +181,20 @@ impl Fingerprint for ChurnCellJob {
 impl SweepJob for ChurnCellJob {
     type Output = (f64, f64, f64);
     fn run(&self) -> (f64, f64, f64) {
-        let lineup = churn_lineup();
-        churn_cell(lineup[self.index].as_ref(), self.rate, self.steps)
+        churn_cell(self.proto.as_ref(), self.rate, self.steps)
     }
 }
 
 /// One packet-level storm cross-check per protocol. Its fingerprint
 /// carries no [`EvalMode`].
 struct PacketChurnJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     secs: f64,
 }
 
 impl Fingerprint for PacketChurnJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_f64(self.secs);
         fingerprint_setup(ARRIVAL_RATES[2], fp);
     }
@@ -209,8 +203,7 @@ impl Fingerprint for PacketChurnJob {
 impl SweepJob for PacketChurnJob {
     type Output = f64;
     fn run(&self) -> f64 {
-        let lineup = churn_lineup();
-        packet_storm_utilization(lineup[self.index].as_ref(), self.secs)
+        packet_storm_utilization(self.proto.as_ref(), self.secs)
     }
 }
 
@@ -252,11 +245,10 @@ pub struct ChurnReport {
 pub fn run_churn_with(runner: &SweepRunner, steps: usize, packet_secs: f64) -> ChurnReport {
     let lineup = churn_lineup();
     let mut cell_jobs = Vec::new();
-    for (index, proto) in lineup.iter().enumerate() {
+    for proto in &lineup {
         for &rate in &ARRIVAL_RATES {
             cell_jobs.push(ChurnCellJob {
-                index,
-                name: proto.name(),
+                proto: proto.clone(),
                 rate,
                 steps,
             });
@@ -265,10 +257,8 @@ pub fn run_churn_with(runner: &SweepRunner, steps: usize, packet_secs: f64) -> C
     let cells = runner.run_jobs("churn/cells", &cell_jobs);
     let pkt_jobs: Vec<PacketChurnJob> = lineup
         .iter()
-        .enumerate()
-        .map(|(index, proto)| PacketChurnJob {
-            index,
-            name: proto.name(),
+        .map(|proto| PacketChurnJob {
+            proto: proto.clone(),
             secs: packet_secs,
         })
         .collect();
@@ -423,20 +413,15 @@ mod tests {
 
     #[test]
     fn cell_job_fingerprints_separate_every_axis() {
-        let digest = |name: &str, rate: f64, steps: usize| {
-            let job = ChurnCellJob {
-                index: 0,
-                name: name.into(),
-                rate,
-                steps,
-            };
+        let digest = |proto: Box<dyn Protocol>, rate: f64, steps: usize| {
+            let job = ChurnCellJob { proto, rate, steps };
             let mut fp = Fingerprinter::new();
             job.fingerprint(&mut fp);
             fp.finish()
         };
-        let base = digest("AIMD(1,0.5)", 0.005, 1000);
-        assert_ne!(base, digest("CUBIC", 0.005, 1000));
-        assert_ne!(base, digest("AIMD(1,0.5)", 0.002, 1000));
-        assert_ne!(base, digest("AIMD(1,0.5)", 0.005, 2000));
+        let base = digest(presets::reno(), 0.005, 1000);
+        assert_ne!(base, digest(presets::cubic(), 0.005, 1000));
+        assert_ne!(base, digest(presets::reno(), 0.002, 1000));
+        assert_ne!(base, digest(presets::reno(), 0.005, 2000));
     }
 }

@@ -63,9 +63,9 @@ pub const INITIAL_WINDOWS: [f64; 2] = [1.0, 5.0];
 pub const FAMILIES: [&str; 5] = ["AIMD", "MIMD", "BIN", "CUBIC", "R-AIMD"];
 
 /// One constructor-space point of one protocol family. Copyable plain
-/// data (not a `Box<dyn Protocol>`): jobs rebuild the protocol inside
-/// `run`, so the job list is `Send + Sync` and the fingerprint covers the
-/// parameters themselves rather than an index into a side table.
+/// data (not a `Box<dyn Protocol>`): the grid's 10⁵ jobs each hold a
+/// point, and a cached cell is addressed by the point's parameter bits
+/// rather than by the protocol's name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamPoint {
     /// AIMD(a, b): additive increase `a`, decrease factor `b`.

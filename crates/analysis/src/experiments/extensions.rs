@@ -84,17 +84,14 @@ impl Cacheable for ExtensionRow {
 }
 
 /// One protocol's two extension runs (steady + capacity doubling).
-/// Protocols are rebuilt from the lineup index inside `run`.
 struct ExtensionJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     steps: usize,
 }
 
 impl Fingerprint for ExtensionJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_usize(self.steps);
     }
 }
@@ -102,8 +99,7 @@ impl Fingerprint for ExtensionJob {
 impl SweepJob for ExtensionJob {
     type Output = ExtensionRow;
     fn run(&self) -> ExtensionRow {
-        let lineup = extension_lineup();
-        let proto = lineup[self.index].as_ref();
+        let proto = self.proto.as_ref();
         let steps = self.steps;
         let event = (steps / 2) as u64;
 
@@ -138,13 +134,8 @@ impl SweepJob for ExtensionJob {
 /// through a sweep runner: one job per lineup protocol.
 pub fn run_extension_report_with(runner: &SweepRunner, steps: usize) -> ExtensionReport {
     let jobs: Vec<ExtensionJob> = extension_lineup()
-        .iter()
-        .enumerate()
-        .map(|(index, proto)| ExtensionJob {
-            index,
-            name: proto.name(),
-            steps,
-        })
+        .into_iter()
+        .map(|proto| ExtensionJob { proto, steps })
         .collect();
     let rows = runner.run_jobs("extensions/rows", &jobs);
     ExtensionReport { rows }

@@ -66,19 +66,16 @@ pub struct FrontierSearch {
     pub frontier_all: Vec<String>,
 }
 
-/// One candidate's full 8-metric evaluation, addressed by its display
-/// name (names embed every constructor parameter) and the scenario.
+/// One candidate's full 8-metric evaluation on the scenario.
 struct CandidateJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the candidate grid is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     link: LinkParams,
     steps: usize,
 }
 
 impl Fingerprint for CandidateJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         self.link.fingerprint(fp);
         fp.write_usize(self.steps);
         EvalMode::Streaming.fingerprint(fp);
@@ -88,8 +85,7 @@ impl Fingerprint for CandidateJob {
 impl SweepJob for CandidateJob {
     type Output = axcc_core::AxiomScores;
     fn run(&self) -> axcc_core::AxiomScores {
-        let pool = candidate_pool();
-        empirical_scores_fluid(pool[self.index].as_ref(), self.link, 2, self.steps)
+        empirical_scores_fluid(self.proto.as_ref(), self.link, 2, self.steps)
     }
 }
 
@@ -101,20 +97,14 @@ pub fn search_frontier_with(
     steps: usize,
 ) -> FrontierSearch {
     let jobs: Vec<CandidateJob> = candidate_pool()
-        .iter()
-        .enumerate()
-        .map(|(index, p)| CandidateJob {
-            index,
-            name: p.name(),
-            link,
-            steps,
-        })
+        .into_iter()
+        .map(|proto| CandidateJob { proto, link, steps })
         .collect();
     let scores = runner.run_jobs("frontier/candidates", &jobs);
     let scored: Vec<ScoredPoint> = jobs
         .iter()
         .zip(scores)
-        .map(|(job, s)| ScoredPoint::new(job.name.clone(), s))
+        .map(|(job, s)| ScoredPoint::new(job.proto.name(), s))
         .collect();
     let labels = |idx: Vec<usize>| -> Vec<String> {
         idx.into_iter().map(|i| scored[i].label.clone()).collect()

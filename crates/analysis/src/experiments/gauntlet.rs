@@ -259,19 +259,16 @@ fn fingerprint_grid(fp: &mut Fingerprinter) {
 }
 
 /// One gauntlet cell column: the largest withstood burst frequency for
-/// one (protocol, burst length) pair. Protocols are rebuilt from the
-/// lineup index inside `run` (they are `Send` but not `Sync`).
+/// one (protocol, burst length) pair.
 struct CellScoreJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     burst_len: usize,
     steps: usize,
 }
 
 impl Fingerprint for CellScoreJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_usize(self.burst_len);
         fp.write_usize(self.steps);
         fingerprint_grid(fp);
@@ -282,9 +279,8 @@ impl Fingerprint for CellScoreJob {
 impl SweepJob for CellScoreJob {
     type Output = f64;
     fn run(&self) -> f64 {
-        let lineup = gauntlet_lineup();
         cell_score(
-            lineup[self.index].as_ref(),
+            self.proto.as_ref(),
             self.burst_len,
             self.steps,
             &BURST_FREQS,
@@ -295,15 +291,13 @@ impl SweepJob for CellScoreJob {
 /// One protocol's side-effect columns (impaired efficiency and
 /// friendliness) under the reference impairment.
 struct SideEffectJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     steps: usize,
 }
 
 impl Fingerprint for SideEffectJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_usize(self.steps);
         fingerprint_grid(fp);
         EvalMode::Streaming.fingerprint(fp);
@@ -313,11 +307,9 @@ impl Fingerprint for SideEffectJob {
 impl SweepJob for SideEffectJob {
     type Output = (f64, f64);
     fn run(&self) -> (f64, f64) {
-        let lineup = gauntlet_lineup();
-        let proto = lineup[self.index].as_ref();
         (
-            impaired_efficiency(proto, self.steps),
-            impaired_friendliness(proto, self.steps),
+            impaired_efficiency(self.proto.as_ref(), self.steps),
+            impaired_friendliness(self.proto.as_ref(), self.steps),
         )
     }
 }
@@ -347,15 +339,13 @@ fn parking_lot_ratio(proto: &dyn Protocol, steps: usize) -> f64 {
 
 /// One protocol's parking-lot tier run.
 struct ParkingLotJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     steps: usize,
 }
 
 impl Fingerprint for ParkingLotJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_usize(self.steps);
         fp.write_usize(PARKING_HOPS);
         congested_link().fingerprint(fp);
@@ -365,8 +355,7 @@ impl Fingerprint for ParkingLotJob {
 impl SweepJob for ParkingLotJob {
     type Output = f64;
     fn run(&self) -> f64 {
-        let lineup = gauntlet_lineup();
-        parking_lot_ratio(lineup[self.index].as_ref(), self.steps)
+        parking_lot_ratio(self.proto.as_ref(), self.steps)
     }
 }
 
@@ -380,11 +369,10 @@ impl SweepJob for ParkingLotJob {
 pub fn run_gauntlet_with(runner: &SweepRunner, steps: usize) -> GauntletReport {
     let lineup = gauntlet_lineup();
     let mut cell_jobs = Vec::new();
-    for (index, proto) in lineup.iter().enumerate() {
+    for proto in &lineup {
         for &burst_len in &BURST_LENS {
             cell_jobs.push(CellScoreJob {
-                index,
-                name: proto.name(),
+                proto: proto.clone(),
                 burst_len,
                 steps,
             });
@@ -393,20 +381,16 @@ pub fn run_gauntlet_with(runner: &SweepRunner, steps: usize) -> GauntletReport {
     let scores = runner.run_jobs("gauntlet/cells", &cell_jobs);
     let side_jobs: Vec<SideEffectJob> = lineup
         .iter()
-        .enumerate()
-        .map(|(index, proto)| SideEffectJob {
-            index,
-            name: proto.name(),
+        .map(|proto| SideEffectJob {
+            proto: proto.clone(),
             steps,
         })
         .collect();
     let sides = runner.run_jobs("gauntlet/side-effects", &side_jobs);
     let parking_jobs: Vec<ParkingLotJob> = lineup
         .iter()
-        .enumerate()
-        .map(|(index, proto)| ParkingLotJob {
-            index,
-            name: proto.name(),
+        .map(|proto| ParkingLotJob {
+            proto: proto.clone(),
             steps,
         })
         .collect();

@@ -102,20 +102,15 @@ impl Cacheable for ShootoutRow {
     }
 }
 
-/// One protocol's full shootout evaluation. The protocol is rebuilt from
-/// its lineup index inside `run` (protocol objects are `Send` but not
-/// `Sync`); its display name carries every constructor parameter, so the
-/// (name, steps) pair pins the job identity.
+/// One protocol's full shootout evaluation.
 struct LineupJob {
-    // tidy-allow: fingerprint-coverage — redundant with name: the lineup is fixed and names embed every constructor parameter, so equal names imply equal indices.
-    index: usize,
-    name: String,
+    proto: Box<dyn Protocol>,
     steps: usize,
 }
 
 impl Fingerprint for LineupJob {
     fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_str(&self.name);
+        self.proto.fingerprint(fp);
         fp.write_usize(self.steps);
         EvalMode::Streaming.fingerprint(fp);
     }
@@ -124,23 +119,19 @@ impl Fingerprint for LineupJob {
 impl SweepJob for LineupJob {
     type Output = ShootoutRow;
     fn run(&self) -> ShootoutRow {
-        let lineup = shootout_lineup();
-        let proto = &lineup[self.index];
+        let proto = self.proto.as_ref();
         let steps = self.steps;
-        let robustness = measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, steps);
-        let clean = noisy_goodput(proto.as_ref(), 0.0, steps);
+        let robustness = measure_robustness_fluid(proto, &ROBUSTNESS_RATES, steps);
+        let clean = noisy_goodput(proto, 0.0, steps);
         let mut retention = [0.0; 3];
         for (i, &rate) in NOISE_RATES.iter().enumerate() {
             retention[i] = if clean > 0.0 {
-                noisy_goodput(proto.as_ref(), rate, steps) / clean
+                noisy_goodput(proto, rate, steps) / clean
             } else {
                 0.0
             };
         }
-        let solo = measure_solo_fluid(
-            proto.as_ref(),
-            &SweepConfig::standard(congested_link(), 2, steps),
-        );
+        let solo = measure_solo_fluid(proto, &SweepConfig::standard(congested_link(), 2, steps));
         ShootoutRow {
             protocol: proto.name(),
             robustness,
@@ -154,13 +145,8 @@ impl SweepJob for LineupJob {
 /// runner: one job per lineup protocol.
 pub fn run_shootout_with(runner: &SweepRunner, steps: usize) -> Shootout {
     let jobs: Vec<LineupJob> = shootout_lineup()
-        .iter()
-        .enumerate()
-        .map(|(index, proto)| LineupJob {
-            index,
-            name: proto.name(),
-            steps,
-        })
+        .into_iter()
+        .map(|proto| LineupJob { proto, steps })
         .collect();
     let rows = runner.run_jobs("shootout/rows", &jobs);
     Shootout { rows }

@@ -6,6 +6,7 @@ use axcc_analysis::estimators::{
 };
 use axcc_analysis::experiments::{find_experiment, registry, Experiment, RunBudget};
 use axcc_analysis::report::{fmt_score, scores_row, scores_table, TextTable};
+use axcc_core::error::{MAX_SENDERS, MAX_STEPS};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
 use axcc_fluidsim::{LossModel, Scenario, SenderConfig};
@@ -128,11 +129,13 @@ fn link_from(args: &Args) -> Result<LinkParams, CliError> {
         .map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// Parse a count flag (`--steps`, `--senders`, …), rejecting 0 before
-/// any experiment loop can panic on it.
-fn count_from(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+/// Parse a count flag (`--steps`, `--senders`, …) that sizes a run,
+/// refusing 0 (an experiment loop would panic on it) and anything above
+/// `max` before a scenario allocates for it.
+fn count_from(args: &Args, flag: &str, default: usize, max: usize) -> Result<usize, CliError> {
     match args.get_usize(flag, default)? {
         0 => Err(CliError::Usage(format!("--{flag} must be at least 1"))),
+        n if n > max => Err(CliError::Usage(format!("--{flag} must be at most {max}"))),
         n => Ok(n),
     }
 }
@@ -187,12 +190,16 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     if names.is_empty() {
         return Err(CliError::Usage("run needs --protocols p1[,p2,…]".into()));
     }
+    if names.len() > MAX_SENDERS {
+        let msg = format!("--protocols must name at most {MAX_SENDERS} senders");
+        return Err(CliError::Usage(msg));
+    }
     let link = link_from(args)?;
     let packet = args.get_bool("packet");
     let wire = args.get_f64("wire-loss", 0.0)?;
     let seed = args.get_usize("seed", 0)? as u64;
     let stagger = args.get_f64("stagger-s", 0.0)?;
-    let steps = count_from(args, "steps", 2000)?;
+    let steps = count_from(args, "steps", 2000, MAX_STEPS)?;
     let duration = args.get_f64("duration", 30.0)?;
     let ecn = args
         .get("ecn")
@@ -298,8 +305,8 @@ fn cmd_score(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("score needs --protocol".into()))?
         .to_string();
     let link = link_from(args)?;
-    let steps = count_from(args, "steps", 3000)?;
-    let n = count_from(args, "senders", 2)?;
+    let steps = count_from(args, "steps", 3000, MAX_STEPS)?;
+    let n = count_from(args, "senders", 2, MAX_SENDERS)?;
     let json = args.get_bool("json");
     args.finish()?;
     let proto = resolve_protocol(&name)?;
@@ -333,8 +340,8 @@ fn cmd_compare(args: &Args) -> Result<String, CliError> {
         .to_string();
     let defender = args.get_or("defender", "reno").to_string();
     let link = link_from(args)?;
-    let steps = count_from(args, "steps", 3000)?;
-    let n_p = count_from(args, "n-challengers", 1)?;
+    let steps = count_from(args, "steps", 3000, MAX_STEPS)?;
+    let n_p = count_from(args, "n-challengers", 1, MAX_SENDERS)?;
     args.finish()?;
     let p = resolve_protocol(&challenger)?;
     let q = resolve_protocol(&defender)?;
@@ -364,8 +371,8 @@ const CHARACTERIZE_LINEUP: [&str; 10] = [
 
 fn cmd_characterize(args: &Args) -> Result<String, CliError> {
     let link = link_from(args)?;
-    let steps = count_from(args, "steps", 2500)?;
-    let n = count_from(args, "senders", 2)?;
+    let steps = count_from(args, "steps", 2500, MAX_STEPS)?;
+    let n = count_from(args, "senders", 2, MAX_SENDERS)?;
     let json = args.get_bool("json");
     args.finish()?;
     let mut t = scores_table();
@@ -389,8 +396,8 @@ fn cmd_characterize(args: &Args) -> Result<String, CliError> {
 fn cmd_network(args: &Args) -> Result<String, CliError> {
     use axcc_fluidsim::{Scenario, SenderConfig, Topology};
     let name = args.get_or("protocol", "reno").to_string();
-    let hops = count_from(args, "hops", 3)?;
-    let steps = count_from(args, "steps", 4000)?;
+    let hops = count_from(args, "hops", 3, MAX_SENDERS)?;
+    let steps = count_from(args, "steps", 4000, MAX_STEPS)?;
     let link = link_from(args)?;
     args.finish()?;
     let proto = resolve_protocol(&name)?;

@@ -5,6 +5,7 @@
 //! front door owes are pinned to their typed messages.
 
 use axcc_cli::{dispatch, Args, CliError};
+use axcc_core::error::MAX_SENDERS;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const VALUES: [&str; 7] = ["NaN", "inf", "-inf", "-1", "0", "1e-300", "1e300"];
@@ -132,5 +133,38 @@ fn zero_senders_is_a_usage_error() {
             msg.contains("--senders must be at least 1"),
             "{line}: {msg}"
         );
+    }
+}
+
+#[test]
+fn counts_that_size_a_run_are_bounded_before_anything_runs() {
+    // Each line would run (or allocate) for ages if it were admitted, so
+    // a passing test shows the refusal comes first.
+    let max = usize::MAX;
+    for (line, flag) in [
+        (format!("run --protocols reno --steps {max}"), "--steps"),
+        (format!("score --protocol reno --steps {max}"), "--steps"),
+        (
+            format!("score --protocol reno --senders {max}"),
+            "--senders",
+        ),
+        (format!("characterize --senders {max}"), "--senders"),
+        (
+            format!("compare --challenger pcc --n-challengers {max}"),
+            "--n-challengers",
+        ),
+        (format!("network --hops {max}"), "--hops"),
+        (format!("network --steps {max}"), "--steps"),
+        (
+            format!(
+                "run --protocols {}",
+                vec!["reno"; MAX_SENDERS + 1].join(",")
+            ),
+            "--protocols",
+        ),
+    ] {
+        let msg = usage_error(&line);
+        assert!(msg.starts_with(&format!("{flag} must")), "{line}: {msg}");
+        assert!(msg.contains("at most"), "{line}: {msg}");
     }
 }

@@ -173,6 +173,17 @@ pub fn finite_non_negative(field: &'static str, value: f64) -> Result<(), Scenar
     require(ok, field, value, "finite and >= 0")
 }
 
+/// Largest step count a run may ask for at a front door: the CLI's
+/// `--steps` and the daemon's eval `steps`. Together with
+/// [`MAX_SENDERS`] it bounds the work and the trace one request can
+/// demand; DESIGN.md §5 gives the reason for both values.
+pub const MAX_STEPS: usize = 1_000_000;
+
+/// Largest flow count a run may ask for at a front door: the CLI's
+/// `--senders`, `--hops`, `--n-challengers` and `run --protocols`, and
+/// the daemon's eval `protocols`.
+pub const MAX_SENDERS: usize = 32;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,7 @@
 //! * every [`Fingerprint`] impl for a sequence writes its length first.
 
 use crate::link::LinkParams;
+use crate::protocol::Protocol;
 
 /// A 128-bit content digest: two independent 64-bit FNV-1a lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -260,6 +261,15 @@ impl Fingerprint for LinkParams {
     }
 }
 
+/// A protocol enters a content address by its display name, which embeds
+/// every constructor parameter (`AIMD(1,0.5)`, `R-AIMD(1,0.8,0.01)`), so
+/// two protocols with equal names run identically.
+impl Fingerprint for dyn Protocol {
+    fn fingerprint(&self, fp: &mut Fingerprinter) {
+        fp.write_str(&self.name());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +316,36 @@ mod tests {
         let mut other = base;
         other.timeout_delta += 1.0;
         assert_ne!(base.digest(), other.digest());
+    }
+
+    #[test]
+    fn protocol_fingerprint_is_its_length_prefixed_name() {
+        #[derive(Debug, Clone)]
+        struct Named;
+        impl Protocol for Named {
+            fn name(&self) -> String {
+                "AIMD(1,0.5)".into()
+            }
+            fn next_window(&mut self, _: &crate::Observation) -> f64 {
+                1.0
+            }
+            fn loss_based(&self) -> bool {
+                true
+            }
+            fn reset(&mut self) {}
+            fn clone_box(&self) -> Box<dyn Protocol> {
+                Box::new(Named)
+            }
+        }
+        let proto: Box<dyn Protocol> = Box::new(Named);
+        let mut fp = Fingerprinter::new();
+        proto.fingerprint(&mut fp);
+        // Warm stores depend on these exact bytes: the name, length-prefixed.
+        let mut want = Fingerprinter::new();
+        want.write_bytes(&11u64.to_le_bytes());
+        want.write_bytes(b"AIMD(1,0.5)");
+        assert_eq!(fp.finish(), want.finish());
+        assert_eq!(proto.digest(), "AIMD(1,0.5)".digest());
     }
 
     #[test]

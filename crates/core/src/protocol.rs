@@ -96,7 +96,11 @@ impl LaneObs<'_> {
 /// `[0, M]` range ([`MAX_WINDOW`] by default). Protocols should nevertheless
 /// avoid returning negative or non-finite values — the debug assertions in
 /// the engines flag them.
-pub trait Protocol: Send + std::fmt::Debug {
+///
+/// Protocols are `Sync` so a sweep job can hold the protocol it runs and
+/// share it with worker threads by reference; a run steps clones
+/// ([`clone_box`](Self::clone_box)), never the held value.
+pub trait Protocol: Send + Sync + std::fmt::Debug {
     /// Human-readable name, e.g. `"AIMD(1,0.5)"`. Used in reports and
     /// experiment tables.
     fn name(&self) -> String;

@@ -265,10 +265,10 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///
 /// A protocol sees only its own [`Observation`] and never the engine's
 /// RNG, so fusing the walk leaves the draws, and the bits, as they were.
-/// Two shortcuts were measured to pay for themselves (DESIGN.md §8): the
-/// flat-link hoist (step RTT and congestion loss become span constants
-/// when `n` clamped windows cannot reach capacity) and a second
-/// instantiation of the step for one-link spans with one active sender.
+/// The engine keeps one shortcut, measured to pay for itself (DESIGN.md
+/// §8): the flat-link hoist (step RTT and congestion loss become span
+/// constants when `n` clamped windows cannot reach capacity). The only
+/// other kept shortcut, Cubic's cube-root cache, lives in the protocol.
 ///
 /// Every f64 reduction keeps the scalar engine's exact evaluation order:
 /// the total window is a strict left-to-right `iter().sum()` and goodput

@@ -10,7 +10,8 @@
 //!   `cubic(c,b)`, `r-aimd(a,b,eps)` / `robust-aimd(a,b,eps)`,
 //!   `vegas(alpha,beta)`.
 
-use crate::{presets, Aimd, Bbr, Binomial, Cubic, HighSpeed, Mimd, RobustAimd, Tfrc, Vegas};
+use crate::{build_protocol, presets, Bbr, HighSpeed, Tfrc, Vegas};
+use axcc_core::theory::ProtocolSpec;
 use axcc_core::Protocol;
 use std::fmt;
 
@@ -78,55 +79,47 @@ pub fn resolve(name: &str) -> Result<Box<dyn Protocol>, ResolveError> {
         _ => {}
     }
     // Parameterized form: family(p1,p2,...).
-    let (family, params) = split_call(&s)?;
-    let check = |expected: usize| -> Result<(), ResolveError> {
-        if params.len() == expected {
-            Ok(())
-        } else {
-            Err(ResolveError::WrongArity {
-                family: family.to_string(),
-                expected,
-                got: params.len(),
-            })
-        }
+    let (family, p) = split_call(&s)?;
+    let expected = match family {
+        "aimd" | "mimd" | "cubic" | "vegas" => 2,
+        "r-aimd" | "robust-aimd" => 3,
+        "bin" => 4,
+        _ => return Err(ResolveError::UnknownName(name.to_string())),
     };
-    let guard = |f: &dyn Fn() -> Box<dyn Protocol>| -> Result<Box<dyn Protocol>, ResolveError> {
-        // tidy-allow: panic-freedom — sanctioned boundary: constructor domain panics become typed OutOfDomain errors for the CLI/service to report.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .map_err(|e| ResolveError::OutOfDomain(panic_message(e)))
-    };
-    match family {
-        "aimd" => {
-            check(2)?;
-            guard(&|| Box::new(Aimd::new(params[0], params[1])) as Box<dyn Protocol>)
-        }
-        "mimd" => {
-            check(2)?;
-            guard(&|| Box::new(Mimd::new(params[0], params[1])) as Box<dyn Protocol>)
-        }
-        "bin" => {
-            check(4)?;
-            guard(&|| {
-                Box::new(Binomial::new(params[0], params[1], params[2], params[3]))
-                    as Box<dyn Protocol>
-            })
-        }
-        "cubic" => {
-            check(2)?;
-            guard(&|| Box::new(Cubic::new(params[0], params[1])) as Box<dyn Protocol>)
-        }
-        "r-aimd" | "robust-aimd" => {
-            check(3)?;
-            guard(&|| {
-                Box::new(RobustAimd::new(params[0], params[1], params[2])) as Box<dyn Protocol>
-            })
-        }
-        "vegas" => {
-            check(2)?;
-            guard(&|| Box::new(Vegas::new(params[0], params[1])) as Box<dyn Protocol>)
-        }
-        _ => Err(ResolveError::UnknownName(name.to_string())),
+    if p.len() != expected {
+        return Err(ResolveError::WrongArity {
+            family: family.to_string(),
+            expected,
+            got: p.len(),
+        });
     }
+    let spec = match family {
+        "aimd" => ProtocolSpec::Aimd { a: p[0], b: p[1] },
+        "mimd" => ProtocolSpec::Mimd { a: p[0], b: p[1] },
+        "cubic" => ProtocolSpec::Cubic { c: p[0], b: p[1] },
+        "bin" => ProtocolSpec::Bin {
+            a: p[0],
+            b: p[1],
+            k: p[2],
+            l: p[3],
+        },
+        "vegas" => return guard(&|| Box::new(Vegas::new(p[0], p[1]))),
+        // `r-aimd` / `robust-aimd`: the arity match admits no other family.
+        _ => ProtocolSpec::RobustAimd {
+            a: p[0],
+            b: p[1],
+            eps: p[2],
+        },
+    };
+    guard(&|| build_protocol(&spec))
+}
+
+/// Run a constructor, turning its domain panic into a typed
+/// [`ResolveError::OutOfDomain`].
+fn guard(f: &dyn Fn() -> Box<dyn Protocol>) -> Result<Box<dyn Protocol>, ResolveError> {
+    // tidy-allow: panic-freedom — sanctioned boundary: constructor domain panics become typed OutOfDomain errors for the CLI/service to report.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|e| ResolveError::OutOfDomain(panic_message(e)))
 }
 
 /// Split `family(p1,p2,…)` into the family name and parsed parameters.

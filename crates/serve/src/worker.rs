@@ -16,13 +16,14 @@
 //!
 //! Evaluations reuse the sweep engine: inline scenarios go through
 //! [`SweepRunner::run_cached`] (content-addressed, one evaluation per
-//! distinct spec per cache lifetime) and registry experiments run on a
-//! per-request runner wired to the shared store and the request's
-//! cancellation signal.
+//! distinct scored spec per cache lifetime; refusals are not stored) and
+//! registry experiments run on a per-request runner wired to the shared
+//! store and the request's cancellation signal.
 
 use crate::protocol::{ErrorKind, EvalSpec, ExperimentSpec, Op};
 use axcc_analysis::estimators::{solo_metrics_of_acc, stream_options_for, SoloMetrics};
 use axcc_analysis::experiments::{find_experiment, RunBudget};
+use axcc_core::error::{MAX_SENDERS, MAX_STEPS};
 use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
 use axcc_fluidsim::{
@@ -108,29 +109,40 @@ struct EvalOutcome {
     metrics: SoloMetrics,
 }
 
-impl EvalOutcome {
-    /// The sender count, each protocol name, every tail-mean window then
-    /// every tail-mean goodput, then the solo metrics.
-    fn encode_into(&self, r: &mut Record) {
+/// The record: a `true` tag, the sender count, each protocol name, every
+/// tail-mean window then every tail-mean goodput, then the solo metrics.
+/// The tag keeps the layout that stores already hold. A record tagged
+/// `false` holds a refusal that an earlier build stored; it reads as a
+/// miss, so the spec is checked again.
+impl Cacheable for EvalOutcome {
+    fn to_record(&self) -> Record {
+        let mut r = Record::new();
+        r.push_bool(true);
         r.push_usize(self.protocols.len());
         self.protocols.iter().for_each(|p| r.push_str(p));
         let means = self.mean_window.iter().chain(&self.mean_goodput);
         means.for_each(|&v| r.push_f64(v));
-        self.metrics.encode_into(r);
+        self.metrics.encode_into(&mut r);
+        r
     }
 
-    fn decode_from(rd: &mut axcc_sweep::RecordReader<'_>) -> Option<Self> {
+    fn from_record(record: &Record) -> Option<Self> {
+        let mut rd = record.reader();
+        if !rd.bool()? {
+            return None;
+        }
         let n = rd.usize()?;
         let protocols = (0..n)
             .map(|_| rd.str().map(str::to_string))
             .collect::<Option<_>>()?;
         let mean_window = (0..n).map(|_| rd.f64()).collect::<Option<_>>()?;
         let mean_goodput = (0..n).map(|_| rd.f64()).collect::<Option<_>>()?;
-        Some(EvalOutcome {
+        let metrics = SoloMetrics::decode_from(&mut rd)?;
+        rd.exhausted().then_some(EvalOutcome {
             protocols,
             mean_window,
             mean_goodput,
-            metrics: SoloMetrics::decode_from(rd)?,
+            metrics,
         })
     }
 }
@@ -153,9 +165,18 @@ impl EvalOutcome {
 
 /// Run the spec's scenario, folding every step into the solo metric
 /// families (Metrics I–V and VIII plus the per-sender tail means). The
+/// run's size is held to the CLI's bounds before anything is built, the
 /// link goes through the same validated front door as the CLI's flags,
 /// and the wire-loss rate through the scenario's `LossModel::validate`.
 fn build_and_run(spec: &EvalSpec) -> Result<MetricAccumulator, (ErrorKind, String)> {
+    let sizes = [
+        ("steps", spec.steps, MAX_STEPS),
+        ("protocols", spec.protocols.len(), MAX_SENDERS),
+    ];
+    if let Some((field, n, max)) = sizes.into_iter().find(|&(_, n, max)| n > max) {
+        let msg = format!("`{field}` asks for {n}; an eval runs at most {max}");
+        return Err((ErrorKind::InvalidScenario, msg));
+    }
     let invalid = |e: axcc_core::ScenarioError| (ErrorKind::InvalidScenario, e.to_string());
     let link =
         LinkParams::try_from_experiment(Bandwidth::Mbps(spec.mbps), spec.rtt_ms, spec.buffer)
@@ -172,62 +193,18 @@ fn build_and_run(spec: &EvalSpec) -> Result<MetricAccumulator, (ErrorKind, Strin
     try_run_scenario_streaming(sc, &stream_options_for(MetricSet::SOLO)).map_err(invalid)
 }
 
-/// `Result` wrapper so *validation outcomes* are cacheable alongside
-/// scores: a spec that fails scenario validation fails deterministically,
-/// so the typed error is as cache-worthy as a score (and a hot client
-/// retrying a bad spec costs the daemon a lookup, not a simulation).
-#[derive(Debug, Clone, PartialEq)]
-struct CachedEval(Result<EvalOutcome, String>);
-
-impl Cacheable for CachedEval {
-    fn to_record(&self) -> Record {
-        let mut r = Record::new();
-        match &self.0 {
-            Ok(out) => {
-                r.push_bool(true);
-                out.encode_into(&mut r);
-            }
-            Err(msg) => {
-                r.push_bool(false);
-                r.push_str(msg);
-            }
-        }
-        r
-    }
-
-    fn from_record(record: &Record) -> Option<Self> {
-        let mut rd = record.reader();
-        let inner = if rd.bool()? {
-            Ok(EvalOutcome::decode_from(&mut rd)?)
-        } else {
-            Err(rd.str()?.to_string())
-        };
-        if !rd.exhausted() {
-            return None;
-        }
-        Some(CachedEval(inner))
-    }
-}
-
 fn run_eval(spec: &EvalSpec, runner: &SweepRunner) -> JobResult {
-    let cached = runner.run_cached("serve/eval", spec, || {
-        CachedEval(match build_and_run(spec) {
-            Ok(acc) => {
-                let senders = 0..acc.num_senders();
-                Ok(EvalOutcome {
-                    protocols: spec.protocols.clone(),
-                    mean_window: senders.clone().map(|i| acc.tail_mean_window(i)).collect(),
-                    mean_goodput: senders.map(|i| acc.tail_mean_goodput(i)).collect(),
-                    metrics: solo_metrics_of_acc(&acc),
-                })
-            }
-            Err((_, msg)) => Err(msg),
+    let outcome = runner.run_cached("serve/eval", spec, || {
+        let acc = build_and_run(spec)?;
+        let senders = 0..acc.num_senders();
+        Ok(EvalOutcome {
+            protocols: spec.protocols.clone(),
+            mean_window: senders.clone().map(|i| acc.tail_mean_window(i)).collect(),
+            mean_goodput: senders.map(|i| acc.tail_mean_goodput(i)).collect(),
+            metrics: solo_metrics_of_acc(&acc),
         })
-    });
-    match cached.0 {
-        Ok(outcome) => Ok(outcome.to_value()),
-        Err(msg) => Err((ErrorKind::InvalidScenario, msg)),
-    }
+    })?;
+    Ok(outcome.to_value())
 }
 
 fn run_experiment(spec: &ExperimentSpec, runner: &SweepRunner) -> JobResult {
@@ -276,11 +253,11 @@ mod tests {
         (cache, cancel, runner)
     }
 
-    /// The cached eval record's encoded bytes, pinned for both arms: a
-    /// daemon's warm store written by an earlier build keeps answering.
+    /// The cached eval record's encoded bytes, pinned: a daemon's warm
+    /// store written by an earlier build keeps answering.
     #[test]
     fn cached_eval_record_bytes_are_pinned() {
-        let ok = CachedEval(Ok(EvalOutcome {
+        let ok = EvalOutcome {
             protocols: vec!["reno".into(), "cubic".into()],
             mean_window: vec![10.5, 20.25],
             mean_goodput: vec![0.5, f64::INFINITY],
@@ -293,13 +270,23 @@ mod tests {
                 latency_inflation: 1.25,
                 mean_utilization: 0.875,
             },
-        }));
+        };
         assert_eq!(ok.to_record().encode(), "15\n1\n2\nreno\ncubic\n4025000000000000\n4034400000000000\n3fe0000000000000\n7ff0000000000000\n3fef5c28f5c28f5c\n0000000000000000\n3ff0000000000000\n7ff0000000000000\n-\n3ff4000000000000\n3fec000000000000\n");
-        let err = CachedEval(Err("invalid scenario:\nsteps \\ must be > 0".into()));
-        assert_eq!(
-            err.to_record().encode(),
-            "2\n0\ninvalid scenario:\\nsteps \\\\ must be > 0\n"
-        );
+    }
+
+    #[test]
+    fn a_stored_refusal_is_a_miss_and_the_current_message_wins() {
+        let (cache, cancel, runner) = fresh_runner();
+        let mut spec = eval_spec();
+        spec.wire_loss = -0.5;
+        let mut stale = Record::new();
+        stale.push_bool(false);
+        stale.push_str("invalid link: wire_loss = -0.5 is out of domain");
+        cache.put(runner.job_digest("serve/eval", &spec), stale);
+        let (kind, msg) = execute(&Op::Eval(spec), &runner, &cancel).unwrap_err();
+        assert_eq!(kind, ErrorKind::InvalidScenario);
+        assert!(msg.contains("invalid loss model"), "{msg}");
+        assert_eq!(runner.stats().cache_hits, 0);
     }
 
     fn eval_spec() -> EvalSpec {
@@ -367,6 +354,23 @@ mod tests {
         for (spoil, want) in cases {
             let mut spec = eval_spec();
             spoil(&mut spec);
+            let (kind, msg) = execute(&Op::Eval(spec), &runner, &cancel).unwrap_err();
+            assert_eq!(kind, ErrorKind::InvalidScenario);
+            assert!(msg.contains(want), "{msg}");
+        }
+    }
+
+    #[test]
+    fn oversized_runs_are_refused_before_they_run() {
+        let (_c, cancel, runner) = fresh_runner();
+        let mut steps = eval_spec();
+        steps.steps = 1_000_000_000_000_000_000;
+        let mut senders = eval_spec();
+        senders.protocols = vec!["reno".to_string(); MAX_SENDERS + 1];
+        for (spec, want) in [
+            (steps, "`steps` asks for"),
+            (senders, "`protocols` asks for"),
+        ] {
             let (kind, msg) = execute(&Op::Eval(spec), &runner, &cancel).unwrap_err();
             assert_eq!(kind, ErrorKind::InvalidScenario);
             assert!(msg.contains(want), "{msg}");

@@ -339,28 +339,28 @@ impl SweepRunner {
     /// Evaluate one job on the calling thread, answering it from the
     /// cache when possible. This is the service fast path: a request that
     /// maps to a single evaluation needs content addressing and the
-    /// shared store, not a worker fan-out, and `FnOnce` lets the caller
-    /// move non-`Sync` state (e.g. a freshly resolved `Box<dyn Protocol>`)
-    /// into the evaluation.
-    pub fn run_cached<I, T, F>(&self, scope: &str, input: &I, eval: F) -> T
+    /// shared store, not a worker fan-out. `eval` runs only on a miss, and
+    /// only its `Ok` results are stored: a refusal is recomputed on every
+    /// call, so its message never depends on what the store holds.
+    pub fn run_cached<I, T, E, F>(&self, scope: &str, input: &I, eval: F) -> Result<T, E>
     where
         I: Fingerprint,
         T: Cacheable,
-        F: FnOnce() -> T,
+        F: FnOnce() -> Result<T, E>,
     {
         let digest = self.job_digest(scope, input);
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.get(&digest).and_then(|r| T::from_record(&r)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return hit;
+                return Ok(hit);
             }
         }
-        let out = eval();
+        let out = eval()?;
         self.executed.fetch_add(1, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             cache.put(digest, out.to_record());
         }
-        out
+        Ok(out)
     }
 
     /// Run a slice of self-contained [`SweepJob`]s.
@@ -521,16 +521,25 @@ mod tests {
     #[test]
     fn run_cached_hits_like_sweep() {
         let runner = SweepRunner::serial();
-        let first = runner.run_cached("single", &2.0f64, || 4.0);
-        assert_eq!(first, 4.0);
+        let first = runner.run_cached("single", &2.0f64, || Ok::<_, ()>(4.0));
+        assert_eq!(first, Ok(4.0));
         // Same address: answered from cache, eval not called.
-        let second = runner.run_cached("single", &2.0f64, || -> f64 { unreachable!() });
-        assert_eq!(second, 4.0);
+        let second = runner.run_cached("single", &2.0f64, || -> Result<f64, ()> { unreachable!() });
+        assert_eq!(second, Ok(4.0));
         let stats = runner.stats();
         assert_eq!((stats.cache_hits, stats.executed), (1, 1));
         // And the sweep path shares the address space.
         let via_sweep = runner.sweep("single", &[2.0f64], |_| -> f64 { unreachable!() });
         assert_eq!(via_sweep, vec![4.0]);
+        // A refusal is never stored: the next call evaluates again.
+        assert_eq!(
+            runner.run_cached("single", &3.0f64, || Err::<f64, _>("no")),
+            Err("no")
+        );
+        assert_eq!(
+            runner.run_cached("single", &3.0f64, || Ok::<_, &str>(9.0)),
+            Ok(9.0)
+        );
     }
 
     #[test]
